@@ -199,6 +199,9 @@ class FieldElement:
             return FieldElement(self.field, self.a / o.a, self.b / o.a)
         return self * o.inverse()
 
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
     def __bool__(self):
         return self.a != 0 or self.b != 0
 

@@ -23,9 +23,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DimensionMismatch, NonSquare, UnsupportedType
+from .linalg import solve
 from .poly import Poly, elementary_symmetric
-from .rootsys import (CartanType, build_root_system, weyl_group, word_matrix,
-                      _solve_coeffs)
+from .rootsys import CartanType, build_root_system, weyl_group, word_matrix
 
 CharPoint = tuple[Fraction, ...]
 
@@ -100,12 +100,13 @@ def realization(token_or_type) -> TorusRealization:
     # G2: restrict the ambient action to the plane basis b1, b2.
     b1 = (Fraction(1), Fraction(-1), Fraction(0))
     b2 = (Fraction(1), Fraction(1), Fraction(-2))
+    plane_columns = list(zip(b1, b2))
     plane_mats = []
     for m in ambient:
         cols = []
         for b in (b1, b2):
             img = tuple(sum((m[i][j] * b[j] for j in range(3)), Fraction(0)) for i in range(3))
-            cols.append(_solve_coeffs([b1, b2], img))
+            cols.append(solve(plane_columns, img))
         plane_mats.append([[cols[j][i] for j in range(2)] for i in range(2)])
     c1 = Poly.variable(2, 0)
     c2 = Poly.variable(2, 1)

@@ -12,13 +12,14 @@ realization of gl_n, which `gl_realization` exposes for cross-checking.
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionMismatch
+from .linalg import det, solve
 from .rootsys import (CartanType, RootSystem, Vector, build_root_system, cartan_integer,
-                      inner, root_string, vadd, vneg, vscale, vsub, _solve_coeffs)
+                      inner, root_string, vadd, vneg, vscale, vsub)
 
 Coords = tuple[Fraction, ...]
 SparseVec = dict[int, Fraction]
@@ -52,9 +53,6 @@ class IntegralLieAlgebra:
             return f"h({b.index + 1})"
         return f"z({b.index + 1})"
 
-    def x_index(self, a: Vector) -> int:
-        return self.rs.index[tuple(a)]
-
     def h_index(self, i: int) -> int:
         return len(self.rs.roots) + i
 
@@ -66,8 +64,9 @@ def coroot_coords(rs: RootSystem, a: Vector) -> tuple[int, ...]:
     """Integer coordinates of the coroot 2a/(a,a) over the simple coroots."""
     covecs = [vscale(2 / inner(rs, s, s), s) for s in rs.simple]
     target = vscale(2 / inner(rs, a, a), tuple(a))
-    sol = _solve_coeffs(covecs, target)
-    assert all(c.denominator == 1 for c in sol), f"non-integral coroot for {a}"
+    sol = solve(list(zip(*covecs)), target)
+    assert sol is not None and all(c.denominator == 1 for c in sol), \
+        f"non-integral coroot for {a}"
     return tuple(int(c) for c in sol)
 
 
@@ -152,9 +151,9 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
                              for i in range(center_rank))
     else:
         center_basis = tuple(tuple(int(x) for x in row) for row in center_basis)
-        det = _int_det(center_basis)
-        if abs(det) != 1:
-            raise ValueError(f"center basis must be unimodular, det = {det}")
+        d = det([[Fraction(x) for x in row] for row in center_basis])
+        if abs(d) != 1:
+            raise ValueError(f"center basis must be unimodular, det = {d}")
 
     nroots, rank = len(rs.roots), rs.rank
     basis = tuple([BasisVector("x", i) for i in range(nroots)]
@@ -192,29 +191,6 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
 
     return IntegralLieAlgebra(rs=rs, center_rank=center_rank, basis=basis,
                               table=table, center_basis=center_basis)
-
-
-def _int_det(m: tuple[tuple[int, ...], ...]) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    rows = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            if rows[r][c] != 0:
-                f = rows[r][c] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    assert det.denominator == 1
-    return int(det)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +325,26 @@ class ChevalleyReport:
                 and self.jacobi_ok)
 
 
-def verify_chevalley(L: IntegralLieAlgebra, jacobi: str | int = "auto",
-                     seed: int = 20260810) -> ChevalleyReport:
+def _jacobi_holds(L: IntegralLieAlgebra, n: int) -> bool:
+    """Jacobi on every triple of distinct basis vectors among the first n."""
+    one = Fraction(1)
+    for i, j, k in itertools.combinations(range(n), 3):
+        ei, ej, ek = {i: one}, {j: one}, {k: one}
+        acc: SparseVec = {}
+        for u, v, w in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
+            for idx, val in bracket_sparse(L, u, bracket_sparse(L, v, w)).items():
+                acc[idx] = acc.get(idx, Fraction(0)) + val
+        if any(acc.values()):
+            return False
+    return True
+
+
+def verify_chevalley(L: IntegralLieAlgebra) -> ChevalleyReport:
     """Check every clause of the integral-basis theorem on the built table.
 
-    `jacobi` is "exhaustive", "auto" (exhaustive for dim <= 25, else 10000
-    random triples) or an explicit sample count.
+    Jacobi is checked on every triple of the [g,g] basis (root vectors and
+    simple coroots).  Each central vector must bracket to zero with every basis
+    vector, in both orders, which gives Jacobi on any triple containing one.
     """
     rs = L.rs
     nroots = len(rs.roots)
@@ -410,30 +400,12 @@ def verify_chevalley(L: IntegralLieAlgebra, jacobi: str | int = "auto",
         if entries != {k: Fraction(v) for k, v in want.items()} and entries != want:
             coroot_ok = False
 
-    if jacobi == "auto":
-        jacobi = "exhaustive" if L.dim <= 25 else 10000
-    dim = L.dim
-    if jacobi == "exhaustive":
-        triples = ((i, j, k) for i in range(dim) for j in range(i + 1, dim)
-                   for k in range(j + 1, dim))
-        count = dim * (dim - 1) * (dim - 2) // 6
-    else:
-        rng = random.Random(seed)
-        triples = ((rng.randrange(dim), rng.randrange(dim), rng.randrange(dim))
-                   for _ in range(int(jacobi)))
-        count = int(jacobi)
-
-    jacobi_ok = True
-    one = Fraction(1)
-    for i, j, k in triples:
-        ei, ej, ek = {i: one}, {j: one}, {k: one}
-        acc: SparseVec = {}
-        for u, v, w in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-            for idx, val in bracket_sparse(L, u, bracket_sparse(L, v, w)).items():
-                acc[idx] = acc.get(idx, Fraction(0)) + val
-        if any(v != 0 for v in acc.values()):
-            jacobi_ok = False
-            break
+    gg = nroots + rs.rank
+    central_ok = all(not any(c for _, c in L.table.get(pair, ()))
+                     for z in range(gg, L.dim) for i in range(L.dim)
+                     for pair in ((z, i), (i, z)))
+    jacobi_ok = central_ok and _jacobi_holds(L, gg)
+    count = gg * (gg - 1) * (gg - 2) // 6
 
     return ChevalleyReport(antisymmetric=antisymmetric, integral=integral,
                            magnitudes_ok=magnitudes_ok, cartan_action_ok=cartan_action_ok,

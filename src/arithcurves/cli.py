@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -160,14 +161,14 @@ def curve_payload(field_name: str, matrix_spec, twist_spec, cameral: bool,
     twist = _ideal_from_spec(K, twist_spec) if twist_spec is not None else None
     phi = curve.higgs_field(K, entries, twist=twist)
     C = curve.cameral_curve(phi) if cameral else curve.spectral_curve(phi)
-    cert = curve.characteristic_point(phi)
     payload = {"kind": C.kind, "field": K.name, "n": C.n,
                "matrix": [[str(x) for x in row] for row in entries],
                "twist_hnf": phi.twist.hnf_strings(),
                "poly": [str(c) for c in C.poly],
-               "char_point": [str(c) for c in C.char_point],
+               "char_point": [str(c) for c in C.certificate.values],
                "integrality": [{"power": kk, "coords": [str(c) for c in coords]}
-                               for kk, coords in enumerate(cert.power_coords, start=1)],
+                               for kk, coords in enumerate(C.certificate.power_coords,
+                                                           start=1)],
                "disc": str(C.disc), "degenerate": C.degenerate,
                "degree": C.degree}
     if K.degree == 1 and not C.degenerate:
@@ -178,9 +179,14 @@ def curve_payload(field_name: str, matrix_spec, twist_spec, cameral: bool,
                 payload["rational_points"] = [[rat_str(x) for x in p] for p in pts]
     if fiber_bound is not None:
         payload["fiber_bound"] = fiber_bound
-        spectral = C if C.kind == "spectral" else curve.spectral_curve(phi)
+        primes = curve.ramified_primes(replace(C, kind="spectral"), fiber_bound)
         payload["ramified"] = [{"p": p, "pattern": [list(fe) for fe in pat]}
-                               for p, pat in curve.ramified_primes(spectral, fiber_bound)]
+                               for p, pat in primes if pat is not None]
+        skipped = [{"p": p, "reason": "divides a coefficient denominator: the characteristic "
+                                      "polynomial has no reduction mod p"}
+                   for p, pat in primes if pat is None]
+        if skipped:
+            payload["skipped"] = skipped
     return payload
 
 
@@ -275,16 +281,11 @@ def _json_arg(parser: argparse.ArgumentParser, text: str, what: str):
         parser.error(f"{what} is not valid JSON: {exc}")
 
 
-def _json_file(parser: argparse.ArgumentParser, path: str, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        parser.error(f"cannot read {what} file: {exc}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        parser.error(f"{what} is not valid JSON: {exc}")
+def _center_rank(text: str) -> int:
+    rank = int(text)
+    if rank < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {rank}")
+    return rank
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chevalley", help="integral Chevalley basis and bracket table")
     p.add_argument("--type", required=True)
-    p.add_argument("--center", type=int, default=0)
+    p.add_argument("--center", type=_center_rank, default=0)
     p.add_argument("--verify", action="store_true", help="attach the verification report")
 
     p = sub.add_parser("chi", help="characteristic morphism")
@@ -363,7 +364,7 @@ def run(argv=None, out=None) -> int:
                                      _json_arg(parser, args.ideal, "--ideal"),
                                      _json_arg(parser, args.metrics, "--metrics"))
         elif args.verb == "slope":
-            payload = slope_payload(_json_file(parser, args.torsor, "--torsor"),
+            payload = slope_payload(_json_arg(parser, "@" + args.torsor, "--torsor"),
                                     args.char)
         elif args.verb == "curve":
             twist = _json_arg(parser, args.twist, "--twist") if args.twist else None
@@ -371,7 +372,7 @@ def run(argv=None, out=None) -> int:
                                     _json_arg(parser, args.matrix, "--matrix"),
                                     twist, args.cameral, args.fibers)
         else:
-            payload = verify_payload(_json_file(parser, args.input, "--input"))
+            payload = verify_payload(_json_arg(parser, "@" + args.input, "--input"))
             print(json.dumps(payload, indent=2), file=out)
             return 0 if payload["ok"] else 1
     except ArithCurvesError as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .arakelov import FieldElement, FractionalIdeal, NumberField
@@ -24,6 +24,7 @@ from .charmorph import char_coeffs
 from .errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
                      UnsupportedBase)
 from .finitefield import factor_pattern, is_prime, is_squarefree, roots_mod_p
+from .linalg import det
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ class CharacteristicCurve:
     field: NumberField
     n: int
     poly: tuple[FieldElement, ...]           # monic, highest degree first
-    char_point: tuple[FieldElement, ...]
+    certificate: CharPointCertificate        # chi(phi) and its integrality witness
     twist: FractionalIdeal
     disc: FieldElement
 
@@ -109,26 +110,6 @@ def _monic_poly(phi: HiggsField, values) -> tuple[FieldElement, ...]:
     return tuple(coeffs)
 
 
-def _field_det(rows: list[list[FieldElement]], K: NumberField) -> FieldElement:
-    n = len(rows)
-    det = K.one
-    rows = [row[:] for row in rows]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if rows[r][c]), None)
-        if piv is None:
-            return K.zero
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = det * (-1)
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for r in range(c + 1, n):
-            if rows[r][c]:
-                f = rows[r][c] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
-
-
 def resultant(p, q, K: NumberField) -> FieldElement:
     """Sylvester resultant of two polynomials (highest degree first)."""
     p, q = list(p), list(q)
@@ -139,7 +120,7 @@ def resultant(p, q, K: NumberField) -> FieldElement:
         rows.append([K.zero] * i + p + [K.zero] * (size - i - n - 1))
     for i in range(n):
         rows.append([K.zero] * i + q + [K.zero] * (size - i - m - 1))
-    return _field_det(rows, K)
+    return det(rows)
 
 
 def poly_discriminant(poly, K: NumberField) -> FieldElement:
@@ -158,17 +139,17 @@ def spectral_curve(phi: HiggsField) -> CharacteristicCurve:
     cert = characteristic_point(phi)
     poly = _monic_poly(phi, cert.values)
     return CharacteristicCurve(kind="spectral", field=phi.field, n=phi.n, poly=poly,
-                               char_point=cert.values, twist=phi.twist,
+                               certificate=cert, twist=phi.twist,
                                disc=poly_discriminant(poly, phi.field))
 
 
 def cameral_curve(phi: HiggsField) -> CharacteristicCurve:
-    """The base change along t -> t//W: relations e_k(l_1..l_n) = c_k."""
-    cert = characteristic_point(phi)
-    poly = _monic_poly(phi, cert.values)
-    return CharacteristicCurve(kind="cameral", field=phi.field, n=phi.n, poly=poly,
-                               char_point=cert.values, twist=phi.twist,
-                               disc=poly_discriminant(poly, phi.field))
+    """The base change along t -> t//W: relations e_k(l_1..l_n) = c_k.
+
+    It is cut out by the same characteristic point as the spectral curve, so
+    it carries the same data under another kind.
+    """
+    return replace(spectral_curve(phi), kind="cameral")
 
 
 def discriminant(phi: HiggsField) -> FieldElement:
@@ -206,17 +187,24 @@ def fiber(C: CharacteristicCurve, p: int) -> list[tuple[int, int]]:
     return shape
 
 
-def ramified_primes(C: CharacteristicCurve, bound: int) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Primes below the bound dividing the discriminant, with fiber shapes."""
+def ramified_primes(C: CharacteristicCurve,
+                    bound: int) -> list[tuple[int, list[tuple[int, int]] | None]]:
+    """Primes below the bound dividing the discriminant, with fiber shapes.
+
+    A prime dividing a coefficient denominator is listed with shape None: p_phi
+    has no reduction there, so its fiber is not defined on this presentation.
+    """
     if C.degenerate:
         raise DegenerateCurve("discriminant vanishes identically")
-    _rational_poly(C)
+    den = math.lcm(*(c.denominator for c in _rational_poly(C)))
     d = C.disc.a
     out = []
     for p in range(2, bound):
         if not is_prime(p):
             continue
-        if d.numerator % p == 0 or d.denominator % p == 0:
+        if den % p == 0:
+            out.append((p, None))
+        elif d.numerator % p == 0 or d.denominator % p == 0:
             out.append((p, fiber(C, p)))
     return out
 
@@ -253,7 +241,8 @@ def covering_degree_check(C: CharacteristicCurve) -> bool:
         return False
     if C.kind == "spectral":
         return True
-    want = [int(c.a.numerator * pow(c.a.denominator, -1, p)) % p for c in C.char_point]
+    want = [int(c.a.numerator * pow(c.a.denominator, -1, p)) % p
+            for c in C.certificate.values]
     count = 0
     for tup in itertools.product(roots, repeat=C.n):
         if all(_ek_mod(tup, k, p) == want[k - 1] for k in range(1, C.n + 1)):

@@ -40,18 +40,8 @@ def trim(f: list[int]) -> list[int]:
     return f
 
 
-def reduce_mod(f, p: int) -> list[int]:
-    return trim([int(c) % p for c in f])
-
-
 def deg(f: list[int]) -> int:
     return len(f) - 1
-
-
-def add(f, g, p):
-    n = max(len(f), len(g))
-    return trim([((f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)) % p
-                 for i in range(n)])
 
 
 def sub(f, g, p):

@@ -13,10 +13,6 @@ def rat_str(q: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s.strip())
-
-
 def real_str(x: float) -> str:
     """17 significant digits: enough to round-trip a double, stable across runs."""
     return format(float(x), ".17g")

@@ -15,6 +15,7 @@ from typing import Iterable
 
 from .errors import DimensionMismatch, NotARoot, ProportionalRoots, UnsupportedType
 from .jsonutil import rat_str
+from .linalg import solve
 
 Vector = tuple[Fraction, ...]
 
@@ -122,35 +123,6 @@ def _ambient_roots(t: CartanType) -> tuple[list[Vector], list[Vector]]:
     return roots, simple
 
 
-def _solve_coeffs(simple: list[Vector], v: Vector) -> tuple[Fraction, ...]:
-    """Exact coordinates of v in the basis `simple` of its span."""
-    rank, dim = len(simple), len(v)
-    # Gaussian elimination on the augmented (dim x rank | v) system.
-    rows = [[simple[j][i] for j in range(rank)] + [v[i]] for i in range(dim)]
-    piv_cols: list[int] = []
-    rr = 0
-    for c in range(rank):
-        piv = next((k for k in range(rr, dim) if rows[k][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        rows[rr] = [x / rows[rr][c] for x in rows[rr]]
-        for k in range(dim):
-            if k != rr and rows[k][c] != 0:
-                fac = rows[k][c]
-                rows[k] = [x - fac * y for x, y in zip(rows[k], rows[rr])]
-        piv_cols.append(c)
-        rr += 1
-    coeffs = [Fraction(0)] * rank
-    for k, c in enumerate(piv_cols):
-        coeffs[c] = rows[k][rank]
-    # Consistency: zero rows must have zero rhs (v lies in the span).
-    for k in range(rr, dim):
-        if rows[k][rank] != 0:
-            raise NotARoot(f"{v} not in the span of the simple roots")
-    return tuple(coeffs)
-
-
 @dataclass(frozen=True)
 class RootSystem:
     cartan_type: CartanType
@@ -192,10 +164,11 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     scale = Fraction(2) if t.family == "B" else Fraction(1)
 
     coeffs: dict[Vector, tuple[int, ...]] = {}
+    simple_columns = list(zip(*simple))
     for a in roots:
-        c = _solve_coeffs(simple, a)
-        if any(x.denominator != 1 for x in c):
-            raise NotARoot(f"non-integral simple-root coordinates for {a}")
+        c = solve(simple_columns, a)
+        if c is None or any(x.denominator != 1 for x in c):
+            raise NotARoot(f"no integral simple-root coordinates for {a}")
         coeffs[a] = tuple(int(x) for x in c)
 
     positive = [a for a in roots if all(c >= 0 for c in coeffs[a])]
@@ -255,9 +228,6 @@ def root_string(rs: RootSystem, a: Vector, b: Vector) -> tuple[int, int]:
 class WeylElement:
     word: tuple[int, ...]                 # indices of simple reflections, leftmost acts last
     perm: tuple[int, ...]                 # image index of each root
-
-    def apply_index(self, i: int) -> int:
-        return self.perm[i]
 
 
 def _simple_reflection_perm(rs: RootSystem, i: int) -> tuple[int, ...]:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -142,7 +143,7 @@ def test_sign_constraints_and_rescale_a2():
          a2: Fraction(1), vneg(a2): Fraction(1),
          g: Fraction(-1), vneg(g): Fraction(-1)}
     assert verify_sign_constraints(L, c)
-    assert verify_chevalley(rescale(L, c), jacobi="exhaustive").ok
+    assert verify_chevalley(rescale(L, c)).ok
     c_bad = dict(c)
     c_bad[g] = Fraction(3)
     c_bad[vneg(g)] = Fraction(1, 3)
@@ -151,7 +152,7 @@ def test_sign_constraints_and_rescale_a2():
 
 @pytest.mark.parametrize("token", SMALL_TYPES)
 def test_full_verification_small_types(token):
-    rep = verify_chevalley(algebra(token), jacobi="exhaustive")
+    rep = verify_chevalley(algebra(token))
     assert rep.ok
     assert rep.magnitudes_ok and rep.coroot_ok and rep.opposite_sign_ok
     # the literal sign clause c_{a,b} = c_{-a,-b} printed in the source
@@ -160,6 +161,28 @@ def test_full_verification_small_types(token):
     if token != "A1":                           # A1 has no summable root pairs
         assert rep.pair_count > 0
     assert not rep.string_identity_failures
+
+
+def test_jacobi_catches_a_corrupted_root_bracket():
+    L = algebra("B4")
+    nroots = len(L.rs.roots)
+    (i, j), ((k, c),) = next((pair, e) for pair, e in L.table.items()
+                             if pair[0] < pair[1] < nroots and e[0][0] < nroots)
+    table = dict(L.table)
+    table[(i, j)], table[(j, i)] = ((k, -c),), ((k, c),)   # antisymmetry still holds
+    rep = verify_chevalley(replace(L, table=table))
+    assert rep.antisymmetric and not rep.jacobi_ok
+
+
+def test_jacobi_catches_a_non_central_center():
+    L = algebra("A2", center=2)
+    rep = verify_chevalley(L)
+    assert rep.jacobi_ok and rep.jacobi_triples == 8 * 7 * 6 // 6    # [g,g] triples only
+    z = L.z_index(1)
+    table = dict(L.table)
+    table[(z, 0)], table[(0, z)] = ((0, 1),), ((0, -1),)
+    rep = verify_chevalley(replace(L, table=table))
+    assert rep.antisymmetric and rep.cartan_action_ok and not rep.jacobi_ok
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

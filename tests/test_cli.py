@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from arithcurves import curve
 from arithcurves.cli import run
 
 CLI = [sys.executable, "-m", "arithcurves.cli"]
@@ -46,6 +47,14 @@ def test_chevalley_verb():
     assert rec["result"] == [0, 0, 1, 0]
 
 
+def test_negative_center_is_a_usage_error(capsys):
+    buf = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(["chevalley", "--type", "A2", "--center", "-1"], out=buf)
+    assert exc.value.code == 2 and buf.getvalue() == ""
+    assert "--center" in capsys.readouterr().err
+
+
 def test_chi_verbs():
     doc = invoke_json("chi", "--matrix", '[["0","1"],["2","0"]]')
     assert doc["invariants"] == ["0", "-2"]
@@ -75,6 +84,7 @@ def test_curve_verb_and_domain_error():
     assert doc["kind"] == "spectral"
     assert doc["poly"] == ["1", "0", "-2"] and doc["disc"] == "8"
     assert doc["ramified"] == [{"p": 2, "pattern": [[1, 2]]}]
+    assert "skipped" not in doc
     assert doc["covering_ok"] is True
     # nilpotent Higgs field: degenerate, fiber analysis refuses with exit 1
     code, text = invoke("curve", "--matrix", '[["0","1"],["0","0"]]',
@@ -82,6 +92,25 @@ def test_curve_verb_and_domain_error():
     assert code == 1
     err = json.loads(text)
     assert err["error"]["type"] == "DegenerateCurve"
+
+
+@pytest.mark.parametrize("extra", [[], ["--cameral"], ["--cameral", "--fibers", "30"]])
+def test_curve_computes_the_characteristic_polynomial_once(monkeypatch, extra):
+    calls = []
+    char_coeffs = curve.char_coeffs
+    monkeypatch.setattr(curve, "char_coeffs", lambda a: calls.append(a) or char_coeffs(a))
+    invoke_json("curve", "--matrix", '[["1","2"],["3","4"]]', *extra)
+    assert len(calls) == 1
+
+
+def test_fractional_twist_fibers_skip_the_denominator_prime(tmp_path):
+    doc = invoke_json("curve", "--matrix", '[["1/2","1"],["0","0"]]',
+                      "--twist", '["1/2"]', "--fibers", "10")
+    assert doc["poly"] == ["1", "-1/2", "0"] and doc["ramified"] == []
+    assert [s["p"] for s in doc["skipped"]] == [2]
+    f = tmp_path / "frac.json"
+    f.write_text(json.dumps(doc))
+    assert invoke_json("verify", "--input", str(f))["ok"]
 
 
 def test_curve_membership_error_is_domain_error():
