@@ -20,12 +20,12 @@ elements for the curve layer.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import DimensionMismatch, NonSquare, UnsupportedType
 from .linalg import solve
 from .poly import Poly, elementary_symmetric
-from .rootsys import CartanType, build_root_system, weyl_group, word_matrix
+from .rootsys import CartanType, build_root_system, weyl_matrices
 
 CharPoint = tuple[Fraction, ...]
 
@@ -33,11 +33,18 @@ GL_MAX = 5
 
 
 class TorusRealization:
-    def __init__(self, token: str, nvars: int, weyl_matrices, invariants):
+    def __init__(self, token: str, nvars: int, invariants, build_weyl_matrices):
         self.token = token
         self.nvars = nvars
-        self.weyl_matrices = weyl_matrices        # list of nvars x nvars Fraction matrices
         self.invariants = invariants              # list of Poly
+        self._build_weyl_matrices = build_weyl_matrices
+
+    # Built on first use: only is_invariant and reynolds_symmetrize need them,
+    # while chi_torus evaluates the invariants and never enumerates W.
+    @cached_property
+    def weyl_matrices(self) -> list:
+        """nvars x nvars Fraction matrices of W."""
+        return self._build_weyl_matrices()
 
     @property
     def rank(self) -> int:
@@ -53,8 +60,25 @@ def _normalize_token(t) -> str:
     return s.upper()
 
 
-def _identity(n: int):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+def _weyl_matrices(t: CartanType | None) -> list:
+    """W's matrices on a realization's coordinates; t is None for gl1 (W trivial)."""
+    if t is None:
+        return [[[Fraction(1)]]]
+    ambient = weyl_matrices(build_root_system(t))
+    if t.family != "G":
+        return ambient
+    # G2: restrict the ambient action to the plane basis b1, b2.
+    b1 = (Fraction(1), Fraction(-1), Fraction(0))
+    b2 = (Fraction(1), Fraction(1), Fraction(-2))
+    plane_columns = list(zip(b1, b2))
+    plane_mats = []
+    for m in ambient:
+        cols = []
+        for b in (b1, b2):
+            img = tuple(sum((m[i][j] * b[j] for j in range(3)), Fraction(0)) for i in range(3))
+            cols.append(solve(plane_columns, img))
+        plane_mats.append([[cols[j][i] for j in range(2)] for i in range(2)])
+    return plane_mats
 
 
 @lru_cache(maxsize=None)
@@ -67,22 +91,17 @@ def realization(token_or_type) -> TorusRealization:
             raise UnsupportedType(f"unsupported torus {token!r}")
         if not 1 <= n <= GL_MAX:
             raise UnsupportedType(f"gl_{n} outside the supported range 1..{GL_MAX}")
-        if n == 1:
-            mats = [_identity(1)]
-        else:
-            rs = build_root_system(CartanType("A", n - 1))
-            mats = [word_matrix(rs, w.word) for w in weyl_group(rs)]
-        return TorusRealization(token, n, mats,
-                                [elementary_symmetric(n, k) for k in range(1, n + 1)])
+        weyl = partial(_weyl_matrices, CartanType("A", n - 1) if n > 1 else None)
+        return TorusRealization(token, n,
+                                [elementary_symmetric(n, k) for k in range(1, n + 1)], weyl)
 
     t = CartanType.parse(token)
-    rs = build_root_system(t)
-    ambient = [word_matrix(rs, w.word) for w in weyl_group(rs)]
+    weyl = partial(_weyl_matrices, t)
 
     if t.family == "A":
         n = t.rank + 1
         inv = [elementary_symmetric(n, k) for k in range(2, n + 1)]
-        return TorusRealization(token, n, ambient, inv)
+        return TorusRealization(token, n, inv, weyl)
 
     if t.family in ("B", "C", "D"):
         r = t.rank
@@ -95,25 +114,15 @@ def realization(token_or_type) -> TorusRealization:
             inv = [e_of_squares(k) for k in range(1, r)] + [elementary_symmetric(r, r)]
         else:
             inv = [e_of_squares(k) for k in range(1, r + 1)]
-        return TorusRealization(token, r, ambient, inv)
+        return TorusRealization(token, r, inv, weyl)
 
-    # G2: restrict the ambient action to the plane basis b1, b2.
-    b1 = (Fraction(1), Fraction(-1), Fraction(0))
-    b2 = (Fraction(1), Fraction(1), Fraction(-2))
-    plane_columns = list(zip(b1, b2))
-    plane_mats = []
-    for m in ambient:
-        cols = []
-        for b in (b1, b2):
-            img = tuple(sum((m[i][j] * b[j] for j in range(3)), Fraction(0)) for i in range(3))
-            cols.append(solve(plane_columns, img))
-        plane_mats.append([[cols[j][i] for j in range(2)] for i in range(2)])
+    # G2: intrinsic coordinates on the plane basis b1, b2.
     c1 = Poly.variable(2, 0)
     c2 = Poly.variable(2, 1)
     i2 = c1 * c1 * Fraction(2) + c2 * c2 * Fraction(6)          # squared length on the plane
     odd = (c1 * c1 * c2 - c2 * c2 * c2) * Fraction(2)           # coordinate product, restricted
     i6 = odd * odd
-    return TorusRealization(token, 2, plane_mats, [i2, i6])
+    return TorusRealization(token, 2, [i2, i6], weyl)
 
 
 def fundamental_invariants(t) -> list[Poly]:

@@ -146,6 +146,8 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
                           center_basis: tuple[tuple[int, ...], ...] | None = None
                           ) -> IntegralLieAlgebra:
     """Chevalley basis of [g,g] extended by an abelian center of the given rank."""
+    if center_rank < 0:
+        raise DimensionMismatch(f"center rank must be >= 0, got {center_rank}")
     if center_basis is None:
         center_basis = tuple(tuple(1 if i == j else 0 for j in range(center_rank))
                              for i in range(center_rank))

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
-
-from . import arakelov, chevalley, charmorph, curve, rootsys, torsor
+# torsor (and with it numpy) is imported only by `slope` and by `verify` on a
+# torsor description, so every other verb starts without numpy.
+from . import arakelov, chevalley, charmorph, curve, rootsys
 from .errors import ArithCurvesError, UnsupportedType
 from .jsonutil import rat_str, real_str
 
@@ -110,45 +111,48 @@ def degree_payload(field_name: str, ideal_spec, metric_strings: list) -> dict:
             "metrics": [real_str(m) for m in metrics], "degree": real_str(deg)}
 
 
-def _parse_place_matrix(entry, kind: str) -> np.ndarray:
-    if kind == "real":
-        return np.array([[float(x) for x in row] for row in entry], dtype=float)
-    return np.array([[complex(float(x[0]), float(x[1])) for x in row] for row in entry])
-
-
-def _gram_witness(entry, kind: str) -> np.ndarray:
+def _gram_witness(entry, kind: str):
     """Group element whose pullback of the canonical metric has this Gram matrix."""
-    gram = _parse_place_matrix(entry, kind)
+    import numpy as np
+    if kind == "real":
+        gram = np.array([[float(x) for x in row] for row in entry], dtype=float)
+    else:
+        gram = np.array([[complex(float(x[0]), float(x[1])) for x in row] for row in entry])
     try:
         return np.linalg.cholesky(gram).conj().T
     except np.linalg.LinAlgError as exc:
         raise ArithCurvesError("metric Gram matrix must be positive definite") from exc
 
 
-def _emit_place_matrix(mat: np.ndarray, kind: str):
+def _place_metrics(K: arakelov.NumberField, n: int, entries) -> tuple[list[str], list]:
+    """Place kinds (real places first) and the witnessed metric given at each."""
+    from . import torsor
+    r1, r2 = K.signature
+    kinds = ["real"] * r1 + ["complex"] * r2
+    metrics = [torsor.witnessed_metric(torsor.canonical_form(n, kind),
+                                       _gram_witness(entry, kind))
+               for kind, entry in zip(kinds, entries)]
+    return kinds, metrics
+
+
+def _emit_place_matrix(mat, kind: str):
     if kind == "real":
         return [[real_str(x) for x in row] for row in mat.tolist()]
     return [[[real_str(x.real), real_str(x.imag)] for x in row] for row in mat.tolist()]
 
 
 def slope_payload(torsor_spec: dict, k: int) -> dict:
+    from . import torsor
     K = arakelov.parse_field(torsor_spec["field"])
     n = int(torsor_spec["rank"])
     ideals = tuple(_ideal_from_spec(K, spec) for spec in torsor_spec["ideals"])
-    r1, r2 = K.signature
-    kinds = ["real"] * r1 + ["complex"] * r2
-    metrics = []
-    for kind, entry in zip(kinds, torsor_spec["metrics"]):
-        cm = torsor.witnessed_metric(torsor.canonical_form(n, kind),
-                                     _gram_witness(entry, kind))
-        metrics.append(cm)
+    kinds, metrics = _place_metrics(K, n, torsor_spec["metrics"])
     T = torsor.ArithmeticTorsor(field=K, rank=n, ideals=ideals, metrics=tuple(metrics))
     det_bundle = torsor.determinant_bundle(T)
     value = torsor.slope(T, k)
     return {"kind": "slope", "field": K.name, "rank": n, "char_power": k,
             "ideals": [i.hnf_strings() for i in ideals],
-            "metrics": [_emit_place_matrix(np.asarray(m.std), kind)
-                        for kind, m in zip(kinds, metrics)],
+            "metrics": [_emit_place_matrix(m.std, kind) for kind, m in zip(kinds, metrics)],
             "det_ideal_hnf": det_bundle.ideal.hnf_strings(),
             "gram_dets": [real_str(r * r) for r in det_bundle.metrics],
             "slope": real_str(value)}
@@ -242,13 +246,8 @@ def verify_torsor_payload(doc: dict) -> dict:
     n = int(doc["rank"])
     for spec in doc["ideals"]:
         _ideal_from_spec(K, spec)
-    r1, r2 = K.signature
-    kinds = ["real"] * r1 + ["complex"] * r2
-    reports = []
-    for kind, entry in zip(kinds, doc["metrics"]):
-        cm = torsor.witnessed_metric(torsor.canonical_form(n, kind),
-                                     _gram_witness(entry, kind))
-        reports.append(cm.verify().as_dict())
+    _, metrics = _place_metrics(K, n, doc["metrics"])
+    reports = [cm.verify().as_dict() for cm in metrics]
     return {"kind": "verify", "input_kind": "torsor",
             "ok": all(r["ok"] for r in reports), "reports": reports}
 
@@ -279,6 +278,26 @@ def _json_arg(parser: argparse.ArgumentParser, text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         parser.error(f"{what} is not valid JSON: {exc}")
+
+
+def _rationals(parser: argparse.ArgumentParser, value, what: str) -> list[Fraction]:
+    """A JSON list of rational literals; any other shape or literal is a usage error."""
+    if not isinstance(value, list):
+        parser.error(f"{what} must be a JSON list of rationals")
+    out = []
+    for x in value:
+        try:
+            out.append(Fraction(x))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            parser.error(f"{what} holds {json.dumps(x)}, which is not a rational")
+    return out
+
+
+def _rational_matrix(parser: argparse.ArgumentParser, value, what: str):
+    """A non-empty JSON list of rows of rationals; rows need not be square here."""
+    if not isinstance(value, list) or not value:
+        parser.error(f"{what} must be a non-empty JSON list of rows")
+    return [_rationals(parser, row, what) for row in value]
 
 
 def _center_rank(text: str) -> int:
@@ -330,51 +349,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verb_payload(parser: argparse.ArgumentParser, args) -> dict:
+    """The payload of every verb but `verify`, from parsed arguments."""
+    if args.verb == "rootsys":
+        return rootsys_payload(args.type, args.weyl)
+    if args.verb == "chevalley":
+        return chevalley_payload(args.type, args.center, args.verify)
+    if args.verb == "chi":
+        if (args.matrix is None) == (args.torus_point is None):
+            parser.error("chi needs exactly one of --matrix or --torus-point")
+        if args.matrix is not None:
+            return chi_matrix_payload(_rational_matrix(
+                parser, _json_arg(parser, args.matrix, "--matrix"), "--matrix"))
+        if not args.type:
+            parser.error("--torus-point requires --type")
+        return chi_torus_payload(args.type, _rationals(
+            parser, _json_arg(parser, args.torus_point, "--torus-point"), "--torus-point"))
+    if args.verb == "degree":
+        return degree_payload(args.field, _json_arg(parser, args.ideal, "--ideal"),
+                              _json_arg(parser, args.metrics, "--metrics"))
+    if args.verb == "slope":
+        return slope_payload(_json_arg(parser, "@" + args.torsor, "--torsor"), args.char)
+    twist = _json_arg(parser, args.twist, "--twist") if args.twist else None
+    return curve_payload(args.field, _json_arg(parser, args.matrix, "--matrix"),
+                         twist, args.cameral, args.fibers)
+
+
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
 
     try:
-        if args.verb == "rootsys":
-            try:
-                payload = rootsys_payload(args.type, args.weyl)
-            except UnsupportedType as exc:
-                parser.error(str(exc))
-        elif args.verb == "chevalley":
-            try:
-                payload = chevalley_payload(args.type, args.center, args.verify)
-            except UnsupportedType as exc:
-                parser.error(str(exc))
-        elif args.verb == "chi":
-            if (args.matrix is None) == (args.torus_point is None):
-                parser.error("chi needs exactly one of --matrix or --torus-point")
-            if args.matrix is not None:
-                payload = chi_matrix_payload(_json_arg(parser, args.matrix, "--matrix"))
-            else:
-                if not args.type:
-                    parser.error("--torus-point requires --type")
-                try:
-                    payload = chi_torus_payload(
-                        args.type, _json_arg(parser, args.torus_point, "--torus-point"))
-                except UnsupportedType as exc:
-                    parser.error(str(exc))
-        elif args.verb == "degree":
-            payload = degree_payload(args.field,
-                                     _json_arg(parser, args.ideal, "--ideal"),
-                                     _json_arg(parser, args.metrics, "--metrics"))
-        elif args.verb == "slope":
-            payload = slope_payload(_json_arg(parser, "@" + args.torsor, "--torsor"),
-                                    args.char)
-        elif args.verb == "curve":
-            twist = _json_arg(parser, args.twist, "--twist") if args.twist else None
-            payload = curve_payload(args.field,
-                                    _json_arg(parser, args.matrix, "--matrix"),
-                                    twist, args.cameral, args.fibers)
-        else:
-            payload = verify_payload(_json_arg(parser, "@" + args.input, "--input"))
+        if args.verb == "verify":
+            doc = _json_arg(parser, "@" + args.input, "--input")
+            if not isinstance(doc, dict):
+                parser.error("--input must hold a JSON object")
+            payload = verify_payload(doc)
             print(json.dumps(payload, indent=2), file=out)
             return 0 if payload["ok"] else 1
+        try:
+            payload = _verb_payload(parser, args)
+        except UnsupportedType as exc:
+            parser.error(str(exc))
     except ArithCurvesError as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
                          indent=2), file=out)
@@ -385,7 +402,16 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does): stop quietly, with
+        # the status of a process ended by SIGPIPE.  Point stdout at devnull so
+        # the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

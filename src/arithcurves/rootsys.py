@@ -261,22 +261,21 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     return elements
 
 
-def reflection_matrix(rs: RootSystem, a: Vector) -> list[list[Fraction]]:
-    """Ambient matrix of the reflection in root a (columns are images of e_i)."""
+def weyl_matrices(rs: RootSystem) -> list[list[list[Fraction]]]:
+    """Ambient matrices of the Weyl group, in ``weyl_group`` order."""
+    # The matrix of a word (i, *rest), leftmost reflection applied last, is s_i
+    # applied to the columns of the matrix of rest.  weyl_group builds each word
+    # by prepending one index to a word it holds, so rest is listed, and earlier.
     n = rs.ambient_dim
-    cols = [reflect(rs, _unit(n, i), a) for i in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def word_matrix(rs: RootSystem, word: tuple[int, ...]) -> list[list[Fraction]]:
-    """Ambient matrix of a Weyl word (leftmost reflection applied last)."""
-    n = rs.ambient_dim
-    mat = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in reversed(word):
-        ref = reflection_matrix(rs, rs.simple[i])
-        mat = [[sum((ref[r][k] * mat[k][c] for k in range(n)), Fraction(0))
-                for c in range(n)] for r in range(n)]
-    return mat
+    columns = {(): tuple(_unit(n, j) for j in range(n))}
+    mats = []
+    for el in weyl_group(rs):
+        if el.word:
+            s_i = rs.simple[el.word[0]]
+            columns[el.word] = tuple(reflect(rs, c, s_i) for c in columns[el.word[1:]])
+        cols = columns[el.word]
+        mats.append([[cols[j][r] for j in range(n)] for r in range(n)])
+    return mats
 
 
 def root_system_json(rs: RootSystem) -> dict:

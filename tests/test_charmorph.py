@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from arithcurves.charmorph import (chi_gl, chi_torus, elementary_from_power_sums,
+from arithcurves.charmorph import (GL_MAX, chi_gl, chi_torus, elementary_from_power_sums,
                                    fundamental_invariants, is_invariant,
                                    power_sums_from_elementary, realization,
                                    reynolds_symmetrize)
 from arithcurves.errors import DimensionMismatch, NonSquare, UnsupportedType
 from arithcurves.poly import Poly, elementary_symmetric
+from arithcurves.rootsys import ROOT_COUNT
 
 TORI = ["gl1", "gl2", "gl3", "gl4", "A1", "A2", "A3", "B2", "B3", "C2", "C3",
         "D3", "D4", "G2"]
@@ -141,6 +142,20 @@ def test_chi_torus_integrality(token):
     for _ in range(5):
         pt = [rng.randint(-5, 5) for _ in range(real.nvars)]
         assert all(v.denominator == 1 for v in chi_torus(token, pt))
+
+
+def test_chi_torus_never_builds_weyl_matrices():
+    realization.cache_clear()
+    tokens = [f"gl{n}" for n in range(1, GL_MAX + 1)] + sorted(f"{f}{r}" for f, r in ROOT_COUNT)
+    for token in tokens:
+        real = realization(token)
+        chi_torus(token, range(1, real.nvars + 1))
+        fundamental_invariants(token)
+        assert "weyl_matrices" not in vars(real), token
+    # the first invariance check builds them, and they are kept
+    real = realization("G2")
+    assert is_invariant("G2", real.invariants[1])
+    assert len(vars(real)["weyl_matrices"]) == 12
 
 
 def test_chi_gl_examples():

@@ -209,6 +209,11 @@ def test_center_basis_must_be_unimodular():
     assert L.center_rank == 2
 
 
+def test_negative_center_rank_is_a_domain_error():
+    with pytest.raises(DimensionMismatch):
+        build_chevalley_basis(build_root_system("A1"), center_rank=-1)
+
+
 def test_labels_stable():
     L = algebra("G2")
     labels = [L.label(i) for i in range(L.dim)]

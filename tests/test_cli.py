@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -68,6 +69,83 @@ def test_chi_usage_errors():
     proc = subprocess.run(CLI + ["chi", "--matrix", "[[1,", ],
                           capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--matrix", "5"], 2),
+    (["--matrix", '[["1/0"]]'], 2),
+    (["--matrix", '[["a"]]'], 2),
+    (["--matrix", "[]"], 2),
+    (["--matrix", "[5]"], 2),
+    (["--torus-point", "5", "--type", "A2"], 2),
+    (["--torus-point", '["a","1","2"]', "--type", "A2"], 2),
+    (["--matrix", '[["1","2"]]'], 1),                 # rectangular: a domain error
+    (["--matrix", '[["1","2"],["3"]]'], 1),           # ragged: a domain error
+])
+def test_malformed_chi_input(capsys, args, code):
+    buf = io.StringIO()
+    if code == 2:
+        with pytest.raises(SystemExit) as exc:
+            run(["chi", *args], out=buf)
+        assert exc.value.code == 2 and buf.getvalue() == ""
+        assert args[0] in capsys.readouterr().err
+    else:
+        assert run(["chi", *args], out=buf) == 1
+        assert json.loads(buf.getvalue())["error"]["type"] == "NonSquare"
+
+
+@pytest.mark.parametrize("text", ["[1, 2, 3]", "7", '"chevalley"'])
+def test_verify_non_object_document_is_a_usage_error(tmp_path, capsys, text):
+    f = tmp_path / "doc.json"
+    f.write_text(text)
+    buf = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--input", str(f)], out=buf)
+    assert exc.value.code == 2 and buf.getvalue() == ""
+    assert "--input" in capsys.readouterr().err
+
+
+def test_verify_negative_center_is_a_domain_error(tmp_path):
+    doc = invoke_json("chevalley", "--type", "A1")
+    doc["center"] = -1
+    f = tmp_path / "neg.json"
+    f.write_text(json.dumps(doc))
+    code, text = invoke("verify", "--input", str(f))
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "DimensionMismatch"
+
+
+def test_closed_stdout_ends_quietly():
+    proc = subprocess.Popen(CLI + ["rootsys", "--type", "B4", "--weyl"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()                  # the reader goes away before any output
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Error" not in err
+
+
+def test_numpy_loads_only_for_torsor_verbs(tmp_path):
+    spec = {"field": "Q(sqrt(-5))", "rank": 2, "ideals": [["1"], ["2", "1+w"]],
+            "metrics": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps(spec))
+    script = textwrap.dedent("""
+        import io, sys
+        import arithcurves.cli as cli
+        assert "numpy" not in sys.modules
+        for argv in (["rootsys", "--type", "A2", "--weyl"],
+                     ["chi", "--torus-point", "[1,2]", "--type", "B2"],
+                     ["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"]):
+            assert cli.run(argv, out=io.StringIO()) == 0
+        assert "numpy" not in sys.modules
+        cli.run(["slope", "--torsor", sys.argv[1], "--char", "2"])
+        assert "numpy" in sys.modules
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, str(f)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert abs(float(json.loads(proc.stdout)["slope"]) + 2 * 0.6931471805599453) < 1e-9
 
 
 def test_degree_verb():

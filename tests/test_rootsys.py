@@ -5,7 +5,7 @@ import pytest
 from arithcurves.errors import NotARoot, ProportionalRoots, UnsupportedType
 from arithcurves.rootsys import (CartanType, ROOT_COUNT, WEYL_ORDER, build_root_system,
                                  cartan_integer, compose, inner, reflect, root_string,
-                                 root_system_json, vadd, vneg, weyl_group, word_matrix)
+                                 root_system_json, vadd, vneg, weyl_group, weyl_matrices)
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 
@@ -167,22 +167,44 @@ def test_weyl_order_formulas():
             assert order == 12
 
 
-@pytest.mark.parametrize("token", ["A2", "B2", "G2", "A3"])
+@pytest.mark.parametrize("token", ALL_TYPES)
 def test_weyl_group_closed_and_preserves_inner(token):
     rs = build_root_system(token)
     w = weyl_group(rs)
+    mats = weyl_matrices(rs)
+    assert len(mats) == len(w)
     perms = {el.perm for el in w}
     assert tuple(range(len(rs.roots))) in perms
     for el1 in w[:8]:
         for el2 in w[:8]:
             assert compose(el1, el2).perm in perms
-    for el in w:
-        mat = word_matrix(rs, el.word)
+    for el, mat in zip(w, mats):
         n = rs.ambient_dim
         for a in rs.roots:
             img = tuple(sum(mat[i][j] * a[j] for j in range(n)) for i in range(n))
             assert img == rs.roots[el.perm[rs.index[a]]]
             assert inner(rs, img, img) == inner(rs, a, a)
+
+
+@pytest.mark.parametrize("token", ALL_TYPES)
+def test_weyl_matrices_match_sympy_reflection_products(token):
+    """Each matrix is the product of the simple reflections along its word.
+
+    Root images alone would not pin the matrix down on the (1, ..., 1)
+    direction of type A or on G2's normal direction, so compare whole matrices.
+    """
+    sympy = pytest.importorskip("sympy")
+    rs = build_root_system(token)
+    n = rs.ambient_dim
+    refl = []
+    for a in rs.simple:
+        col = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in a])
+        refl.append(sympy.eye(n) - 2 * col * col.T / (col.T * col)[0, 0])
+    for el, mat in zip(weyl_group(rs), weyl_matrices(rs)):
+        expected = sympy.eye(n)
+        for i in el.word:
+            expected = expected * refl[i]
+        assert sympy.Matrix(mat) == expected, el.word
 
 
 @pytest.mark.parametrize("bad", ["E8", "F4", "A5", "B1", "D2", "G3", "Z2", "A0"])
