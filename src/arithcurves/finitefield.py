@@ -4,7 +4,8 @@ Polynomials are lists of ints in [0, p), lowest degree first, no trailing
 zeros.  The ramification analysis only needs the shape of a factorization
 (degree, multiplicity), so distinct-degree factorization suffices and no
 equal-degree splitting is performed; root extraction is a direct scan, used
-only at small completely split primes.
+only at small primes: the least completely split prime of a covering-degree
+check, and the least prime where a rational-root search stays squarefree.
 """
 
 from __future__ import annotations

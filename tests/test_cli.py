@@ -191,6 +191,43 @@ def test_fractional_twist_fibers_skip_the_denominator_prime(tmp_path):
     assert invoke_json("verify", "--input", str(f))["ok"]
 
 
+def test_fiber_bound_limit(tmp_path, capsys):
+    limit = curve.MAX_FIBER_BOUND
+    # the disc of [[1,2],[3,4]] is 33, so a bound at the limit scans only to sqrt(33)
+    doc = invoke_json("curve", "--matrix", '[["1","2"],["3","4"]]', "--fibers", str(limit))
+    assert [r["p"] for r in doc["ramified"]] == [3, 11]
+    for bound in (limit + 1, 10 ** 20):
+        buf = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            run(["curve", "--matrix", '[["1","2"],["3","4"]]', "--fibers", str(bound)],
+                out=buf)
+        assert exc.value.code == 2 and buf.getvalue() == ""
+        assert "--fibers" in capsys.readouterr().err
+    doc["fiber_bound"] = limit + 1
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc))
+    code, text = invoke("verify", "--input", str(f))
+    assert code == 1
+    assert str(limit) in json.loads(text)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, doc, message", [
+    (["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", '{"a":1}'], None,
+     "metrics must be a JSON list of reals"),
+    (["degree", "--field", "Q", "--ideal", '["1+x"]', "--metrics", '["1"]'], None,
+     "cannot parse field element '1+x'"),
+    (["verify", "--input"], {"kind": "slope"}, "lacks the key 'field'"),
+])
+def test_malformed_input_is_a_json_domain_error(tmp_path, argv, doc, message):
+    if doc is not None:
+        f = tmp_path / "doc.json"
+        f.write_text(json.dumps(doc))
+        argv = [*argv, str(f)]
+    code, text = invoke(*argv)
+    assert code == 1
+    assert message in json.loads(text)["error"]["message"]
+
+
 def test_curve_membership_error_is_domain_error():
     code, text = invoke("curve", "--matrix", '[["1","0"],["0","1"]]',
                         "--twist", '["2"]')
@@ -202,6 +239,13 @@ def test_cameral_verb():
     doc = invoke_json("curve", "--matrix", '[["1","0"],["0","2"]]', "--cameral")
     assert doc["kind"] == "cameral" and doc["degree"] == 2
     assert doc["rational_points"] == [["1", "2"], ["2", "1"]]
+
+
+def test_cameral_points_with_large_prime_eigenvalues():
+    doc = invoke_json("curve", "--matrix", '[["1000000007","0"],["0","999999937"]]',
+                      "--cameral")
+    assert doc["rational_points"] == [["999999937", "1000000007"],
+                                      ["1000000007", "999999937"]]
 
 
 def test_slope_verb(tmp_path):

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from arithcurves import curve
 from arithcurves.arakelov import FractionalIdeal, NumberField
-from arithcurves.curve import (cameral_curve, cameral_fiber_rational,
+from arithcurves.curve import (MAX_FIBER_BOUND, cameral_curve, cameral_fiber_rational,
                                characteristic_point, covering_degree_check,
                                discriminant, fiber, higgs_field, ramified_primes,
                                smallest_split_prime, spectral_curve)
@@ -140,6 +141,31 @@ def test_ramified_primes_match_discriminant():
             continue
         repeated = any(e > 1 for _, e in fiber(C, p))
         assert repeated == (C.disc.a.numerator % p == 0)
+
+
+@pytest.mark.parametrize("entries, twist, bound, want", [
+    ([[1, 2], [3, 4]], None, 3_000_000, [3, 11]),                # disc 33
+    ([[0, 1], [999983, 0]], None, 10 ** 6, [2, 999983]),         # prime cofactor below
+    ([[0, 1], [999983, 0]], None, 999983, [2]),                  # ... and at the bound
+    ([[Fraction(1, 2), 1], [0, 0]], Fraction(1, 2), 10, [2]),    # 2 is skipped
+    ([[Fraction(1, 6), 1], [Fraction(5, 3), 2]], Fraction(1, 6), 50, [2, 3, 19]),
+])
+def test_ramified_primes_test_only_reported_primes(monkeypatch, entries, twist, bound, want):
+    ideal = FractionalIdeal.from_elements(QQ, [QQ.element(twist)]) if twist else None
+    C = spectral_curve(q_higgs(entries, ideal))
+    calls = []
+    monkeypatch.setattr(curve, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    out = ramified_primes(C, bound)
+    assert [p for p, _ in out] == want
+    # fiber() checks each non-skipped prime once; the scan itself tests none
+    assert calls == [p for p, shape in out if shape is not None]
+
+
+def test_fiber_bound_limit_raises_before_scanning():
+    C = spectral_curve(q_higgs([[0, 1], [2, 0]]))
+    assert ramified_primes(C, MAX_FIBER_BOUND) == [(2, [(1, 2)])]
+    with pytest.raises(ArithCurvesError, match="exceeds the limit"):
+        ramified_primes(C, MAX_FIBER_BOUND + 1)
 
 
 def test_covering_degree_spectral_and_cameral():
