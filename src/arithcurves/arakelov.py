@@ -389,6 +389,8 @@ class MetrizedLineBundle:
         r1, r2 = self.ideal.field.signature
         if len(self.metrics) != r1 + r2:
             raise ArithCurvesError(f"need {r1 + r2} metric factors, got {len(self.metrics)}")
+        if not all(math.isfinite(m) for m in self.metrics):
+            raise ArithCurvesError("metric factors must be finite")
         if any(m <= 0 for m in self.metrics):
             raise ArithCurvesError("metric factors must be positive")
 
@@ -419,10 +421,14 @@ def arithmetic_degree(K: NumberField, L: MetrizedLineBundle,
     s = section if section is not None else L.ideal.basis_elements()[0]
     if not L.ideal.contains(s):
         raise ArithCurvesError("section must lie in the ideal")
-    finite = math.log(abs(s.norm()) / L.ideal.norm())
-    inf = 0.0
-    for eps, rho, sigma in zip(K.place_weights, L.metrics, s.embeddings()):
-        inf += eps * math.log(rho * abs(sigma))
+    try:
+        finite = math.log(abs(s.norm()) / L.ideal.norm())
+        inf = 0.0
+        for eps, rho, sigma in zip(K.place_weights, L.metrics, s.embeddings()):
+            inf += eps * math.log(rho * abs(sigma))
+    except OverflowError:
+        raise ArithCurvesError("the section is beyond the floating-point range of the "
+                               "archimedean metrics") from None
     return finite - inf
 
 

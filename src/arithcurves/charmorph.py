@@ -12,9 +12,9 @@ Supported torus realizations:
 * G2: intrinsic coordinates (c1, c2) on the plane spanned by b1 = (1,-1,0)
   and b2 = (1,1,-2); invariants of degrees 2 and 6.
 
-chi on all of gl_n is the characteristic polynomial map, computed exactly by
-the Faddeev-LeVerrier recurrence, which also runs over quadratic field
-elements for the curve layer.
+chi on all of gl_n is the characteristic polynomial map, computed exactly and
+without division by Berkowitz's algorithm on integer pairs (linalg.char_poly),
+over Q and over the quadratic fields of the curve layer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 
 from .errors import DimensionMismatch, NonSquare, UnsupportedType
-from .linalg import solve
+from .linalg import char_poly, solve
 from .poly import Poly, elementary_symmetric
 from .rootsys import CartanType, build_root_system, weyl_matrices
 
@@ -161,43 +161,16 @@ def reynolds_symmetrize(t, exponents) -> Poly:
 # ---------------------------------------------------------------------------
 # chi on gl_n: characteristic polynomial coefficients
 
-def _mat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def char_coeffs(a):
     """Monic characteristic polynomial det(li - A) = l^n + a_1 l^{n-1} + ... + a_n.
 
-    Faddeev-LeVerrier over any exact commutative ring whose elements support
-    +, -, * among themselves and with ints, and division by an int.
+    Returns [a_1, ..., a_n] over Q (Fractions) or a quadratic field
+    (FieldElements), from the division-free Berkowitz routine in linalg.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise NonSquare("characteristic polynomial needs a square matrix")
-    coeffs = []
-    b = [list(row) for row in a]
-    for k in range(1, n + 1):
-        if k > 1:
-            b = _mat_mul(a, b)
-        tr = b[0][0]
-        for i in range(1, n):
-            tr = tr + b[i][i]
-        ak = -(tr / k)
-        coeffs.append(ak)
-        if k < n:
-            for i in range(n):
-                b[i][i] = b[i][i] + ak
-    return coeffs
+    return char_poly(a)
 
 
 def chi_gl(a) -> CharPoint:

@@ -153,7 +153,7 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
                              for i in range(center_rank))
     else:
         center_basis = tuple(tuple(int(x) for x in row) for row in center_basis)
-        d = det([[Fraction(x) for x in row] for row in center_basis])
+        d = det(center_basis)
         if abs(d) != 1:
             raise ValueError(f"center basis must be unimodular, det = {d}")
 

@@ -86,18 +86,36 @@ def chi_torus_payload(type_token: str, point_strings: list[str]) -> dict:
 
 
 def _ideal_from_spec(K: arakelov.NumberField, spec) -> arakelov.FractionalIdeal:
-    """Generator strings, or HNF rows (lists) emitted by this CLI."""
+    """Generator strings, or HNF rows (lists) emitted by this CLI; else a domain error."""
+    if not isinstance(spec, list):
+        raise ArithCurvesError(f"an ideal must be a JSON list of generators, "
+                               f"got {json.dumps(spec)}")
     elements = []
     for item in spec:
         if isinstance(item, list):
-            row = [Fraction(x) for x in item]
-            if K.degree == 1:
-                elements.append(K.element(row[0]))
-            else:
-                elements.append(K.element(row[0], row[1]))
+            if len(item) != K.degree:
+                raise ArithCurvesError(f"HNF rows over {K.name} must have length "
+                                       f"{K.degree}, got {json.dumps(item)}")
+            elements.append(K.element(*map(_rational, item)))
         else:
             elements.append(arakelov.parse_element(K, str(item)))
     return arakelov.FractionalIdeal.from_elements(K, elements)
+
+
+def _rational(x) -> Fraction:
+    """A rational literal; else a domain error."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ArithCurvesError(f"{json.dumps(x)} is not a rational") from None
+
+
+def _integer(value, what: str) -> int:
+    """An integer read from a document; else a domain error."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ArithCurvesError(f"{what} must be an integer, got {json.dumps(value)}") from None
 
 
 def _reals(value, what: str) -> tuple[float, ...]:
@@ -154,7 +172,7 @@ def _emit_place_matrix(mat, kind: str):
 def slope_payload(torsor_spec: dict, k: int) -> dict:
     from . import torsor
     K = arakelov.parse_field(torsor_spec["field"])
-    n = int(torsor_spec["rank"])
+    n = _integer(torsor_spec["rank"], "rank")
     ideals = tuple(_ideal_from_spec(K, spec) for spec in torsor_spec["ideals"])
     kinds, metrics = _place_metrics(K, n, torsor_spec["metrics"])
     T = torsor.ArithmeticTorsor(field=K, rank=n, ideals=ideals, metrics=tuple(metrics))
@@ -220,7 +238,8 @@ def rebuild_payload(doc: dict) -> dict | None:
     if kind == "rootsys":
         return rootsys_payload(doc["type"], "weyl_words" in doc)
     if kind == "chevalley":
-        return chevalley_payload(doc["type"], int(doc["center"]), "verification" in doc)
+        return chevalley_payload(doc["type"], _integer(doc["center"], "center"),
+                                 "verification" in doc)
     if kind == "chi":
         if "matrix" in doc:
             return chi_matrix_payload(doc["matrix"])
@@ -230,11 +249,12 @@ def rebuild_payload(doc: dict) -> dict | None:
     if kind == "slope":
         spec = {"field": doc["field"], "rank": doc["rank"],
                 "ideals": doc["ideals"], "metrics": doc["metrics"]}
-        return slope_payload(spec, int(doc["char_power"]))
+        return slope_payload(spec, _integer(doc["char_power"], "char_power"))
     if kind in ("spectral", "cameral"):
+        bound = doc.get("fiber_bound")
         return curve_payload(doc["field"], doc["matrix"],
                              doc.get("twist_hnf"), kind == "cameral",
-                             doc.get("fiber_bound"))
+                             None if bound is None else _integer(bound, "fiber_bound"))
     return None
 
 
@@ -260,7 +280,7 @@ def verify_payload(doc: dict) -> dict:
 def verify_torsor_payload(doc: dict) -> dict:
     """Per-clause compatibility reports for a raw torsor description."""
     K = arakelov.parse_field(doc["field"])
-    n = int(doc["rank"])
+    n = _integer(doc["rank"], "rank")
     for spec in doc["ideals"]:
         _ideal_from_spec(K, spec)
     _, metrics = _place_metrics(K, n, doc["metrics"])

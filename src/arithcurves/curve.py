@@ -119,7 +119,7 @@ def _monic_poly(phi: HiggsField, values) -> tuple[FieldElement, ...]:
 
 
 def resultant(p, q, K: NumberField) -> FieldElement:
-    """Sylvester resultant of two polynomials (highest degree first)."""
+    """Resultant of two polynomials (highest degree first): the Sylvester determinant."""
     p, q = list(p), list(q)
     n, m = len(p) - 1, len(q) - 1
     size = n + m

@@ -217,6 +217,21 @@ def test_fiber_bound_limit(tmp_path, capsys):
     (["degree", "--field", "Q", "--ideal", '["1+x"]', "--metrics", '["1"]'], None,
      "cannot parse field element '1+x'"),
     (["verify", "--input"], {"kind": "slope"}, "lacks the key 'field'"),
+    *((["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", f'["{m}"]'], None,
+       "metric factors must be finite") for m in ("nan", "inf", "-inf")),
+    (["degree", "--field", "Q", "--ideal", "5", "--metrics", '["1"]'], None,
+     "an ideal must be a JSON list of generators, got 5"),
+    (["degree", "--field", "Q", "--ideal", "[[]]", "--metrics", '["1"]'], None,
+     "HNF rows over Q must have length 1, got []"),
+    (["degree", "--field", "Q(sqrt(-5))", "--ideal", '["1e400"]', "--metrics", '["1"]'],
+     None, "beyond the floating-point range"),
+    (["verify", "--input"], {"kind": "spectral", "field": "Q", "matrix": [["1", "2"], ["3", "4"]],
+                             "fiber_bound": "abc"}, 'fiber_bound must be an integer, got "abc"'),
+    (["verify", "--input"], {"kind": "chevalley", "type": "A1", "center": "x"},
+     'center must be an integer, got "x"'),
+    (["verify", "--input"], {"kind": "slope", "field": "Q", "rank": "a", "ideals": [["1"]],
+                             "metrics": [[["1"]]], "char_power": 1},
+     'rank must be an integer, got "a"'),
 ])
 def test_malformed_input_is_a_json_domain_error(tmp_path, argv, doc, message):
     if doc is not None:

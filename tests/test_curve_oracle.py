@@ -1,5 +1,7 @@
-"""Fiber arithmetic against sympy: rational cameral points, ramified primes, F_p shapes."""
+"""Curve arithmetic against sympy: rational cameral points, ramified primes, F_p shapes,
+discriminants, and the norms of fractional ideals."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -12,10 +14,15 @@ from hypothesis import strategies as st  # noqa: E402
 
 from arithcurves.arakelov import FractionalIdeal, NumberField  # noqa: E402
 from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E402
-                               higgs_field, ramified_primes, spectral_curve)
+                               higgs_field, poly_discriminant, ramified_primes,
+                               spectral_curve)
+from arithcurves.finitefield import factor_pattern  # noqa: E402
 
 QQ = NumberField(0)
 X = sympy.Symbol("x")
+
+FIELDS = [0, -1, -5, 13]        # Q, Q(i), Q(sqrt(-5)), Q(sqrt(13))
+PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
 small = st.fractions(min_value=-40, max_value=40, max_denominator=6)
 # two roots near 1e9 give constant terms near 1e18
@@ -88,3 +95,72 @@ def test_ramified_primes_match_sympy_factorization(coeffs, bound):
         reduced = [c.numerator * pow(c.denominator, -1, p) % p for c in poly]
         _, factors = sympy.Poly(reduced, X, modulus=p).factor_list()
         assert shape == sorted((f.degree(), e) for f, e in factors)
+
+
+def _sympy_element(K, x):
+    """x = a + b w as a sympy number."""
+    d = K.d
+    w = (1 + sympy.sqrt(d)) / 2 if d % 4 == 1 else sympy.sqrt(d)
+    return _rational(x.a) + _rational(x.b) * w
+
+
+def _rational(q):
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+@functools.lru_cache(maxsize=None)
+def _domain(d):
+    """sympy's Q or Q(sqrt(d)), and w in it (0 over Q)."""
+    if not d:
+        return sympy.QQ, sympy.QQ.zero
+    dom = sympy.QQ.algebraic_field(sympy.sqrt(d))
+    return dom, dom.from_sympy((1 + sympy.sqrt(d)) / 2 if d % 4 == 1 else sympy.sqrt(d))
+
+
+def _elements(K):
+    b = small if K.degree == 2 else st.just(Fraction(0))
+    return st.builds(K.element, small, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from(FIELDS), n=st.integers(1, 6))
+def test_poly_discriminant_matches_sympy(data, d, n):
+    K = NumberField(d)
+    poly = [K.one] + data.draw(st.lists(_elements(K), min_size=n, max_size=n))
+    if n >= 2 and data.draw(st.booleans()):     # a repeated root: disc = 0
+        r = data.draw(_elements(K))
+        poly = [K.one, -r - r, r * r] + [K.zero] * (n - 2)
+    dom, w = _domain(d)
+    want = sympy.Poly([dom.convert(_rational(c.a)) + dom.convert(_rational(c.b)) * w
+                       for c in poly], X, domain=dom).discriminant()
+    got = poly_discriminant(poly, K)
+    assert sympy.expand(_sympy_element(K, got) - want) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(PRIMES), data=st.data())
+def test_factor_pattern_matches_sympy_factor_list(p, data):
+    f = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8)) + [1]
+    if data.draw(st.booleans()):                # square a factor: repeated roots
+        f = [sum(f[i] * f[k - i] for i in range(max(0, k - len(f) + 1), min(k, len(f) - 1) + 1))
+             % p for k in range(2 * len(f) - 1)]
+    _, factors = sympy.Poly(list(reversed(f)), X, modulus=p).factor_list()
+    assert factor_pattern(f, p) == sorted((g.degree(), e) for g, e in factors)
+
+
+def _ideals(K):
+    return st.lists(_elements(K).filter(bool), min_size=1, max_size=3).map(
+        lambda gens: FractionalIdeal.from_elements(K, gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from(FIELDS))
+def test_ideal_norms_are_multiplicative(data, d):
+    K = NumberField(d)
+    i, j = data.draw(_ideals(K)), data.draw(_ideals(K))
+    assert (i * j).norm() == i.norm() * j.norm()
+    x = data.draw(_elements(K).filter(bool))
+    norm = _sympy_element(K, x)
+    if K.degree == 2:                           # times the Galois conjugate a + b w'
+        norm = sympy.expand(norm * _sympy_element(K, x.conj()))
+    assert FractionalIdeal.principal(x).norm() == abs(norm)
