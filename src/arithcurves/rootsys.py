@@ -1,9 +1,11 @@
-"""Split root systems of types A1-A4, B2-B4, C2-C4, D3-D4 and G2 over exact rationals.
+"""Split root systems of types A1-A4, B2-B4, C2-C4, D3-D4 and G2 with integer roots.
 
-Roots are tuples of Fractions in a rational ambient space; the pairing is the
-standard dot product except for family B, where it is twice the dot product so
-that short roots have squared length 2 in every supported type.  All values in
-a built RootSystem are immutable and every operation here is a pure function.
+Roots are tuples of ints in the standard ambient realizations; the pairing is
+the standard dot product except for family B, where it is twice the dot product
+so that short roots have squared length 2 in every supported type.  The one
+division, by (b,b) in `cartan_integer` and `reflect`, is exact and gives an int
+when the quotient is integral (a Fraction for, say, G2's Weyl matrices).  All
+values in a built RootSystem are immutable and every operation here is pure.
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import DimensionMismatch, NotARoot, ProportionalRoots, UnsupportedType
 from .jsonutil import rat_str
 from .linalg import solve
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]
 
 ROOT_COUNT = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12, ("A", 4): 20,
@@ -56,12 +57,8 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
-def _vec(entries: Iterable[int | Fraction]) -> Vector:
-    return tuple(Fraction(e) for e in entries)
-
-
 def _unit(n: int, i: int, scale: int = 1) -> Vector:
-    return _vec(scale if j == i else 0 for j in range(n))
+    return tuple(scale if j == i else 0 for j in range(n))
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -76,14 +73,14 @@ def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
 
 
-def vscale(c: Fraction, u: Vector) -> Vector:
+def vscale(c: int | Fraction, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
-def dot(u: Vector, v: Vector) -> Fraction:
+def dot(u: Vector, v: Vector) -> int | Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"lengths {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _ambient_roots(t: CartanType) -> tuple[list[Vector], list[Vector]]:
@@ -116,8 +113,7 @@ def _ambient_roots(t: CartanType) -> tuple[list[Vector], list[Vector]]:
             j, k = [m for m in range(3) if m != i]
             long = vsub(vsub(_unit(3, i, 2), _unit(3, j)), _unit(3, k))
             roots += [long, vneg(long)]
-        simple = [vsub(_unit(3, 0), _unit(3, 1)),
-                  _vec((-2, 1, 1))]
+        simple = [vsub(_unit(3, 0), _unit(3, 1)), (-2, 1, 1)]
     else:  # pragma: no cover - CartanType already validated
         raise UnsupportedType(str(t))
     return roots, simple
@@ -129,7 +125,7 @@ class RootSystem:
     simple: tuple[Vector, ...]
     positive: tuple[Vector, ...]          # sorted by (height, colex coefficient tuple)
     roots: tuple[Vector, ...]             # positive followed by their negatives
-    ip_scale: Fraction                    # pairing = ip_scale * dot
+    ip_scale: int                         # pairing = ip_scale * dot
     index: dict[Vector, int] = field(repr=False, compare=False)
     coeffs: dict[Vector, tuple[int, ...]] = field(repr=False, compare=False)
 
@@ -142,7 +138,7 @@ class RootSystem:
         return len(self.simple[0])
 
     @property
-    def gram(self) -> list[list[Fraction]]:
+    def gram(self) -> list[list[int]]:
         return [[inner(self, a, b) for b in self.simple] for a in self.simple]
 
     def is_root(self, v: Vector) -> bool:
@@ -152,7 +148,7 @@ class RootSystem:
         return sum(self.coeffs[tuple(a)])
 
 
-def inner(rs: RootSystem, u: Vector, v: Vector) -> Fraction:
+def inner(rs: RootSystem, u: Vector, v: Vector) -> int | Fraction:
     return rs.ip_scale * dot(u, v)
 
 
@@ -161,10 +157,10 @@ def build_root_system(t: CartanType | str) -> RootSystem:
     if isinstance(t, str):
         t = CartanType.parse(t)
     roots, simple = _ambient_roots(t)
-    scale = Fraction(2) if t.family == "B" else Fraction(1)
+    scale = 2 if t.family == "B" else 1
 
     coeffs: dict[Vector, tuple[int, ...]] = {}
-    simple_columns = list(zip(*simple))
+    simple_columns = [[Fraction(x) for x in row] for row in zip(*simple)]
     for a in roots:
         c = solve(simple_columns, a)
         if c is None or any(x.denominator != 1 for x in c):
@@ -190,22 +186,17 @@ def build_root_system(t: CartanType | str) -> RootSystem:
 
 
 def cartan_integer(rs: RootSystem, a: Vector, b: Vector) -> int | Fraction:
-    """<a, b> = 2 (a,b) / (b,b); an integer whenever a is a root."""
+    """<a, b> = 2 (a,b) / (b,b); an int whenever the quotient is integral."""
     b = tuple(b)
     if not rs.is_root(b):
         raise NotARoot(f"{b} is not a root")
-    q = 2 * inner(rs, tuple(a), b) / inner(rs, b, b)
-    return int(q) if q.denominator == 1 else q
+    q = Fraction(2 * inner(rs, tuple(a), b), inner(rs, b, b))
+    return q.numerator if q.denominator == 1 else q
 
 
 def reflect(rs: RootSystem, v: Vector, a: Vector) -> Vector:
-    """Reflection of v in the hyperplane orthogonal to the root a."""
-    a = tuple(a)
-    if not rs.is_root(a):
-        raise NotARoot(f"{a} is not a root")
-    v = tuple(Fraction(x) for x in v)
-    c = 2 * inner(rs, v, a) / inner(rs, a, a)
-    return vsub(v, vscale(c, a))
+    """Reflection v - <v, a> a of v in the hyperplane orthogonal to the root a."""
+    return vsub(tuple(v), vscale(cartan_integer(rs, v, a), tuple(a)))
 
 
 def root_string(rs: RootSystem, a: Vector, b: Vector) -> tuple[int, int]:
@@ -215,12 +206,8 @@ def root_string(rs: RootSystem, a: Vector, b: Vector) -> tuple[int, int]:
         raise NotARoot("root-string endpoints must be roots")
     if b == a or b == vneg(a):
         raise ProportionalRoots("no root string through +-a in direction a")
-    low = 0
-    while rs.is_root(vsub(b, vscale(Fraction(low + 1), a))):
-        low += 1
-    up = 0
-    while rs.is_root(vadd(b, vscale(Fraction(up + 1), a))):
-        up += 1
+    low = next(k for k in itertools.count() if not rs.is_root(vsub(b, vscale(k + 1, a))))
+    up = next(k for k in itertools.count() if not rs.is_root(vadd(b, vscale(k + 1, a))))
     return low, up
 
 
@@ -261,7 +248,7 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     return elements
 
 
-def weyl_matrices(rs: RootSystem) -> list[list[list[Fraction]]]:
+def weyl_matrices(rs: RootSystem) -> list[list[list[int | Fraction]]]:
     """Ambient matrices of the Weyl group, in ``weyl_group`` order."""
     # The matrix of a word (i, *rest), leftmost reflection applied last, is s_i
     # applied to the columns of the matrix of rest.  weyl_group builds each word

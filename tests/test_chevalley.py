@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -5,12 +6,18 @@ from fractions import Fraction
 import pytest
 
 from arithcurves.charmorph import chi_gl
-from arithcurves.chevalley import (adjoint_matrix, basis_element, bracket,
+from arithcurves.chevalley import (MAX_CENTER_RANK, adjoint_matrix, basis_element, bracket,
                                    build_chevalley_basis, gl_realization,
                                    principal_nilpotent, rescale, verify_chevalley,
                                    verify_sign_constraints)
 from arithcurves.errors import DimensionMismatch
 from arithcurves.rootsys import build_root_system, vadd, vneg
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    st = None
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
 
@@ -174,6 +181,108 @@ def test_jacobi_catches_a_corrupted_root_bracket():
     assert rep.antisymmetric and not rep.jacobi_ok
 
 
+def brute_force_jacobi(table, n):
+    """Jacobi on every triple of distinct basis vectors among the first n."""
+    def br(u, v):
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, c in table.get((i, j), ()):
+                    out[k] = out.get(k, 0) + a * b * c
+        return out
+
+    for i, j, k in itertools.combinations(range(n), 3):
+        total = {}
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in br({u: 1}, br({v: 1}, {w: 1})).items():
+                total[m] = total.get(m, 0) + c
+        if any(total.values()):
+            return False
+    return True
+
+
+def corrupt(table, i, j, k, c):
+    """The table with c b_k added to [b_i, b_j], antisymmetry kept."""
+    entry = dict(table.get((i, j), ()))
+    entry[k] = entry.get(k, 0) + c
+    entry = {m: v for m, v in entry.items() if v}
+    table = dict(table)
+    table.pop((i, j), None)
+    table.pop((j, i), None)
+    if entry:
+        table[(i, j)] = tuple(entry.items())
+        table[(j, i)] = tuple((m, -v) for m, v in entry.items())
+    return table
+
+
+def ambient_weight(L, i):
+    """x_a has weight a; h_k and z_j have weight 0."""
+    b = L.basis[i]
+    return L.rs.roots[b.index] if b.kind == "x" else (0,) * L.rs.ambient_dim
+
+
+def test_grading_catches_a_bracket_in_the_wrong_weight_space():
+    """[x_a, h] = -2 x_a + x_{-a} satisfies Jacobi (sl2 has a single triple),
+    but its x_{-a} term lies in weight -a, not a; only the grading clause sees it."""
+    L = algebra("A1")
+    a = L.rs.simple[0]
+    x, y, h = L.rs.index[a], L.rs.index[vneg(a)], L.h_index(0)
+    table = corrupt(L.table, x, h, y, 1)
+    assert brute_force_jacobi(table, L.dim)
+    rep = verify_chevalley(replace(L, table=table))
+    assert rep.antisymmetric and rep.integral and not rep.jacobi_ok
+
+
+def test_jacobi_checks_triples_of_weight_zero():
+    """sl2's one triple (x_a, x_{-a}, h) has weight 0; [h, x_a] = 3 x_a breaks
+    Jacobi there: [x_a, [x_{-a}, h]] + [x_{-a}, [h, x_a]] = 2h - 3h."""
+    L = algebra("A1")
+    x, h = L.rs.index[L.rs.simple[0]], L.h_index(0)
+    table = corrupt(L.table, h, x, x, 1)
+    assert not brute_force_jacobi(table, L.dim)
+    assert not verify_chevalley(replace(L, table=table)).jacobi_ok
+
+
+def test_jacobi_catches_a_bracket_in_the_wrong_weight_space_b4():
+    L = algebra("B4")
+    nroots = len(L.rs.roots)
+    (i, j), ((k, c),) = next((pair, e) for pair, e in L.table.items()
+                             if pair[0] < pair[1] < nroots and e[0][0] < nroots)
+    table = corrupt(corrupt(L.table, i, j, k, -c), i, j, (k + 1) % nroots, c)
+    assert ambient_weight(L, (k + 1) % nroots) != ambient_weight(L, k)
+    rep = verify_chevalley(replace(L, table=table))
+    assert rep.antisymmetric and not rep.jacobi_ok
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_jacobi_verdict_matches_brute_force_on_corrupted_tables():
+    """Add c b_k to one bracket [b_i, b_j] of [g,g]: jacobi_ok must hold exactly
+    when b_k has weight wt_i + wt_j and Jacobi holds on every triple."""
+    algebras = {t: algebra(t) for t in ("A2", "B2", "G2", "B3")}
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def check(data):
+        L = algebras[data.draw(st.sampled_from(sorted(algebras)))]
+        n = L.dim
+        i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                         unique=True)))
+        target = tuple(x + y for x, y in zip(ambient_weight(L, i), ambient_weight(L, j)))
+        same = [k for k in range(n) if ambient_weight(L, k) == target]
+        if same and data.draw(st.booleans()):
+            k = data.draw(st.sampled_from(same))
+        else:
+            k = data.draw(st.integers(0, n - 1))
+        c = data.draw(st.sampled_from([-2, -1, 1, 2]))
+        table = corrupt(L.table, i, j, k, c)
+        graded = ambient_weight(L, k) == target
+        rep = verify_chevalley(replace(L, table=table))
+        assert rep.antisymmetric
+        assert rep.jacobi_ok == (graded and brute_force_jacobi(table, n))
+
+    check()
+
+
 def test_jacobi_catches_a_non_central_center():
     L = algebra("A2", center=2)
     rep = verify_chevalley(L)
@@ -212,6 +321,13 @@ def test_center_basis_must_be_unimodular():
 def test_negative_center_rank_is_a_domain_error():
     with pytest.raises(DimensionMismatch):
         build_chevalley_basis(build_root_system("A1"), center_rank=-1)
+
+
+@pytest.mark.parametrize("rank", [MAX_CENTER_RANK + 1, 10 ** 9])
+def test_center_rank_above_the_limit_is_a_domain_error(rank):
+    # raised before any center basis is allocated
+    with pytest.raises(DimensionMismatch, match="exceeds the limit"):
+        build_chevalley_basis(build_root_system("A1"), center_rank=rank)
 
 
 def test_labels_stable():

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from arithcurves import curve
+from arithcurves import chevalley, curve
 from arithcurves.cli import run
 
 CLI = [sys.executable, "-m", "arithcurves.cli"]
@@ -56,6 +56,15 @@ def test_negative_center_is_a_usage_error(capsys):
     assert "--center" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rank", [chevalley.MAX_CENTER_RANK + 1, 10 ** 9])
+def test_center_above_the_limit_is_a_usage_error(capsys, rank):
+    buf = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(["chevalley", "--type", "A1", "--center", str(rank), "--verify"], out=buf)
+    assert exc.value.code == 2 and buf.getvalue() == ""
+    assert str(chevalley.MAX_CENTER_RANK) in capsys.readouterr().err
+
+
 def test_chi_verbs():
     doc = invoke_json("chi", "--matrix", '[["0","1"],["2","0"]]')
     assert doc["invariants"] == ["0", "-2"]
@@ -103,6 +112,16 @@ def test_verify_non_object_document_is_a_usage_error(tmp_path, capsys, text):
         run(["verify", "--input", str(f)], out=buf)
     assert exc.value.code == 2 and buf.getvalue() == ""
     assert "--input" in capsys.readouterr().err
+
+
+def test_slope_non_object_torsor_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "torsor.json"
+    f.write_text("[1, 2, 3]")
+    buf = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(["slope", "--torsor", str(f)], out=buf)
+    assert exc.value.code == 2 and buf.getvalue() == ""
+    assert "--torsor" in capsys.readouterr().err
 
 
 def test_verify_negative_center_is_a_domain_error(tmp_path):
@@ -232,6 +251,10 @@ def test_fiber_bound_limit(tmp_path, capsys):
     (["verify", "--input"], {"kind": "slope", "field": "Q", "rank": "a", "ideals": [["1"]],
                              "metrics": [[["1"]]], "char_power": 1},
      'rank must be an integer, got "a"'),
+    (["slope", "--torsor"], {}, "torsor document lacks the key 'field'"),
+    # the limit is checked before a center basis of that rank is allocated
+    (["verify", "--input"], {"kind": "chevalley", "type": "A1", "center": 1e9},
+     f"center rank 1000000000 exceeds the limit {chevalley.MAX_CENTER_RANK}"),
 ])
 def test_malformed_input_is_a_json_domain_error(tmp_path, argv, doc, message):
     if doc is not None:

@@ -94,6 +94,37 @@ def test_cartan_integers_bounded(token):
             assert cartan_integer(rs, a, b) in {0, 1, -1, 2, -2, 3, -3, 4, -4}
 
 
+@pytest.mark.parametrize("token", ALL_TYPES)
+def test_roots_and_pairing_are_ints(token):
+    rs = build_root_system(token)
+    assert type(rs.ip_scale) is int
+    assert all(type(x) is int for a in rs.roots for x in a)
+    assert all(type(inner(rs, a, b)) is int for a in rs.roots for b in rs.roots)
+    assert all(type(cartan_integer(rs, a, b)) is int for a in rs.roots for b in rs.roots)
+    assert all(type(x) is int for a in rs.simple for b in rs.roots
+               for x in reflect(rs, b, a))
+
+
+def _sympy_cartan_matrix(token):
+    """sympy's Cartan matrix, entry (i, j) = 2 (a_i, a_j) / (a_j, a_j)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.liealgebras.cartan_matrix import CartanMatrix
+    if token == "A1":                 # sympy's cartan_matrix fails on the 1 x 1 case
+        return sympy.Matrix([[2]])
+    if token == "C2":                 # sympy builds C_n for n >= 3 only; C_n is dual to B_n
+        return CartanMatrix("B2").T
+    return CartanMatrix(token)
+
+
+@pytest.mark.parametrize("token", ALL_TYPES)
+def test_cartan_matrix_matches_sympy(token):
+    expected = _sympy_cartan_matrix(token)
+    rs = build_root_system(token)
+    ours = [[cartan_integer(rs, a, b) for b in rs.simple] for a in rs.simple]
+    assert all(type(x) is int for row in ours for x in row)
+    assert ours == expected.tolist()
+
+
 def test_cartan_integer_rejects_non_root():
     rs = build_root_system("A2")
     with pytest.raises(NotARoot):
