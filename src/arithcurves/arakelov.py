@@ -19,9 +19,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ArithCurvesError, ZeroIdeal
+from .errors import ArithCurvesError, MalformedInput, ZeroIdeal
 from .finitefield import factor_pattern, is_prime
-from .jsonutil import rat_str
+from .jsonutil import parse_rational, rat_str
 
 
 def _is_squarefree(n: int) -> bool:
@@ -221,28 +221,26 @@ class FieldElement:
 
 
 def parse_element(field: NumberField, s: str) -> FieldElement:
-    """Accepts forms like "3/2", "w", "-w", "1+2*w", "1/2 - 3/4*w", "i" for Q(i)."""
+    """Accepts forms like "3/2", "w", "-w", "1+2*w", "1/2 - 3/4*w", "1e-5", "i" for Q(i)."""
     text = s.strip().replace(" ", "")
     if field.d == -1:
         text = text.replace("i", "w")
-    if not text:
-        raise ArithCurvesError("empty field element")
-    a = Fraction(0)
-    b = Fraction(0)
-    for term in re.findall(r"[+-]?[^+-]+", text):
+    # a term is a joining sign and a signed literal; a sign after an exponent's e stays put
+    terms = re.findall(r"([+-]?)([+-]?(?:[eE][+-]?|[^+\-eE])+)", text)
+    if not text or "".join(sign + term for sign, term in terms) != text:
+        raise MalformedInput(f"cannot parse field element {s!r}")
+    a = b = Fraction(0)
+    for sign, term in terms:
+        literal = term[:-1].rstrip("*") if term.endswith("w") else term
         try:
-            if term.endswith("w"):
-                coeff = term[:-1].rstrip("*")
-                if coeff in ("", "+"):
-                    b += 1
-                elif coeff == "-":
-                    b -= 1
-                else:
-                    b += Fraction(coeff)
-            else:
-                a += Fraction(term)
-        except (ValueError, ZeroDivisionError):
-            raise ArithCurvesError(f"cannot parse field element {s!r}") from None
+            value = parse_rational(literal + "1" if literal in ("", "+", "-") else literal)
+        except MalformedInput as exc:
+            raise MalformedInput(f"cannot parse field element {s!r}: {exc}") from None
+        value = -value if sign == "-" else value
+        if term.endswith("w"):
+            b += value
+        else:
+            a += value
     return FieldElement(field, a, b)
 
 

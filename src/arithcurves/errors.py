@@ -9,6 +9,10 @@ class UnsupportedType(ArithCurvesError):
     """Cartan type outside the supported A1-A4, B2-B4, C2-C4, D3-D4, G2 list."""
 
 
+class MalformedInput(ArithCurvesError):
+    """Input of the wrong shape or literal syntax; a `key` attribute, if set, names its field."""
+
+
 class NotARoot(ArithCurvesError):
     """A vector that was required to be a root is not one."""
 

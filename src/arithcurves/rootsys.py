@@ -49,7 +49,9 @@ class CartanType:
     @classmethod
     def parse(cls, token: str) -> "CartanType":
         token = token.strip()
-        if len(token) < 2 or token[0].upper() not in "ABCDG" or not token[1:].isdigit():
+        # ASCII digits only, and few: int() rejects "²" and very long digit strings
+        if (not 2 <= len(token) <= 5 or token[0].upper() not in "ABCDG"
+                or not (token[1:].isascii() and token[1:].isdigit())):
             raise UnsupportedType(f"unsupported type {token!r}")
         return cls(token[0].upper(), int(token[1:]))
 

@@ -8,7 +8,7 @@ from arithcurves.arakelov import (FractionalIdeal, MetrizedLineBundle, NumberFie
                                   arithmetic_degree, factor_prime, ideal_norm,
                                   minkowski_embed, parse_element, parse_field,
                                   principal_bundle, tensor, trivial_bundle)
-from arithcurves.errors import ArithCurvesError, ZeroIdeal
+from arithcurves.errors import ArithCurvesError, MalformedInput, ZeroIdeal
 
 QQ = NumberField(0)
 Q2 = NumberField(2)
@@ -48,6 +48,21 @@ def test_field_construction():
         NumberField(12)                                  # not squarefree
     with pytest.raises(ArithCurvesError):
         parse_field("Q(sqrt(2)/3)")
+
+
+@pytest.mark.parametrize("text, a, b", [
+    ("1e-5", Fraction(1, 100000), 0), ("2E+3*w", 0, 2000), ("1e-5 - 1e-1*w", Fraction(1, 100000),
+                                                              Fraction(-1, 10)),
+    ("-1 + -2*w", -1, -2), ("3/2 - w", Fraction(3, 2), -1), ("1.5w", 0, Fraction(3, 2)),
+])
+def test_parse_element_reads_signed_exponents(text, a, b):
+    assert parse_element(Q5M, text) == Q5M.element(a, b)
+
+
+@pytest.mark.parametrize("text", ["", "+", "1+", "1+x", "e", "1e", "w*2", "1/0", "1e5000"])
+def test_parse_element_rejects_malformed_text(text):
+    with pytest.raises(MalformedInput, match="cannot parse field element"):
+        parse_element(Q5M, text)
 
 
 def test_element_arithmetic_and_parse():

@@ -6,8 +6,10 @@ import textwrap
 
 import pytest
 
-from arithcurves import chevalley, curve
+import arithcurves.cli as cli
+from arithcurves import chevalley, curve, rootsys
 from arithcurves.cli import run
+from arithcurves.jsonutil import MAX_LITERAL_DIGITS
 
 CLI = [sys.executable, "-m", "arithcurves.cli"]
 
@@ -16,6 +18,15 @@ def invoke(*args):
     buf = io.StringIO()
     code = run(list(args), out=buf)
     return code, buf.getvalue()
+
+
+def invoke_usage(capsys, *args):
+    """Exit 2 with nothing on stdout; returns stderr."""
+    buf = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(list(args), out=buf)
+    assert exc.value.code == 2 and buf.getvalue() == ""
+    return capsys.readouterr().err
 
 
 def invoke_json(*args):
@@ -256,14 +267,116 @@ def test_fiber_bound_limit(tmp_path, capsys):
     (["verify", "--input"], {"kind": "chevalley", "type": "A1", "center": 1e9},
      f"center rank 1000000000 exceeds the limit {chevalley.MAX_CENTER_RANK}"),
 ])
-def test_malformed_input_is_a_json_domain_error(tmp_path, argv, doc, message):
+def test_malformed_input_is_a_json_domain_error(tmp_path, capsys, argv, doc, message):
     if doc is not None:
         f = tmp_path / "doc.json"
         f.write_text(json.dumps(doc))
         argv = [*argv, str(f)]
+    if message in COMMAND_LINE_USAGE:
+        assert message in invoke_usage(capsys, *argv)
+        return
     code, text = invoke(*argv)
     assert code == 1
     assert message in json.loads(text)["error"]["message"]
+
+
+# Values given on the command line that a reader rejects are usage errors, with
+# the same message on stderr; inside a document they are domain errors.
+COMMAND_LINE_USAGE = {"metrics must be a JSON list of reals", "cannot parse field element '1+x'",
+                      "an ideal must be a JSON list of generators, got 5",
+                      "HNF rows over Q must have length 1, got []"}
+
+
+@pytest.mark.parametrize("matrix", ["5", "[5]", "[]", '[["1/0"]]'])
+def test_malformed_curve_matrix_is_a_usage_error(capsys, matrix):
+    assert "--matrix" in invoke_usage(capsys, "curve", "--matrix", matrix)
+
+
+@pytest.mark.parametrize("verb", ["chi", "curve"])
+def test_literal_above_the_digit_limit_is_a_usage_error(capsys, verb):
+    err = invoke_usage(capsys, verb, "--matrix", '[["1e5000"]]')
+    assert f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in err
+
+
+def test_curve_and_chi_read_the_same_literals():
+    chi = invoke_json("chi", "--matrix", '[["1e-5","2"],["0","1"]]')
+    doc = invoke_json("curve", "--matrix", '[["1e-5","2"],["0","1"]]', "--twist", '["1e-5"]')
+    assert doc["matrix"][0] == chi["matrix"][0] == ["1/100000", "2"]
+    assert doc["char_point"] == chi["invariants"]
+
+
+@pytest.mark.parametrize("verb", ["chi", "curve"])
+def test_result_above_the_output_digit_limit_is_a_domain_error(verb):
+    # a 6000-digit determinant
+    matrix = [["1" * 3000, "1"], ["1", "2" * 3000]]
+    code, text = invoke(verb, "--matrix", json.dumps(matrix))
+    assert code == 1
+    assert str(sys.get_int_max_str_digits()) in json.loads(text)["error"]["message"]
+
+
+def test_json_number_above_the_int_limit_is_a_usage_error(tmp_path, capsys):
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    assert "--matrix" in invoke_usage(capsys, "chi", "--matrix", f"[[{big}]]")
+    f = tmp_path / "doc.json"
+    f.write_text(f'{{"kind": "chi", "matrix": [[{big}]]}}')
+    assert "--input" in invoke_usage(capsys, "verify", "--input", str(f))
+
+
+BAD_TORSORS = [
+    {"field": "Q", "rank": 2, "ideals": 5, "metrics": []},
+    {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]], "metrics": 5},
+    {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]], "metrics": [[["2", "0"], ["0"]]]},
+    # one metric for two places, one ideal for rank 2, two metrics for one place
+    {"field": "Q(sqrt(2))", "rank": 2, "ideals": [["1"], ["1"]],
+     "metrics": [[["2", "0"], ["0", "1"]]]},
+    {"field": "Q", "rank": 2, "ideals": [["1"]], "metrics": [[["2", "0"], ["0", "1"]]]},
+    {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
+     "metrics": [[["2", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]},
+]
+
+
+@pytest.mark.parametrize("verb, flag", [("slope", "--torsor"), ("verify", "--input")])
+@pytest.mark.parametrize("spec", BAD_TORSORS)
+def test_malformed_torsor_is_a_json_domain_error(tmp_path, verb, flag, spec):
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps(spec))
+    code, text = invoke(verb, flag, str(f))
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "MalformedInput"
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "chi", "matrix": 5},
+    {"kind": "chi", "matrix": [["a"]]},
+    {"kind": "chi", "type": "B2", "point": 5},
+    {"kind": "rootsys", "type": 5},
+    {"kind": "spectral", "field": "Q", "matrix": 5},
+    {"kind": "spectral", "field": 5, "matrix": [["1"]]},
+    {"kind": "degree", "field": "Q", "ideal_hnf": 5, "metrics": ["1"]},
+    {"kind": "degree", "field": "Q", "ideal_hnf": ["1+x"], "metrics": ["1"]},
+    {"kind": "degree", "field": "Q", "ideal_hnf": ["2"], "metrics": {"a": 1}},
+])
+def test_malformed_verify_document_is_a_json_domain_error(tmp_path, doc):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    code, text = invoke("verify", "--input", str(f))
+    assert code == 1
+    assert json.loads(text)["error"]["type"] == "MalformedInput"
+
+
+def test_parser_is_built_once_per_process():
+    invoke_json("rootsys", "--type", "A1")
+    invoke_json("chi", "--matrix", '[["1"]]')
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_chevalley_records_list_every_nonzero_bracket():
+    doc = invoke_json("chevalley", "--type", "B2", "--center", "2")
+    L = chevalley.build_chevalley_basis(
+        rootsys.build_root_system(rootsys.CartanType.parse("B2")), center_rank=2)
+    pairs = [(L.label(i), L.label(j)) for i in range(L.dim) for j in range(i + 1, L.dim)
+             if L.table.get((i, j))]
+    assert [(r["x"], r["y"]) for r in doc["bracket"]] == pairs
 
 
 def test_curve_membership_error_is_domain_error():
