@@ -2,16 +2,23 @@
 characteristic morphism, metrized lattices over rings of integers, and
 spectral/cameral curve analysis."""
 
-from .rootsys import CartanType, RootSystem, build_root_system, weyl_group
-from .chevalley import IntegralLieAlgebra, build_chevalley_basis, verify_chevalley
-from .charmorph import chi_gl, chi_torus, fundamental_invariants
-from .arakelov import NumberField, FractionalIdeal, MetrizedLineBundle, arithmetic_degree
-from .curve import HiggsField, spectral_curve, cameral_curve
+import importlib
 
-__all__ = [
-    "CartanType", "RootSystem", "build_root_system", "weyl_group",
-    "IntegralLieAlgebra", "build_chevalley_basis", "verify_chevalley",
-    "chi_gl", "chi_torus", "fundamental_invariants",
-    "NumberField", "FractionalIdeal", "MetrizedLineBundle", "arithmetic_degree",
-    "HiggsField", "spectral_curve", "cameral_curve",
-]
+# The public names are looked up in their modules on access (PEP 562), so
+# importing the package, or one module of it, loads no other layer.
+_EXPORTS = {
+    "rootsys": ("CartanType", "RootSystem", "build_root_system", "weyl_group"),
+    "chevalley": ("IntegralLieAlgebra", "build_chevalley_basis", "verify_chevalley"),
+    "charmorph": ("chi_gl", "chi_torus", "fundamental_invariants"),
+    "arakelov": ("NumberField", "FractionalIdeal", "MetrizedLineBundle", "arithmetic_degree"),
+    "curve": ("HiggsField", "spectral_curve", "cameral_curve"),
+}
+_MODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE[name]}", __name__), name)

@@ -18,18 +18,12 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionMismatch
+from .errors import MAX_CENTER_RANK, DimensionMismatch
 from .linalg import det
 from .rootsys import (CartanType, RootSystem, Vector, build_root_system, cartan_integer,
                       inner, root_string, vadd, vneg, vsub)
 
 Coords = tuple[Fraction, ...]
-
-# Largest accepted center rank.  The identity center basis and the dense rows of
-# the bracket table grow with it; `chevalley --type B4 --center 2000 --verify`
-# takes about 1.8 s cold on one 2-vCPU Intel Xeon core (85 MB peak RSS) and
-# prints 6 MB.
-MAX_CENTER_RANK = 2000
 
 
 @dataclass(frozen=True)

@@ -20,21 +20,25 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-# torsor (and with it numpy) is imported only by `slope` and by `verify` on a
-# torsor description, so every other verb starts without numpy.
-from . import arakelov, chevalley, charmorph, curve, rootsys
-from .errors import ArithCurvesError, MalformedInput, UnsupportedType
+# Each builder and reader imports the library modules it uses in its own body,
+# so a process loads only what its verb runs: a usage error loads none of them,
+# and torsor (with numpy) loads only for `slope` and `verify` on a torsor.
+from .errors import (MAX_CENTER_RANK, MAX_FIBER_BOUND, ArithCurvesError, MalformedInput,
+                     UnsupportedType)
 from .jsonutil import parse_rational, rat_str, real_str
+
+if TYPE_CHECKING:
+    from . import arakelov
 
 
 # ---------------------------------------------------------------------------
 # payload builders
 
 def rootsys_payload(type_token: str, include_weyl: bool) -> dict:
+    from . import rootsys
     rs = rootsys.build_root_system(rootsys.CartanType.parse(type_token))
     w = rootsys.weyl_group(rs)
     payload = {"kind": "rootsys", **rootsys.root_system_json(rs),
@@ -45,6 +49,7 @@ def rootsys_payload(type_token: str, include_weyl: bool) -> dict:
 
 
 def chevalley_payload(type_token: str, center: int, with_verify: bool) -> dict:
+    from . import chevalley, rootsys
     rs = rootsys.build_root_system(rootsys.CartanType.parse(type_token))
     type_token = str(rs.cartan_type)
     L = chevalley.build_chevalley_basis(rs, center_rank=center)
@@ -68,6 +73,7 @@ def chevalley_payload(type_token: str, center: int, with_verify: bool) -> dict:
 
 def chi_payload(matrix: list | None, type_token: str | None, point: list | None) -> dict:
     """chi of a rational matrix, or of a torus point of the given type."""
+    from . import charmorph
     if matrix is not None:
         vals = charmorph.chi_gl(matrix)
         given = {"type": f"gl_{len(matrix)}",
@@ -82,6 +88,7 @@ def chi_payload(matrix: list | None, type_token: str | None, point: list | None)
 
 def degree_payload(K: arakelov.NumberField, ideal: arakelov.FractionalIdeal,
                    metrics: tuple[float, ...]) -> dict:
+    from . import arakelov
     bundle = arakelov.MetrizedLineBundle(ideal, metrics)
     deg = arakelov.arithmetic_degree(K, bundle)
     return {"kind": "degree", "field": K.name, "ideal_hnf": ideal.hnf_strings(),
@@ -111,6 +118,9 @@ def slope_payload(K: arakelov.NumberField, n: int, ideals: tuple, metrics: tuple
 
 def curve_payload(K: arakelov.NumberField, entries: list, twist, cameral: bool,
                   fiber_bound: int | None) -> dict:
+    from dataclasses import replace
+
+    from . import curve
     phi = curve.higgs_field(K, entries, twist=twist)
     C = curve.cameral_curve(phi) if cameral else curve.spectral_curve(phi)
     payload = {"kind": C.kind, "field": K.name, "n": C.n,
@@ -231,11 +241,13 @@ def _complex(value, key: str) -> complex:
 
 
 def _field(value, key: str) -> arakelov.NumberField:
+    from . import arakelov
     return arakelov.parse_field(_text(value, key))
 
 
 def _ideal(spec, key: str, K: arakelov.NumberField) -> arakelov.FractionalIdeal:
     """Generator strings, or HNF rows (lists) emitted by this CLI."""
+    from . import arakelov
     if not isinstance(spec, list):
         raise MalformedInput(f"an ideal must be a JSON list of generators, got {json.dumps(spec)}")
     elements = []
@@ -291,6 +303,7 @@ def read_degree(doc: dict) -> tuple:
 
 
 def read_curve(doc: dict) -> tuple:
+    from . import arakelov
     K = _get(doc, "field", _field)
     return (K, _get(doc, "matrix", _matrix, lambda x, _: arakelov.parse_element(K, str(x))),
             _get(doc, "twist_hnf", _ideal, K, required=False), doc.get("kind") == "cameral",
@@ -350,9 +363,9 @@ VERBS = {
     ), lambda doc: (_get(doc, "type", _text), "weyl_words" in doc), rootsys_payload, ("rootsys",)),
     "chevalley": Verb("integral Chevalley basis and bracket table", (
         ("--type", "type", REQUIRED),
-        ("--center", "center", {"type": _bounded_int(0, chevalley.MAX_CENTER_RANK), "default": 0,
+        ("--center", "center", {"type": _bounded_int(0, MAX_CENTER_RANK), "default": 0,
                                 "help": "rank of the abelian center (at most "
-                                        f"{chevalley.MAX_CENTER_RANK})"}),
+                                        f"{MAX_CENTER_RANK})"}),
         ("--verify", "verification", {**SWITCH, "help": "attach the verification report"}),
     ), lambda doc: (_get(doc, "type", _text), _get(doc, "center", _integer),
                     "verification" in doc), chevalley_payload, ("chevalley",)),
@@ -378,9 +391,9 @@ VERBS = {
         ("--field", "field", {"default": "Q"}),
         ("--twist", "twist_hnf", {**JSON, "help": "JSON list of ideal generators"}),
         ("--cameral", "kind", {"action": "store_const", "const": "cameral"}),
-        ("--fibers", "fiber_bound", {"type": _bounded_int(None, curve.MAX_FIBER_BOUND),
+        ("--fibers", "fiber_bound", {"type": _bounded_int(None, MAX_FIBER_BOUND),
                                      "metavar": "PMAX", "help": "report ramified primes below "
-                                     f"PMAX (at most {curve.MAX_FIBER_BOUND})"}),
+                                     f"PMAX (at most {MAX_FIBER_BOUND})"}),
     ), read_curve, curve_payload, ("spectral", "cameral")),
     "verify": Verb("re-check the JSON output of any verb", (
         ("--input", "document", {**REQUIRED, "type": _json_object, "metavar": "FILE",

@@ -24,15 +24,10 @@ from fractions import Fraction
 
 from .arakelov import FieldElement, FractionalIdeal, NumberField
 from .charmorph import char_coeffs
-from .errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
+from .errors import (MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve, MembershipFailure,
                      UnsupportedBase)
 from .finitefield import factor_pattern, is_prime, is_squarefree, roots_mod_p
 from .linalg import det
-
-# Largest accepted fiber bound.  Trial division of the discriminant runs to
-# min(bound, sqrt(|disc|)); at 10**7, a 5 x 5 matrix whose discriminant has a
-# 75-digit prime factor takes about 1.5 s cold on one 2-vCPU Intel Xeon core.
-MAX_FIBER_BOUND = 10 ** 7
 
 
 @dataclass(frozen=True)

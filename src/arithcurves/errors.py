@@ -1,4 +1,25 @@
-"""Exception types shared across the library."""
+"""Exception types and input limits shared across the library."""
+
+# The limits live here, not in the modules they guard, because the CLI parser
+# enforces them and this is the library module it loads at start-up.
+
+# Largest accepted center rank.  The identity center basis and the dense rows of
+# the bracket table grow with it; `chevalley --type B4 --center 2000 --verify`
+# takes about 1.8 s cold on one 2-vCPU Intel Xeon core (85 MB peak RSS) and
+# prints 6 MB.
+MAX_CENTER_RANK = 2000
+
+# Largest accepted fiber bound.  Trial division of the discriminant runs to
+# min(bound, sqrt(|disc|)); at 10**7, a 5 x 5 matrix whose discriminant has a
+# 75-digit prime factor takes about 1.5 s cold on one 2-vCPU Intel Xeon core.
+MAX_FIBER_BOUND = 10 ** 7
+
+# Largest accepted torsor rank.  A place's Lie-algebra forms are dense
+# n^2 x n^2 matrices (2n^2 x 2n^2 at a complex place), decomposed by every
+# compatibility check; at rank 16 over Q(sqrt(-5)), `slope --torsor` and
+# `verify` on a dense metric take about 0.8 s cold on one 2-vCPU Intel Xeon
+# core (70 MB peak RSS), against 4.5 s and 215 MB at rank 24 over Q(i).
+MAX_TORSOR_RANK = 16
 
 
 class ArithCurvesError(Exception):

@@ -22,7 +22,8 @@ import numpy as np
 
 from .arakelov import (FractionalIdeal, MetrizedLineBundle, NumberField,
                        arithmetic_degree)
-from .errors import ArithCurvesError, DimensionMismatch, SingularForm, SingularMatrix
+from .errors import (MAX_TORSOR_RANK, ArithCurvesError, DimensionMismatch, SingularForm,
+                     SingularMatrix)
 
 TOL = 1e-9
 
@@ -52,6 +53,8 @@ def canonical_form(n: int, place: str = "real") -> CartanData:
     """theta_K, H_K and the canonical positive form on gl_n at one place."""
     if n < 1:
         raise ArithCurvesError("matrix size must be >= 1")
+    if n > MAX_TORSOR_RANK:
+        raise ArithCurvesError(f"torsor rank {n} exceeds the limit {MAX_TORSOR_RANK}")
     if place not in ("real", "complex"):
         raise ArithCurvesError(f"unknown place kind {place!r}")
     p = _transpose_perm(n)
@@ -307,7 +310,15 @@ def determinant_bundle(T: ArithmeticTorsor) -> MetrizedLineBundle:
 
 def slope(T: ArithmeticTorsor, k: int = 1) -> float:
     """<det^k, mu> = k * deg_ar of the determinant line bundle."""
-    return k * arithmetic_degree(T.field, determinant_bundle(T))
+    deg = arithmetic_degree(T.field, determinant_bundle(T))
+    try:
+        value = k * deg
+    except OverflowError:               # k itself is beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ArithCurvesError("the character power is beyond the floating-point range of "
+                               "the archimedean metrics")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 import textwrap
@@ -9,6 +10,7 @@ import pytest
 import arithcurves.cli as cli
 from arithcurves import chevalley, curve, rootsys
 from arithcurves.cli import run
+from arithcurves.errors import MAX_TORSOR_RANK
 from arithcurves.jsonutil import MAX_LITERAL_DIGITS
 
 CLI = [sys.executable, "-m", "arithcurves.cli"]
@@ -155,27 +157,53 @@ def test_closed_stdout_ends_quietly():
     assert "Traceback" not in err and "Error" not in err
 
 
-def test_numpy_loads_only_for_torsor_verbs(tmp_path):
-    spec = {"field": "Q(sqrt(-5))", "rank": 2, "ideals": [["1"], ["2", "1+w"]],
-            "metrics": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+TORSOR = {"field": "Q(sqrt(-5))", "rank": 2, "ideals": [["1"], ["2", "1+w"]],
+          "metrics": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+COMPUTATIONAL = ("rootsys", "chevalley", "charmorph", "poly", "arakelov", "finitefield",
+                 "curve", "torsor")
+
+
+@pytest.mark.parametrize("argv, code, absent, present", [
+    ([], None, COMPUTATIONAL + ("numpy",), ()),
+    (["chi", "--matrix", "5"], 2, COMPUTATIONAL + ("dataclasses", "numpy"), ()),
+    (["rootsys", "--type", "A2", "--weyl"], 0, ("chevalley", "arakelov", "curve", "numpy"),
+     ("rootsys",)),
+    (["chevalley", "--type", "B2", "--verify"], 0, ("charmorph", "arakelov", "curve", "numpy"),
+     ("chevalley",)),
+    (["degree", "--field", "Q(i)", "--ideal", '["1+i"]', "--metrics", '["2.0"]'], 0,
+     ("rootsys", "chevalley", "numpy"), ("arakelov",)),
+    (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0, ("arakelov", "numpy"),
+     ("charmorph",)),
+    (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0, ("torsor", "numpy"),
+     ("curve",)),
+    (["slope", "--torsor", "TORSOR", "--char", "2"], 0, ("rootsys", "curve"), ("numpy",)),
+    (["verify", "--input", "TORSOR"], 0, ("rootsys", "curve"), ("numpy",)),
+], ids=["import", "usage-error", "rootsys", "chevalley", "degree", "chi", "curve", "slope",
+        "verify-torsor"])
+def test_each_verb_loads_only_its_modules(tmp_path, argv, code, absent, present):
+    """A fresh interpreter that imports the CLI and runs one verb loads only that verb's modules."""
     f = tmp_path / "torsor.json"
-    f.write_text(json.dumps(spec))
+    f.write_text(json.dumps(TORSOR))
     script = textwrap.dedent("""
-        import io, sys
+        import io, json, sys
         import arithcurves.cli as cli
-        assert "numpy" not in sys.modules
-        for argv in (["rootsys", "--type", "A2", "--weyl"],
-                     ["chi", "--torus-point", "[1,2]", "--type", "B2"],
-                     ["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"]):
-            assert cli.run(argv, out=io.StringIO()) == 0
-        assert "numpy" not in sys.modules
-        cli.run(["slope", "--torsor", sys.argv[1], "--char", "2"])
-        assert "numpy" in sys.modules
+        argv = [str(a) for a in json.loads(sys.argv[1])]
+        code = None
+        if argv:
+            try:
+                code = cli.run(argv, out=io.StringIO())
+            except SystemExit as exc:
+                code = exc.code
+        print(json.dumps([code, [m.removeprefix("arithcurves.") for m in sys.modules]]))
     """)
-    proc = subprocess.run([sys.executable, "-c", script, str(f)],
+    argv = [str(f) if a == "TORSOR" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert abs(float(json.loads(proc.stdout)["slope"]) + 2 * 0.6931471805599453) < 1e-9
+    got, loaded = json.loads(proc.stdout)
+    assert got == code
+    assert not set(absent) & set(loaded)
+    assert set(present) <= set(loaded)
 
 
 def test_degree_verb():
@@ -400,13 +428,46 @@ def test_cameral_points_with_large_prime_eigenvalues():
 
 
 def test_slope_verb(tmp_path):
-    spec = {"field": "Q(sqrt(-5))", "rank": 2,
-            "ideals": [["1"], ["2", "1+w"]],
-            "metrics": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
     f = tmp_path / "torsor.json"
-    f.write_text(json.dumps(spec))
+    f.write_text(json.dumps(TORSOR))
     doc = invoke_json("slope", "--torsor", str(f), "--char", "2")
     assert abs(float(doc["slope"]) + 2 * 0.6931471805599453) < 1e-9
+
+
+# 10**400 is itself beyond the float range; 10**308 times the degree -log 8 overflows it
+@pytest.mark.parametrize("k", [10 ** 400, 10 ** 308])
+def test_char_power_beyond_the_float_range_is_a_domain_error(tmp_path, k):
+    """A huge character power, from --char and from a verify document."""
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps({"field": "Q", "rank": 1, "ideals": [["8"]], "metrics": [[["1"]]]}))
+    doc = invoke_json("slope", "--torsor", str(f), "--char", "1")
+    assert abs(float(doc["slope"]) + math.log(8)) < 1e-9
+    code, text = invoke("slope", "--torsor", str(f), "--char", str(k))
+    assert code == 1
+    error = json.loads(text)["error"]
+    assert error["type"] == "ArithCurvesError" and "floating-point range" in error["message"]
+    g = tmp_path / "slope.json"
+    g.write_text(json.dumps({**doc, "char_power": k}))
+    code, text = invoke("verify", "--input", str(g))
+    assert code == 1 and json.loads(text)["error"] == error
+
+
+def _scaled_identity_torsor(n: int) -> dict:
+    return {"field": "Q", "rank": n, "ideals": [["1"]] * n,
+            "metrics": [[["2" if i == j else "0" for j in range(n)] for i in range(n)]]}
+
+
+@pytest.mark.parametrize("verb, flag", [("slope", "--torsor"), ("verify", "--input")])
+def test_torsor_rank_limit(tmp_path, verb, flag):
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps(_scaled_identity_torsor(MAX_TORSOR_RANK)))
+    invoke_json(verb, flag, str(f))
+    f.write_text(json.dumps(_scaled_identity_torsor(MAX_TORSOR_RANK + 1)))
+    code, text = invoke(verb, flag, str(f))
+    assert code == 1
+    assert json.loads(text)["error"] == {
+        "type": "ArithCurvesError",
+        "message": f"torsor rank {MAX_TORSOR_RANK + 1} exceeds the limit {MAX_TORSOR_RANK}"}
 
 
 def test_verify_round_trip_all_verbs(tmp_path):

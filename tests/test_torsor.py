@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from arithcurves.arakelov import FractionalIdeal, NumberField
-from arithcurves.errors import ArithCurvesError, DimensionMismatch, SingularMatrix
+from arithcurves.errors import (MAX_TORSOR_RANK, ArithCurvesError, DimensionMismatch,
+                               SingularMatrix)
 from arithcurves.torsor import (ArithmeticTorsor, CocharacterLattice, CompatibleMetric,
                                 act, ad_matrix, canonical_form, canonical_metric,
                                 center_basis, cochar_pairing, determinant_bundle,
@@ -37,6 +38,13 @@ def test_canonical_form_values():
     assert e12 @ cd.H_K @ e12 == 0.0
     cd1 = canonical_form(1)
     assert cd1.H_can[0, 0] > 0
+
+
+def test_canonical_form_rank_limit():
+    assert canonical_form(MAX_TORSOR_RANK, "complex").dim == 2 * MAX_TORSOR_RANK ** 2
+    for place in ("real", "complex"):
+        with pytest.raises(ArithCurvesError, match="exceeds the limit"):
+            canonical_form(MAX_TORSOR_RANK + 1, place)
 
 
 def test_canonical_form_positive_definite():
