@@ -39,7 +39,7 @@ class IntegralLieAlgebra:
     basis: tuple[BasisVector, ...]
     # (i, j) -> ((k, c), ...) meaning [b_i, b_j] = sum c * b_k, all c integers
     table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
-    center_basis: tuple[tuple[int, ...], ...] = ()
+    center_basis: tuple[tuple[int, ...], ...] = ()     # () for the standard basis
 
     @property
     def dim(self) -> int:
@@ -141,10 +141,7 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
         raise DimensionMismatch(f"center rank must be >= 0, got {center_rank}")
     if center_rank > MAX_CENTER_RANK:
         raise DimensionMismatch(f"center rank {center_rank} exceeds the limit {MAX_CENTER_RANK}")
-    if center_basis is None:
-        center_basis = tuple(tuple(1 if i == j else 0 for j in range(center_rank))
-                             for i in range(center_rank))
-    else:
+    if center_basis is not None:
         center_basis = tuple(tuple(int(x) for x in row) for row in center_basis)
         d = det(center_basis)
         if abs(d) != 1:
@@ -183,7 +180,7 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
         assert v == -consts[(vneg(a), vneg(b))]
 
     return IntegralLieAlgebra(rs=rs, center_rank=center_rank, basis=basis,
-                              table=table, center_basis=center_basis)
+                              table=table, center_basis=center_basis or ())
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 # Each builder and reader imports the library modules it uses in its own body,
 # so a process loads only what its verb runs: a usage error loads none of them,
 # and torsor (with numpy) loads only for `slope` and `verify` on a torsor.
-from .errors import (MAX_CENTER_RANK, MAX_FIBER_BOUND, ArithCurvesError, MalformedInput,
-                     UnsupportedType)
+from .errors import (MAX_CENTER_RANK, MAX_CHI_N, MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError,
+                     MalformedInput, UnsupportedType)
 from .jsonutil import parse_rational, rat_str, real_str
 
 if TYPE_CHECKING:
@@ -225,10 +225,14 @@ def _list(value, key: str, entry: Callable, length: int | None = None, what: str
     return [entry(x, key) for x in value]
 
 
-def _matrix(value, key: str, entry: Callable, n: int | None = None) -> list[list]:
-    """A non-empty list of rows read by entry; n x n when n is set, else rows of any length."""
+def _matrix(value, key: str, entry: Callable, n: int | None = None,
+            most: int | None = None) -> list[list]:
+    """A non-empty list of rows read by entry; n x n when n is set, else rows of any length.
+    More than `most` rows, when that is set, are rejected before any entry is read."""
     if value == []:
         raise MalformedInput(f"{key} must not be empty")
+    if most is not None and isinstance(value, list) and len(value) > most:
+        raise MalformedInput(f"{key} size {len(value)} exceeds the limit {most}")
     return _list(value, key, lambda row, key: _list(row, key, entry, n), n, "rows")
 
 
@@ -293,7 +297,7 @@ def read_chi(doc: dict) -> tuple:
     if ("matrix" in doc) == ("point" in doc):
         raise MalformedInput("chi takes exactly one of a matrix and a torus point")
     if "matrix" in doc:
-        return _get(doc, "matrix", _matrix, _rational), None, None
+        return _get(doc, "matrix", _matrix, _rational, None, MAX_CHI_N), None, None
     return None, _get(doc, "type", _text), _get(doc, "point", _list, _rational)
 
 
@@ -305,7 +309,8 @@ def read_degree(doc: dict) -> tuple:
 def read_curve(doc: dict) -> tuple:
     from . import arakelov
     K = _get(doc, "field", _field)
-    return (K, _get(doc, "matrix", _matrix, lambda x, _: arakelov.parse_element(K, str(x))),
+    return (K, _get(doc, "matrix", _matrix, lambda x, _: arakelov.parse_element(K, str(x)),
+                    None, MAX_CURVE_N),
             _get(doc, "twist_hnf", _ideal, K, required=False), doc.get("kind") == "cameral",
             _get(doc, "fiber_bound", _integer, required=False))
 

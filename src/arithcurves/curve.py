@@ -1,18 +1,20 @@
 """Arithmetic characteristic curves attached to twisted Higgs matrices.
 
-A Higgs field is an n x n matrix over Q or a quadratic field whose entries lie
-in a fractional ideal L.  Its characteristic point (c_1, ..., c_n) satisfies
-c_k in L^k with an explicit membership certificate; the spectral curve is the
-rank-n algebra O_F[l]/(p(l)) for the monic characteristic polynomial p, and
-the cameral curve imposes e_k(l_1..l_n) = c_k, a cover of generic degree n!.
+A Higgs field is an n x n matrix (n at most MAX_CURVE_N) over Q or a quadratic
+field whose entries lie in a fractional ideal L.  Its characteristic point
+(c_1, ..., c_n) satisfies c_k in L^k with an explicit membership certificate;
+the spectral curve is the rank-n algebra O_F[l]/(p(l)) for the monic
+characteristic polynomial p, and the cameral curve imposes e_k(l_1..l_n) = c_k,
+a cover of generic degree n!.
 
 Fiber analysis works over the base Q: factorization shapes of p mod a prime
 come from the squarefree/distinct-degree machinery, ramified primes are the
 prime divisors of the discriminant (found by trial division up to the fiber
 bound, at most MAX_FIBER_BOUND), rational cameral points are Hensel lifts of
 the roots mod the least prime where p stays squarefree, and covering degrees
-are counted by enumeration over the residue field of the smallest completely
-split prime.
+are checked at the smallest completely split prime: its n distinct roots must
+reproduce the characteristic point, so the cameral fiber there has n! points.
+The discriminant is the Hankel determinant of the power sums of the roots.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from fractions import Fraction
 
 from .arakelov import FieldElement, FractionalIdeal, NumberField
 from .charmorph import char_coeffs
-from .errors import (MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve, MembershipFailure,
-                     UnsupportedBase)
+from .errors import (MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve,
+                     MembershipFailure, UnsupportedBase)
 from .finitefield import factor_pattern, is_prime, is_squarefree, roots_mod_p
 from .linalg import det
 
@@ -44,6 +46,8 @@ class HiggsField:
 
 def higgs_field(K: NumberField, entries, twist: FractionalIdeal | None = None) -> HiggsField:
     """Build and validate a Higgs field; every entry must lie in the twist ideal."""
+    if len(entries) > MAX_CURVE_N:
+        raise ArithCurvesError(f"Higgs matrix size {len(entries)} exceeds the limit {MAX_CURVE_N}")
     if twist is None:
         twist = FractionalIdeal.ring_of_integers(K)
     mat = []
@@ -105,41 +109,30 @@ class CharacteristicCurve:
         return not self.disc and self.n > 1
 
 
-def _monic_poly(phi: HiggsField, values) -> tuple[FieldElement, ...]:
-    # p(l) = l^n - c_1 l^{n-1} + c_2 l^{n-2} - ... + (-1)^n c_n
-    coeffs = [phi.field.one]
-    for k, c in enumerate(values, start=1):
-        coeffs.append(c * ((-1) ** k))
-    return tuple(coeffs)
-
-
-def resultant(p, q, K: NumberField) -> FieldElement:
-    """Resultant of two polynomials (highest degree first): the Sylvester determinant."""
-    p, q = list(p), list(q)
-    n, m = len(p) - 1, len(q) - 1
-    size = n + m
-    rows = []
-    for i in range(m):
-        rows.append([K.zero] * i + p + [K.zero] * (size - i - n - 1))
-    for i in range(n):
-        rows.append([K.zero] * i + q + [K.zero] * (size - i - m - 1))
-    return det(rows)
-
-
 def poly_discriminant(poly, K: NumberField) -> FieldElement:
-    """disc of a monic polynomial; zero iff it has a repeated root."""
+    """disc of a monic polynomial; zero iff it has a repeated root.
+
+    With s_k the k-th power sum of the roots, disc = prod_{i<j} (l_i - l_j)^2
+    = det(V^T V) = det[s_{i+j}] for the Vandermonde matrix V; Newton's
+    identities give s_1 .. s_{2n-2} from the coefficients without division.
+    """
     n = len(poly) - 1
     if n <= 1:
         return K.one
-    res = resultant(list(poly), _derivative(poly), K)
-    sign = (-1) ** (n * (n - 1) // 2)
-    return res * sign
+    s = [K.element(n)]
+    for k in range(1, 2 * n - 1):
+        acc = k * poly[k] if k <= n else K.zero
+        for i in range(1, min(k, n + 1)):
+            acc = acc + poly[i] * s[k - i]
+        s.append(-acc)
+    return det([s[i:i + n] for i in range(n)])
 
 
 def spectral_curve(phi: HiggsField) -> CharacteristicCurve:
     """Spec O_F[l]/(p_phi): the degree-n cover cut out by the char polynomial."""
     cert = characteristic_point(phi)
-    poly = _monic_poly(phi, cert.values)
+    # p(l) = l^n - c_1 l^{n-1} + c_2 l^{n-2} - ... + (-1)^n c_n
+    poly = (phi.field.one, *(c * (-1) ** k for k, c in enumerate(cert.values, start=1)))
     return CharacteristicCurve(kind="spectral", field=phi.field, n=phi.n, poly=poly,
                                certificate=cert, twist=phi.twist,
                                disc=poly_discriminant(poly, phi.field))
@@ -242,33 +235,23 @@ def smallest_split_prime(C: CharacteristicCurve) -> int:
 def covering_degree_check(C: CharacteristicCurve) -> bool:
     """Fiber count over the smallest completely split prime matches the degree.
 
-    Spectral curves must show n distinct roots; cameral curves are checked by
-    enumerating ordered tuples in the residue field, expecting n! of them.
+    Spectral curves must show n distinct roots r_i mod p.  The tuples with
+    e_k = c_k for every k are the orderings of a multiset whose polynomial is
+    l^n - c_1 l^{n-1} + ..., so a cameral curve has n! of them exactly when
+    prod (l - r_i) has the coefficients (-1)^k c_k of the certificate.
     """
     p = smallest_split_prime(C)
-    f = _reduce_poly(C, p)
-    roots = roots_mod_p(f, p)
-    if not is_squarefree(f, p) or len(roots) != C.n:
+    roots = roots_mod_p(_reduce_poly(C, p), p)
+    if len(roots) != C.n:
         return False
     if C.kind == "spectral":
         return True
-    want = [int(c.a.numerator * pow(c.a.denominator, -1, p)) % p
-            for c in C.certificate.values]
-    count = 0
-    for tup in itertools.product(roots, repeat=C.n):
-        if all(_ek_mod(tup, k, p) == want[k - 1] for k in range(1, C.n + 1)):
-            count += 1
-    return count == math.factorial(C.n)
-
-
-def _ek_mod(values, k: int, p: int) -> int:
-    total = 0
-    for comb in itertools.combinations(values, k):
-        prod = 1
-        for v in comb:
-            prod = prod * v % p
-        total = (total + prod) % p
-    return total
+    want = [1] + [int(c.a.numerator * pow(c.a.denominator, -1, p)) * (-1) ** k % p
+                  for k, c in enumerate(C.certificate.values, start=1)]
+    prod = [1]                                  # prod (l - r), highest degree first
+    for r in roots:
+        prod = [(a - r * b) % p for a, b in zip(prod + [0], [0] + prod)]
+    return prod == want
 
 
 def cameral_fiber_rational(C: CharacteristicCurve) -> list[tuple[Fraction, ...]] | None:

@@ -3,16 +3,27 @@
 # The limits live here, not in the modules they guard, because the CLI parser
 # enforces them and this is the library module it loads at start-up.
 
-# Largest accepted center rank.  The identity center basis and the dense rows of
-# the bracket table grow with it; `chevalley --type B4 --center 2000 --verify`
-# takes about 1.8 s cold on one 2-vCPU Intel Xeon core (85 MB peak RSS) and
-# prints 6 MB.
+# Largest accepted center rank.  The dense rows of the bracket table grow with
+# it; `chevalley --type B4 --center 2000 --verify` takes 0.7-0.9 s cold on one
+# 2-vCPU Intel Xeon core (64 MB peak RSS) and prints 6 MB.
 MAX_CENTER_RANK = 2000
 
 # Largest accepted fiber bound.  Trial division of the discriminant runs to
 # min(bound, sqrt(|disc|)); at 10**7, a 5 x 5 matrix whose discriminant has a
 # 75-digit prime factor takes about 1.5 s cold on one 2-vCPU Intel Xeon core.
 MAX_FIBER_BOUND = 10 ** 7
+
+# Largest accepted size n of a `curve` matrix.  The covering check over Q scans
+# primes until the characteristic polynomial splits completely, about n! of
+# them for a generic matrix; the worst of twelve random 6 x 6 matrices with
+# 4-bit entries splits first at p = 21613, and `curve` on it takes about 3 s
+# cold on one 2-vCPU Intel Xeon core, against 9.2 s for one 7 x 7 matrix.
+MAX_CURVE_N = 6
+
+# Largest accepted size n of a `chi --matrix`.  The characteristic polynomial
+# costs O(n^4) ring operations; `chi` on a 64 x 64 matrix of 6-digit integers
+# takes about 1.4 s cold on one 2-vCPU Intel Xeon core, against 2.6 s at 80.
+MAX_CHI_N = 64
 
 # Largest accepted torsor rank.  A place's Lie-algebra forms are dense
 # n^2 x n^2 matrices (2n^2 x 2n^2 at a complex place), decomposed by every

@@ -291,7 +291,7 @@ def test_fiber_bound_limit(tmp_path, capsys):
                              "metrics": [[["1"]]], "char_power": 1},
      'rank must be an integer, got "a"'),
     (["slope", "--torsor"], {}, "torsor document lacks the key 'field'"),
-    # the limit is checked before a center basis of that rank is allocated
+    # the limit is checked before a basis of that rank is built
     (["verify", "--input"], {"kind": "chevalley", "type": "A1", "center": 1e9},
      f"center rank 1000000000 exceeds the limit {chevalley.MAX_CENTER_RANK}"),
 ])

@@ -1,17 +1,22 @@
+import functools
+import itertools
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from arithcurves import curve
 from arithcurves.arakelov import FractionalIdeal, NumberField
-from arithcurves.curve import (MAX_FIBER_BOUND, cameral_curve, cameral_fiber_rational,
-                               characteristic_point, covering_degree_check,
-                               discriminant, fiber, higgs_field, ramified_primes,
-                               smallest_split_prime, spectral_curve)
+from arithcurves.curve import (MAX_CURVE_N, MAX_FIBER_BOUND, cameral_curve,
+                               cameral_fiber_rational, characteristic_point,
+                               covering_degree_check, discriminant, fiber, higgs_field,
+                               poly_discriminant, ramified_primes, smallest_split_prime,
+                               spectral_curve)
 from arithcurves.errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
                                 UnsupportedBase)
-from arithcurves.finitefield import factor_pattern, is_prime
+from arithcurves.finitefield import factor_pattern, is_prime, is_squarefree
 
 QQ = NumberField(0)
 
@@ -179,6 +184,67 @@ def test_covering_degree_spectral_and_cameral():
     if not C3.degenerate:
         assert covering_degree_check(C3)
         assert covering_degree_check(cameral_curve(phi3))
+
+
+def _tuple_count_check(C, p):
+    """The covering check by brute force: count the n^n tuples of roots mod p
+    whose elementary symmetric functions are the certificate's c_k."""
+    f = [int(c.a.numerator * pow(c.a.denominator, -1, p)) % p for c in reversed(C.poly)]
+    roots = [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0]
+    if not is_squarefree(f, p) or len(roots) != C.n:
+        return False
+    if C.kind == "spectral":
+        return True
+    want = [int(c.a.numerator * pow(c.a.denominator, -1, p)) % p for c in C.certificate.values]
+    count = sum(all(sum(math.prod(comb) for comb in itertools.combinations(tup, k)) % p
+                    == want[k - 1] for k in range(1, C.n + 1))
+                for tup in itertools.product(roots, repeat=C.n))
+    return count == math.factorial(C.n)
+
+
+def test_covering_check_matches_the_tuple_count(monkeypatch):
+    rng = random.Random(10)
+    outcomes = set()
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        C = cameral_curve(q_higgs(m))
+        if C.degenerate:
+            continue
+        p = smallest_split_prime(C)
+        values = list(C.certificate.values)
+        k = rng.randrange(n)
+        curves = [C, replace(C, kind="spectral")]
+        # a shift by p is invisible mod p; a shift by 1 or -2 is not
+        for delta in (p, 1, -2):
+            tampered = values[:k] + [values[k] + delta] + values[k + 1:]
+            curves.append(replace(C, certificate=replace(C.certificate, values=tuple(tampered))))
+        # also at a small prime other than p, where p_phi need not split
+        for prime in (p, rng.choice([q for q in (2, 3, 5, 7) if q != p])):
+            monkeypatch.setattr(curve, "smallest_split_prime", lambda _, prime=prime: prime)
+            for D in curves:
+                want = _tuple_count_check(D, prime)
+                assert covering_degree_check(D) == want
+                outcomes.add((D.kind, want))
+    assert outcomes == {(kind, ok) for kind in ("spectral", "cameral") for ok in (True, False)}
+
+
+@pytest.mark.parametrize("d", [0, -5])
+def test_discriminant_is_the_product_of_squared_root_differences(d):
+    K = NumberField(d)
+    rng = random.Random(d)
+    for n in range(MAX_CURVE_N + 1):
+        for _ in range(6):
+            roots = [K.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                               rng.randint(-3, 3) if d else 0) for _ in range(n)]
+            if n > 1 and rng.random() < 0.2:
+                roots[-1] = roots[0]                    # a repeated root
+            poly = [K.one]
+            for r in roots:
+                poly = [a - r * b for a, b in zip(poly + [K.zero], [K.zero] + poly)]
+            want = functools.reduce(lambda acc, ij: acc * (ij[0] - ij[1]) * (ij[0] - ij[1]),
+                                    itertools.combinations(roots, 2), K.one)
+            assert poly_discriminant(poly, K) == want
 
 
 def test_cameral_examples():

@@ -1,11 +1,13 @@
 import importlib
 import io
+import json
 
 import pytest
 
 import arithcurves
 from arithcurves import chevalley, curve, errors
-from arithcurves.cli import run
+from arithcurves.arakelov import NumberField
+from arithcurves.cli import read_chi, run
 
 PUBLIC = [
     "CartanType", "RootSystem", "build_root_system", "weyl_group",
@@ -48,6 +50,52 @@ def test_limits_are_the_ones_the_parser_enforces(capsys, verb, flag, limit):
         run([*verb, flag, str(limit + 1)], out=io.StringIO())
     assert exc.value.code == 2
     assert f"..{limit}, got {limit + 1}" in capsys.readouterr().err
+
+
+def _diagonal(n: int) -> list[list[str]]:
+    return [[str(i + 1) if i == j else "0" for j in range(n)] for i in range(n)]
+
+
+def _size_limit_outcomes(capsys, tmp_path, verb: str, kind: str, limit: int) -> None:
+    """An n x n --matrix at the limit runs and verifies; one row more is rejected
+    as a usage error from the command line and as a domain error from a document."""
+    out = io.StringIO()
+    assert run([verb, "--matrix", json.dumps(_diagonal(limit))], out=out) == 0
+    doc = tmp_path / "doc.json"
+    doc.write_text(out.getvalue())
+    verified = io.StringIO()
+    assert run(["verify", "--input", str(doc)], out=verified) == 0
+    assert json.loads(verified.getvalue())["ok"]
+    message = f"matrix size {limit + 1} exceeds the limit {limit}"
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run([verb, "--matrix", json.dumps(_diagonal(limit + 1))], out=out)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert f"argument --matrix: {message}" in capsys.readouterr().err
+    doc.write_text(json.dumps({"kind": kind, "field": "Q", "matrix": _diagonal(limit + 1)}))
+    out = io.StringIO()
+    assert run(["verify", "--input", str(doc)], out=out) == 1
+    assert json.loads(out.getvalue()) == {"error": {"type": "MalformedInput", "message": message}}
+
+
+def test_curve_size_limit(capsys, tmp_path):
+    assert curve.MAX_CURVE_N == errors.MAX_CURVE_N == 6
+    _size_limit_outcomes(capsys, tmp_path, "curve", "spectral", curve.MAX_CURVE_N)
+    QQ = NumberField(0)
+    assert curve.higgs_field(QQ, _diagonal(curve.MAX_CURVE_N)).n == curve.MAX_CURVE_N
+    with pytest.raises(errors.ArithCurvesError,
+                       match=f"size {curve.MAX_CURVE_N + 1} exceeds the limit {curve.MAX_CURVE_N}"):
+        curve.higgs_field(QQ, _diagonal(curve.MAX_CURVE_N + 1))
+
+
+def test_chi_size_limit(capsys, tmp_path):
+    limit = errors.MAX_CHI_N
+    _size_limit_outcomes(capsys, tmp_path, "chi", "chi", limit)
+    # the reader rejects the rows before it reads an entry
+    assert len(read_chi({"matrix": _diagonal(limit)})[0]) == limit
+    with pytest.raises(errors.MalformedInput) as exc:
+        read_chi({"matrix": [["not a rational"]] * (limit + 1)})
+    assert exc.value.key == "matrix"
 
 
 HELP = {
