@@ -15,36 +15,33 @@ Supported torus realizations:
 chi on all of gl_n is the characteristic polynomial map, computed exactly and
 without division by Berkowitz's algorithm on integer pairs (linalg.char_poly),
 over Q and over the quadratic fields of the curve layer.
+
+W enters only through its simple reflections, as matrices on a realization's
+coordinates: W is generated by them, so invariance under them is invariance
+under W, and the mean of a monomial over W is its mean over the orbit that they
+close, by orbit-stabilizer.  No element of W is enumerated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, NonSquare, UnsupportedType
-from .linalg import char_poly, solve
 from .poly import Poly, elementary_symmetric
-from .rootsys import CartanType, build_root_system, weyl_matrices
+from .rootsys import CartanType, build_root_system, reflect
 
 CharPoint = tuple[Fraction, ...]
 
 GL_MAX = 5
 
 
-class TorusRealization:
-    def __init__(self, token: str, nvars: int, invariants, build_weyl_matrices):
-        self.token = token
-        self.nvars = nvars
-        self.invariants = invariants              # list of Poly
-        self._build_weyl_matrices = build_weyl_matrices
-
-    # Built on first use: only is_invariant and reynolds_symmetrize need them,
-    # while chi_torus evaluates the invariants and never enumerates W.
-    @cached_property
-    def weyl_matrices(self) -> list:
-        """nvars x nvars exact (int or Fraction) matrices of W."""
-        return self._build_weyl_matrices()
+class TorusRealization(NamedTuple):
+    token: str
+    nvars: int
+    invariants: list                    # of Poly
+    weyl_type: CartanType | None        # W's type; A_{n-1} for gl_n, None for gl1
 
     @property
     def rank(self) -> int:
@@ -60,25 +57,20 @@ def _normalize_token(t) -> str:
     return s.upper()
 
 
-def _weyl_matrices(t: CartanType | None) -> list:
-    """W's matrices on a realization's coordinates; t is None for gl1 (W trivial)."""
+def _simple_reflections(real: TorusRealization) -> list:
+    """W's simple reflections as matrices on the coordinates, columns the images."""
+    t = real.weyl_type
     if t is None:
-        return [[[Fraction(1)]]]
-    ambient = weyl_matrices(build_root_system(t))
-    if t.family != "G":
-        return ambient
-    # G2: restrict the ambient action to the plane basis b1, b2.
-    b1 = (Fraction(1), Fraction(-1), Fraction(0))
-    b2 = (Fraction(1), Fraction(1), Fraction(-2))
-    plane_columns = list(zip(b1, b2))
-    plane_mats = []
-    for m in ambient:
-        cols = []
-        for b in (b1, b2):
-            img = tuple(sum((m[i][j] * b[j] for j in range(3)), Fraction(0)) for i in range(3))
-            cols.append(solve(plane_columns, img))
-        plane_mats.append([[cols[j][i] for j in range(2)] for i in range(2)])
-    return plane_mats
+        return []
+    if t.family == "G":
+        # On the plane basis b1, b2: a1 = b1 and a2 = -(3 b1 + b2) / 2.
+        half = Fraction(1, 2)
+        return [[[-1, 0], [0, 1]], [[-half, -3 * half], [-half, half]]]
+    rs = build_root_system(t)
+    n = rs.ambient_dim
+    # an orthogonal reflection is a symmetric matrix: row j is the image of e_j
+    return [[reflect(rs, tuple(int(i == j) for i in range(n)), a) for j in range(n)]
+            for a in rs.simple]
 
 
 @lru_cache(maxsize=None)
@@ -91,17 +83,15 @@ def realization(token_or_type) -> TorusRealization:
             raise UnsupportedType(f"unsupported torus {token!r}")
         if not 1 <= n <= GL_MAX:
             raise UnsupportedType(f"gl_{n} outside the supported range 1..{GL_MAX}")
-        weyl = partial(_weyl_matrices, CartanType("A", n - 1) if n > 1 else None)
-        return TorusRealization(token, n,
-                                [elementary_symmetric(n, k) for k in range(1, n + 1)], weyl)
+        return TorusRealization(token, n, [elementary_symmetric(n, k) for k in range(1, n + 1)],
+                                CartanType("A", n - 1) if n > 1 else None)
 
     t = CartanType.parse(token)
-    weyl = partial(_weyl_matrices, t)
 
     if t.family == "A":
         n = t.rank + 1
         inv = [elementary_symmetric(n, k) for k in range(2, n + 1)]
-        return TorusRealization(token, n, inv, weyl)
+        return TorusRealization(token, n, inv, t)
 
     if t.family in ("B", "C", "D"):
         r = t.rank
@@ -114,7 +104,7 @@ def realization(token_or_type) -> TorusRealization:
             inv = [e_of_squares(k) for k in range(1, r)] + [elementary_symmetric(r, r)]
         else:
             inv = [e_of_squares(k) for k in range(1, r + 1)]
-        return TorusRealization(token, r, inv, weyl)
+        return TorusRealization(token, r, inv, t)
 
     # G2: intrinsic coordinates on the plane basis b1, b2.
     c1 = Poly.variable(2, 0)
@@ -122,7 +112,7 @@ def realization(token_or_type) -> TorusRealization:
     i2 = c1 * c1 * Fraction(2) + c2 * c2 * Fraction(6)          # squared length on the plane
     odd = (c1 * c1 * c2 - c2 * c2 * c2) * Fraction(2)           # coordinate product, restricted
     i6 = odd * odd
-    return TorusRealization(token, 2, [i2, i6], weyl)
+    return TorusRealization(token, 2, [i2, i6], t)
 
 
 def fundamental_invariants(t) -> list[Poly]:
@@ -131,9 +121,8 @@ def fundamental_invariants(t) -> list[Poly]:
 
 
 def is_invariant(t, p: Poly) -> bool:
-    """Exact check of p(w t) = p(t) over the whole Weyl group."""
-    real = realization(t)
-    return all(p.substitute_linear(m) == p for m in real.weyl_matrices)
+    """Exact check of p(w t) = p(t) for every w in W, on W's generators."""
+    return all(p.substitute_linear(m) == p for m in _simple_reflections(realization(t)))
 
 
 def chi_torus(t, point) -> CharPoint:
@@ -146,16 +135,22 @@ def chi_torus(t, point) -> CharPoint:
 
 
 def reynolds_symmetrize(t, exponents) -> Poly:
-    """Average of a monomial over the Weyl group; always W-invariant."""
+    """Average of a monomial over the Weyl group, taken over its orbit; always W-invariant."""
     real = realization(t)
     e = tuple(int(k) for k in exponents)
     if len(e) != real.nvars:
         raise DimensionMismatch(f"expected {real.nvars} exponents, got {len(e)}")
-    mono = Poly.monomial(e)
+    gens = _simple_reflections(real)
+    orbit = {Poly.monomial(e)}
+    frontier = list(orbit)
+    while frontier:
+        images = {p.substitute_linear(m) for p in frontier for m in gens} - orbit
+        orbit |= images
+        frontier = list(images)
     total = Poly.zero(real.nvars)
-    for m in real.weyl_matrices:
-        total = total + mono.substitute_linear(m)
-    return total.scale(Fraction(1, len(real.weyl_matrices)))
+    for p in orbit:
+        total = total + p
+    return total.scale(Fraction(1, len(orbit)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +165,7 @@ def char_coeffs(a):
     n = len(a)
     if any(len(row) != n for row in a):
         raise NonSquare("characteristic polynomial needs a square matrix")
+    from .linalg import char_poly
     return char_poly(a)
 
 
@@ -184,31 +180,3 @@ def chi_gl(a) -> CharPoint:
         raise NonSquare("matrix is not square")
     acs = char_coeffs(mat)
     return tuple(-ak if k % 2 == 0 else ak for k, ak in enumerate(acs))
-
-
-# ---------------------------------------------------------------------------
-# Newton identities
-
-def power_sums_from_elementary(e) -> list[Fraction]:
-    """p_1..p_n from e_1..e_n."""
-    e = [Fraction(x) for x in e]
-    p: list[Fraction] = []
-    for k in range(1, len(e) + 1):
-        acc = Fraction(0)
-        for i in range(1, k):
-            acc += (-1) ** (i - 1) * e[i - 1] * p[k - i - 1]
-        acc += (-1) ** (k - 1) * k * e[k - 1]
-        p.append(acc)
-    return p
-
-
-def elementary_from_power_sums(p) -> list[Fraction]:
-    """e_1..e_n from p_1..p_n (k e_k = sum (-1)^{i-1} e_{k-i} p_i, e_0 = 1)."""
-    p = [Fraction(x) for x in p]
-    e: list[Fraction] = []
-    for k in range(1, len(p) + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            acc += (-1) ** (i - 1) * (e[k - i - 1] if i < k else Fraction(1)) * p[i - 1]
-        e.append(acc / k)
-    return e

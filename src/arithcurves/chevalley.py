@@ -15,30 +15,27 @@ root vectors of `rootsys`, and `verify_chevalley` brackets on ints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import MAX_CENTER_RANK, DimensionMismatch
-from .linalg import det
 from .rootsys import (CartanType, RootSystem, Vector, build_root_system, cartan_integer,
                       inner, root_string, vadd, vneg, vsub)
 
 Coords = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class BasisVector:
+class BasisVector(NamedTuple):
     kind: str        # "x" root vector, "h" simple coroot, "z" central
     index: int       # root index ("x"), simple index ("h"), center index ("z")
 
 
-@dataclass(frozen=True)
-class IntegralLieAlgebra:
+class IntegralLieAlgebra(NamedTuple):
     rs: RootSystem
     center_rank: int
     basis: tuple[BasisVector, ...]
     # (i, j) -> ((k, c), ...) meaning [b_i, b_j] = sum c * b_k, all c integers
-    table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = field(repr=False, compare=False)
+    table: dict[tuple[int, int], tuple[tuple[int, int], ...]]
     center_basis: tuple[tuple[int, ...], ...] = ()     # () for the standard basis
 
     @property
@@ -142,6 +139,7 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
     if center_rank > MAX_CENTER_RANK:
         raise DimensionMismatch(f"center rank {center_rank} exceeds the limit {MAX_CENTER_RANK}")
     if center_basis is not None:
+        from .linalg import det
         center_basis = tuple(tuple(int(x) for x in row) for row in center_basis)
         d = det(center_basis)
         if abs(d) != 1:
@@ -209,7 +207,10 @@ def bracket(L: IntegralLieAlgebra, x, y) -> Coords:
 
 
 def adjoint_matrix(L: IntegralLieAlgebra, x) -> list[list[Fraction]]:
-    """Matrix of ad(x); column j holds [x, basis_j]."""
+    """Matrix of ad(x) on the Chevalley lattice; column j holds [x, basis_j].
+
+    chi_gl of it is the characteristic morphism of g read through the adjoint
+    representation, with integer entries for an integral x."""
     x = _check_coords(L, x)
     cols = []
     for j in range(L.dim):
@@ -223,69 +224,17 @@ def adjoint_matrix(L: IntegralLieAlgebra, x) -> list[list[Fraction]]:
     return [[cols[j][i] for j in range(L.dim)] for i in range(L.dim)]
 
 
-def basis_element(L: IntegralLieAlgebra, i: int) -> Coords:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(L.dim))
-
-
 def principal_nilpotent(L: IntegralLieAlgebra) -> Coords:
-    """Sum of the simple root vectors; ad of it is nilpotent."""
+    """e = sum of the simple root vectors: ad(e) is nilpotent, so e lies in the
+    fiber of the characteristic morphism over 0 (chi(ad e) = 0)."""
     simple_idx = {L.rs.index[a] for a in L.rs.simple}
     return tuple(Fraction(1) if i in simple_idx else Fraction(0) for i in range(L.dim))
-
-
-def verify_sign_constraints(L: IntegralLieAlgebra, c: dict[Vector, Fraction]) -> bool:
-    """Whether a rescaling family keeps the basis Chevalley.
-
-    Requires c_a c_{-a} = 1 for every root and c_a c_b = +-c_{a+b} whenever
-    a + b is a root.  `c` must be defined on all of Phi, keyed by root tuple.
-    """
-    rs = L.rs
-    cc = {tuple(k): Fraction(v) for k, v in c.items()}
-    missing = [a for a in rs.roots if a not in cc]
-    assert not missing, f"rescaling undefined on {missing[:3]}"
-    for a in rs.positive:
-        if cc[a] * cc[vneg(a)] != 1:
-            return False
-    for a in rs.roots:
-        for b in rs.roots:
-            s = vadd(a, b)
-            if rs.is_root(s) and cc[a] * cc[b] not in (cc[s], -cc[s]):
-                return False
-    return True
-
-
-def rescale(L: IntegralLieAlgebra, c: dict[Vector, Fraction]) -> IntegralLieAlgebra:
-    """The algebra in the basis x_a -> c_a x_a (table must stay integral)."""
-    rs = L.rs
-    cc = {tuple(k): Fraction(v) for k, v in c.items()}
-    nroots = len(rs.roots)
-
-    def factor(i: int, j: int, k: int) -> Fraction:
-        fi = cc[rs.roots[i]] if i < nroots else Fraction(1)
-        fj = cc[rs.roots[j]] if j < nroots else Fraction(1)
-        fk = cc[rs.roots[k]] if k < nroots else Fraction(1)
-        return fi * fj / fk
-
-    table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for (i, j), entries in L.table.items():
-        new = []
-        for k, v in entries:
-            w = v * factor(i, j, k)
-            if w.denominator != 1:
-                raise ValueError("rescaling does not preserve integrality")
-            if w != 0:
-                new.append((k, int(w)))
-        if new:
-            table[(i, j)] = tuple(new)
-    return IntegralLieAlgebra(rs=rs, center_rank=L.center_rank, basis=L.basis,
-                              table=table, center_basis=L.center_basis)
 
 
 # ---------------------------------------------------------------------------
 # Verification report
 
-@dataclass
-class ChevalleyReport:
+class ChevalleyReport(NamedTuple):
     antisymmetric: bool
     integral: bool
     magnitudes_ok: bool

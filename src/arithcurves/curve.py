@@ -119,13 +119,21 @@ def poly_discriminant(poly, K: NumberField) -> FieldElement:
     n = len(poly) - 1
     if n <= 1:
         return K.one
+    s = _power_sums(poly, K, 2 * n - 1)
+    return det([s[i:i + n] for i in range(n)])
+
+
+def _power_sums(poly, K: NumberField, count: int) -> list[FieldElement]:
+    """s_0 .. s_{count-1} of the roots of a monic polynomial, by Newton's identities
+    s_k = -(k c_k + sum_{0<i<k} c_i s_{k-i}) (c_k = 0 for k > n): no division."""
+    n = len(poly) - 1
     s = [K.element(n)]
-    for k in range(1, 2 * n - 1):
+    for k in range(1, count):
         acc = k * poly[k] if k <= n else K.zero
         for i in range(1, min(k, n + 1)):
             acc = acc + poly[i] * s[k - i]
         s.append(-acc)
-    return det([s[i:i + n] for i in range(n)])
+    return s
 
 
 def spectral_curve(phi: HiggsField) -> CharacteristicCurve:

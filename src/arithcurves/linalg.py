@@ -4,7 +4,6 @@ The characteristic polynomial and the determinant come from one division-free
 routine, Berkowitz's algorithm (Inf. Process. Lett. 18, 1984), on integer pairs
 (a, b) = a + b w with w^2 = s w + t, after scaling the matrix by the common
 denominator D of its entries: that multiplies the k-th coefficient by D^k.
-``solve`` is forward elimination with one inverse per pivot.
 """
 
 from __future__ import annotations
@@ -77,37 +76,3 @@ def det(matrix):
         return 1
     c = char_poly(matrix)[-1]
     return -c if len(matrix) % 2 else c
-
-
-def solve(matrix, rhs):
-    """One solution x of matrix . x = rhs, or None if the system is inconsistent.
-
-    `matrix` has one row per equation (at least one) and may be singular or
-    non-square; unknowns without a pivot are set to zero.
-    """
-    ncols = len(matrix[0])
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    pivots = []                                 # (column, pivot inverse) of row r
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = 1 / rows[r][c]
-        tail = rows[r][c + 1:]
-        for row in rows[r + 1:]:
-            if row[c]:
-                f = row[c] * inv
-                row[c + 1:] = [x - f * y for x, y in zip(row[c + 1:], tail)]
-        pivots.append((c, inv))
-    if any(row[ncols] for row in rows[len(pivots):]):
-        return None
-    x = [0 * rhs[0]] * ncols
-    for r in reversed(range(len(pivots))):
-        c, inv = pivots[r]
-        acc = rows[r][ncols]
-        for c2, _ in pivots[r + 1:]:
-            acc = acc - rows[r][c2] * x[c2]
-        x[c] = acc * inv
-    return tuple(x)

@@ -4,19 +4,19 @@ Roots are tuples of ints in the standard ambient realizations; the pairing is
 the standard dot product except for family B, where it is twice the dot product
 so that short roots have squared length 2 in every supported type.  The one
 division, by (b,b) in `cartan_integer` and `reflect`, is exact and gives an int
-when the quotient is integral (a Fraction for, say, G2's Weyl matrices).  All
-values in a built RootSystem are immutable and every operation here is pure.
+when the quotient is integral (a Fraction when it is not, say for a reflection
+of a rational vector).  The records are NamedTuples, so every value in a built
+RootSystem is immutable (its two dicts aside) and every operation here is pure.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotARoot, ProportionalRoots, UnsupportedType
 from .jsonutil import rat_str
-from .linalg import solve
 
 Vector = tuple[int | Fraction, ...]
 
@@ -37,14 +37,11 @@ WEYL_ORDER = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class CartanType:
+class CartanType(NamedTuple):
+    """A family and rank, ordered by (family, rank).  `parse` and
+    `build_root_system` reject a pair outside ROOT_COUNT."""
     family: str
     rank: int
-
-    def __post_init__(self):
-        if (self.family, self.rank) not in ROOT_COUNT:
-            raise UnsupportedType(f"unsupported type {self.family}{self.rank}")
 
     @classmethod
     def parse(cls, token: str) -> "CartanType":
@@ -53,10 +50,16 @@ class CartanType:
         if (not 2 <= len(token) <= 5 or token[0].upper() not in "ABCDG"
                 or not (token[1:].isascii() and token[1:].isdigit())):
             raise UnsupportedType(f"unsupported type {token!r}")
-        return cls(token[0].upper(), int(token[1:]))
+        return _supported(cls(token[0].upper(), int(token[1:])))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
+
+
+def _supported(t: CartanType) -> CartanType:
+    if t not in ROOT_COUNT:                 # a CartanType equals its (family, rank) key
+        raise UnsupportedType(f"unsupported type {t.family}{t.rank}")
+    return t
 
 
 def _unit(n: int, i: int, scale: int = 1) -> Vector:
@@ -121,15 +124,14 @@ def _ambient_roots(t: CartanType) -> tuple[list[Vector], list[Vector]]:
     return roots, simple
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     cartan_type: CartanType
     simple: tuple[Vector, ...]
     positive: tuple[Vector, ...]          # sorted by (height, colex coefficient tuple)
     roots: tuple[Vector, ...]             # positive followed by their negatives
     ip_scale: int                         # pairing = ip_scale * dot
-    index: dict[Vector, int] = field(repr=False, compare=False)
-    coeffs: dict[Vector, tuple[int, ...]] = field(repr=False, compare=False)
+    index: dict[Vector, int]              # root -> position in roots
+    coeffs: dict[Vector, tuple[int, ...]]  # root -> simple-root coordinates
 
     @property
     def rank(self) -> int:
@@ -156,21 +158,28 @@ def inner(rs: RootSystem, u: Vector, v: Vector) -> int | Fraction:
 
 def build_root_system(t: CartanType | str) -> RootSystem:
     """Construct the standard realization of the given type and validate it."""
-    if isinstance(t, str):
-        t = CartanType.parse(t)
+    t = CartanType.parse(t) if isinstance(t, str) else _supported(t)
     roots, simple = _ambient_roots(t)
     scale = 2 if t.family == "B" else 1
 
-    coeffs: dict[Vector, tuple[int, ...]] = {}
-    simple_columns = [[Fraction(x) for x in row] for row in zip(*simple)]
-    for a in roots:
-        c = solve(simple_columns, a)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise NotARoot(f"no integral simple-root coordinates for {a}")
-        coeffs[a] = tuple(int(x) for x in c)
-
-    positive = [a for a in roots if all(c >= 0 for c in coeffs[a])]
-    positive.sort(key=lambda a: (sum(coeffs[a]), tuple(reversed(coeffs[a]))))
+    # Simple-root coordinates by walking up the root poset: a positive root of
+    # height > 1 is b + a_i for a positive root b one step lower.
+    root_set = set(roots)
+    coeffs = {a: _unit(t.rank, i) for i, a in enumerate(simple)}
+    layer = list(simple)
+    while layer:
+        above = []
+        for b in layer:
+            for i, a in enumerate(simple):
+                c = vadd(b, a)
+                if c in root_set and c not in coeffs:
+                    coeffs[c] = vadd(coeffs[b], _unit(t.rank, i))
+                    above.append(c)
+        layer = above
+    positive = sorted(coeffs, key=lambda a: (sum(coeffs[a]), tuple(reversed(coeffs[a]))))
+    coeffs.update([(vneg(a), vneg(coeffs[a])) for a in positive])
+    if set(coeffs) != root_set:
+        raise NotARoot(f"walking up from the simple roots of {t} misses a root")
     ordered = tuple(positive) + tuple(vneg(a) for a in positive)
     index = {a: i for i, a in enumerate(ordered)}
 
@@ -213,8 +222,7 @@ def root_string(rs: RootSystem, a: Vector, b: Vector) -> tuple[int, int]:
     return low, up
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     word: tuple[int, ...]                 # indices of simple reflections, leftmost acts last
     perm: tuple[int, ...]                 # image index of each root
 
@@ -248,23 +256,6 @@ def weyl_group(rs: RootSystem) -> list[WeylElement]:
     elements = sorted(seen.values(), key=lambda w: (len(w.word), w.word))
     assert len(elements) == WEYL_ORDER[(rs.cartan_type.family, rs.rank)]
     return elements
-
-
-def weyl_matrices(rs: RootSystem) -> list[list[list[int | Fraction]]]:
-    """Ambient matrices of the Weyl group, in ``weyl_group`` order."""
-    # The matrix of a word (i, *rest), leftmost reflection applied last, is s_i
-    # applied to the columns of the matrix of rest.  weyl_group builds each word
-    # by prepending one index to a word it holds, so rest is listed, and earlier.
-    n = rs.ambient_dim
-    columns = {(): tuple(_unit(n, j) for j in range(n))}
-    mats = []
-    for el in weyl_group(rs):
-        if el.word:
-            s_i = rs.simple[el.word[0]]
-            columns[el.word] = tuple(reflect(rs, c, s_i) for c in columns[el.word[1:]])
-        cols = columns[el.word]
-        mats.append([[cols[j][r] for j in range(n)] for r in range(n)])
-    return mats
 
 
 def root_system_json(rs: RootSystem) -> dict:

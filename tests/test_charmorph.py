@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from arithcurves.charmorph import (GL_MAX, chi_gl, chi_torus, elementary_from_power_sums,
-                                   fundamental_invariants, is_invariant,
-                                   power_sums_from_elementary, realization,
-                                   reynolds_symmetrize)
+from arithcurves import rootsys
+from arithcurves.charmorph import (GL_MAX, chi_gl, chi_torus, fundamental_invariants,
+                                   is_invariant, realization, reynolds_symmetrize)
 from arithcurves.errors import DimensionMismatch, NonSquare, UnsupportedType
 from arithcurves.poly import Poly, elementary_symmetric
-from arithcurves.rootsys import ROOT_COUNT
+from arithcurves.rootsys import ROOT_COUNT, WEYL_ORDER, build_root_system, weyl_group
 
 TORI = ["gl1", "gl2", "gl3", "gl4", "A1", "A2", "A3", "B2", "B3", "C2", "C3",
         "D3", "D4", "G2"]
@@ -35,6 +34,35 @@ def charpoly_oracle(a):
     p = det(m)
     coeffs = [p.terms.get((k,), Fraction(0)) for k in range(n - 1, -1, -1)]
     return tuple(-c if k % 2 == 1 else c for k, c in enumerate(coeffs, start=1))
+
+
+def full_weyl_matrices(token):
+    """Every element of W as a matrix on the realization's coordinates (columns the
+    images), from weyl_group's root permutations: w is fixed by where it sends the
+    simple roots, and it fixes the complement of their span (type A's (1, ..., 1)).
+    """
+    t = realization(token).weyl_type
+    if t is None:                                       # gl1: W is trivial
+        return [[[Fraction(1)]]]
+    rs = build_root_system(t)
+    if t.family == "G":             # (c1, c2) of c1 b1 + c2 b2 = (c1 + c2, c2 - c1, -2 c2)
+        def coords(v):
+            return [Fraction(v[0]) + Fraction(v[2], 2), Fraction(-v[2], 2)]
+    else:
+        def coords(v):
+            return [Fraction(x) for x in v]
+    fixed = [[Fraction(1)] * rs.ambient_dim] if t.family == "A" else []
+
+    def matrix(columns):
+        return [list(row) for row in zip(*columns)]
+
+    basis_inv = mat_inv(matrix([coords(a) for a in rs.simple] + fixed))
+    mats = []
+    for el in weyl_group(rs):
+        images = [coords(rs.roots[el.perm[rs.index[a]]]) for a in rs.simple]
+        mats.append(mat_mul(matrix(images + fixed), basis_inv))
+    assert len(mats) == WEYL_ORDER[t]
+    return mats
 
 
 def rand_unimodular(n, rng, shears=6):
@@ -88,8 +116,34 @@ def test_g2_degrees():
 
 @pytest.mark.parametrize("token", TORI)
 def test_invariants_under_full_weyl_group(token):
+    mats = full_weyl_matrices(token)
     for p in fundamental_invariants(token):
         assert is_invariant(token, p)
+        assert all(p.substitute_linear(m) == p for m in mats)
+
+
+ALL_TORI = [f"gl{n}" for n in range(1, GL_MAX + 1)] + sorted(f"{f}{r}" for f, r in ROOT_COUNT)
+
+
+@pytest.mark.parametrize("token", ALL_TORI)
+def test_generators_agree_with_the_full_weyl_group(token):
+    """is_invariant and reynolds_symmetrize, which see only W's simple reflections,
+    give what a sum and a check over every element of W give."""
+    mats = full_weyl_matrices(token)
+    n = realization(token).nvars
+    rng = random.Random(token)
+    exps = [(0,) * n, (1,) + (0,) * (n - 1), (2,) + (0,) * (n - 1)]
+    exps += [tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(3)]
+    for e in exps:
+        mono = Poly.monomial(e)
+        want = Poly.zero(n)
+        for m in mats:
+            want = want + mono.substitute_linear(m)
+        want = want.scale(Fraction(1, len(mats)))
+        assert reynolds_symmetrize(token, e) == want, e
+        assert is_invariant(token, want)
+        for p in (mono, want + mono):
+            assert is_invariant(token, p) == all(p.substitute_linear(m) == p for m in mats)
 
 
 def test_classical_degrees():
@@ -129,7 +183,7 @@ def test_chi_torus_weyl_invariant(token):
     rng = random.Random(42)
     pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(real.nvars)]
     base = chi_torus(token, pt)
-    for m in real.weyl_matrices:
+    for m in full_weyl_matrices(token):
         moved = [sum(m[i][j] * pt[j] for j in range(real.nvars))
                  for i in range(real.nvars)]
         assert chi_torus(token, moved) == base
@@ -144,18 +198,18 @@ def test_chi_torus_integrality(token):
         assert all(v.denominator == 1 for v in chi_torus(token, pt))
 
 
-def test_chi_torus_never_builds_weyl_matrices():
+def test_chi_torus_never_calls_weyl_group(monkeypatch):
+    def enumerate_w(rs):
+        raise AssertionError(f"weyl_group({rs.cartan_type}) called")
+
+    monkeypatch.setattr(rootsys, "weyl_group", enumerate_w)
     realization.cache_clear()
-    tokens = [f"gl{n}" for n in range(1, GL_MAX + 1)] + sorted(f"{f}{r}" for f, r in ROOT_COUNT)
-    for token in tokens:
+    for token in ALL_TORI:
         real = realization(token)
         chi_torus(token, range(1, real.nvars + 1))
         fundamental_invariants(token)
-        assert "weyl_matrices" not in vars(real), token
-    # the first invariance check builds them, and they are kept
-    real = realization("G2")
-    assert is_invariant("G2", real.invariants[1])
-    assert len(vars(real)["weyl_matrices"]) == 12
+        assert is_invariant(token, real.invariants[-1])
+        reynolds_symmetrize(token, (2,) + (0,) * (real.nvars - 1))
 
 
 def test_chi_gl_examples():
@@ -190,13 +244,6 @@ def test_conjugation_invariance():
         a = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
         g = rand_unimodular(3, rng)
         assert chi_gl(mat_mul(mat_mul(g, a), mat_inv(g))) == chi_gl(a)
-
-
-def test_newton_identities():
-    e = [Fraction(6), Fraction(11), Fraction(6)]     # roots 1, 2, 3
-    p = power_sums_from_elementary(e)
-    assert p == [6, 14, 36]
-    assert elementary_from_power_sums(p) == e
 
 
 def test_errors():

@@ -1,17 +1,15 @@
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from arithcurves.charmorph import chi_gl
-from arithcurves.chevalley import (MAX_CENTER_RANK, adjoint_matrix, basis_element, bracket,
-                                   build_chevalley_basis, gl_realization,
-                                   principal_nilpotent, rescale, verify_chevalley,
-                                   verify_sign_constraints)
+from arithcurves.chevalley import (MAX_CENTER_RANK, adjoint_matrix, bracket,
+                                   build_chevalley_basis, gl_realization, principal_nilpotent,
+                                   verify_chevalley)
 from arithcurves.errors import DimensionMismatch
-from arithcurves.rootsys import build_root_system, vadd, vneg
+from arithcurves.rootsys import build_root_system, vadd, vneg, weyl_group
 
 try:
     from hypothesis import given, settings
@@ -24,6 +22,24 @@ SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
 
 def algebra(token, center=0):
     return build_chevalley_basis(build_root_system(token), center_rank=center)
+
+
+def basis_element(L, i):
+    return tuple(Fraction(int(k == i)) for k in range(L.dim))
+
+
+def rescaled(L, c):
+    """L's table in the basis x_a -> c_a x_a (c keyed by root); entries may be Fractions."""
+    rs = L.rs
+
+    def factor(i):
+        return Fraction(c[rs.roots[i]]) if i < len(rs.roots) else Fraction(1)
+
+    table = {}
+    for (i, j), entries in L.table.items():
+        new = [(k, v * factor(i) * factor(j) / factor(k)) for k, v in entries]
+        table[(i, j)] = tuple((k, int(v) if v.denominator == 1 else v) for k, v in new)
+    return L._replace(table=table)
 
 
 def mat_mul(a, b):
@@ -131,17 +147,19 @@ def test_principal_nilpotent_chi_vanishes(token):
 
 
 def test_sign_constraints_examples():
+    """x_a -> c_a x_a keeps the basis Chevalley when c_a c_{-a} = 1."""
     L = algebra("A1")
     rs = L.rs
     a = rs.simple[0]
-    assert verify_sign_constraints(L, {r: Fraction(1) for r in rs.roots})
-    good = {a: Fraction(2), vneg(a): Fraction(1, 2)}
-    assert verify_sign_constraints(L, good)
-    bad = {a: Fraction(2), vneg(a): Fraction(1)}
-    assert not verify_sign_constraints(L, bad)
+    assert verify_chevalley(rescaled(L, {r: Fraction(1) for r in rs.roots})).ok
+    assert verify_chevalley(rescaled(L, {a: Fraction(2), vneg(a): Fraction(1, 2)})).ok
+    rep = verify_chevalley(rescaled(L, {a: Fraction(2), vneg(a): Fraction(1)}))
+    assert not rep.ok and not rep.coroot_ok                # [x_a, x_-a] = 2 h
 
 
 def test_sign_constraints_and_rescale_a2():
+    """Signs with c_a c_{-a} = 1 and c_a c_b = +-c_{a+b} give a Chevalley table;
+    c_{a1+a2} = 3 does not: N_{a1,a2} becomes +-1/3."""
     L = algebra("A2")
     rs = L.rs
     a1, a2 = rs.simple
@@ -149,12 +167,23 @@ def test_sign_constraints_and_rescale_a2():
     c = {a1: Fraction(-1), vneg(a1): Fraction(-1),
          a2: Fraction(1), vneg(a2): Fraction(1),
          g: Fraction(-1), vneg(g): Fraction(-1)}
-    assert verify_sign_constraints(L, c)
-    assert verify_chevalley(rescale(L, c)).ok
+    assert verify_chevalley(rescaled(L, c)).ok
+    flipped = rescaled(L, {**c, g: Fraction(1), vneg(g): Fraction(1)})   # x_{+-g} -> -x_{+-g}
+    assert flipped.table != L.table and verify_chevalley(flipped).ok
     c_bad = dict(c)
     c_bad[g] = Fraction(3)
     c_bad[vneg(g)] = Fraction(1, 3)
-    assert not verify_sign_constraints(L, c_bad)
+    rep = verify_chevalley(rescaled(L, c_bad))
+    assert not rep.integral and not rep.ok
+
+
+def test_records_are_immutable():
+    L = algebra("A1", center=1)
+    records = [(L.rs.cartan_type, "rank"), (L.rs, "ip_scale"), (weyl_group(L.rs)[0], "word"),
+               (L.basis[0], "kind"), (L, "table"), (verify_chevalley(L), "jacobi_ok")]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 @pytest.mark.parametrize("token", SMALL_TYPES)
@@ -177,7 +206,7 @@ def test_jacobi_catches_a_corrupted_root_bracket():
                              if pair[0] < pair[1] < nroots and e[0][0] < nroots)
     table = dict(L.table)
     table[(i, j)], table[(j, i)] = ((k, -c),), ((k, c),)   # antisymmetry still holds
-    rep = verify_chevalley(replace(L, table=table))
+    rep = verify_chevalley(L._replace(table=table))
     assert rep.antisymmetric and not rep.jacobi_ok
 
 
@@ -229,7 +258,7 @@ def test_grading_catches_a_bracket_in_the_wrong_weight_space():
     x, y, h = L.rs.index[a], L.rs.index[vneg(a)], L.h_index(0)
     table = corrupt(L.table, x, h, y, 1)
     assert brute_force_jacobi(table, L.dim)
-    rep = verify_chevalley(replace(L, table=table))
+    rep = verify_chevalley(L._replace(table=table))
     assert rep.antisymmetric and rep.integral and not rep.jacobi_ok
 
 
@@ -240,7 +269,7 @@ def test_jacobi_checks_triples_of_weight_zero():
     x, h = L.rs.index[L.rs.simple[0]], L.h_index(0)
     table = corrupt(L.table, h, x, x, 1)
     assert not brute_force_jacobi(table, L.dim)
-    assert not verify_chevalley(replace(L, table=table)).jacobi_ok
+    assert not verify_chevalley(L._replace(table=table)).jacobi_ok
 
 
 def test_jacobi_catches_a_bracket_in_the_wrong_weight_space_b4():
@@ -250,7 +279,7 @@ def test_jacobi_catches_a_bracket_in_the_wrong_weight_space_b4():
                              if pair[0] < pair[1] < nroots and e[0][0] < nroots)
     table = corrupt(corrupt(L.table, i, j, k, -c), i, j, (k + 1) % nroots, c)
     assert ambient_weight(L, (k + 1) % nroots) != ambient_weight(L, k)
-    rep = verify_chevalley(replace(L, table=table))
+    rep = verify_chevalley(L._replace(table=table))
     assert rep.antisymmetric and not rep.jacobi_ok
 
 
@@ -276,7 +305,7 @@ def test_jacobi_verdict_matches_brute_force_on_corrupted_tables():
         c = data.draw(st.sampled_from([-2, -1, 1, 2]))
         table = corrupt(L.table, i, j, k, c)
         graded = ambient_weight(L, k) == target
-        rep = verify_chevalley(replace(L, table=table))
+        rep = verify_chevalley(L._replace(table=table))
         assert rep.antisymmetric
         assert rep.jacobi_ok == (graded and brute_force_jacobi(table, n))
 
@@ -290,7 +319,7 @@ def test_jacobi_catches_a_non_central_center():
     z = L.z_index(1)
     table = dict(L.table)
     table[(z, 0)], table[(0, z)] = ((0, 1),), ((0, -1),)
-    rep = verify_chevalley(replace(L, table=table))
+    rep = verify_chevalley(L._replace(table=table))
     assert rep.antisymmetric and rep.cartan_action_ok and not rep.jacobi_ok
 
 

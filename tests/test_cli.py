@@ -166,14 +166,14 @@ COMPUTATIONAL = ("rootsys", "chevalley", "charmorph", "poly", "arakelov", "finit
 @pytest.mark.parametrize("argv, code, absent, present", [
     ([], None, COMPUTATIONAL + ("numpy",), ()),
     (["chi", "--matrix", "5"], 2, COMPUTATIONAL + ("dataclasses", "numpy"), ()),
-    (["rootsys", "--type", "A2", "--weyl"], 0, ("chevalley", "arakelov", "curve", "numpy"),
-     ("rootsys",)),
-    (["chevalley", "--type", "B2", "--verify"], 0, ("charmorph", "arakelov", "curve", "numpy"),
-     ("chevalley",)),
+    (["rootsys", "--type", "A2", "--weyl"], 0,
+     ("chevalley", "arakelov", "curve", "numpy", "dataclasses", "linalg"), ("rootsys",)),
+    (["chevalley", "--type", "B2", "--verify"], 0,
+     ("charmorph", "arakelov", "curve", "numpy", "dataclasses", "linalg"), ("chevalley",)),
     (["degree", "--field", "Q(i)", "--ideal", '["1+i"]', "--metrics", '["2.0"]'], 0,
      ("rootsys", "chevalley", "numpy"), ("arakelov",)),
-    (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0, ("arakelov", "numpy"),
-     ("charmorph",)),
+    (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0,
+     ("arakelov", "numpy", "dataclasses", "linalg"), ("charmorph",)),
     (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0, ("torsor", "numpy"),
      ("curve",)),
     (["slope", "--torsor", "TORSOR", "--char", "2"], 0, ("rootsys", "curve"), ("numpy",)),

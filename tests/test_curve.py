@@ -247,6 +247,28 @@ def test_discriminant_is_the_product_of_squared_root_differences(d):
             assert poly_discriminant(poly, K) == want
 
 
+def test_power_sums_of_known_roots():
+    """Newton's identities in poly_discriminant: s_k of a polynomial built from its
+    roots is the sum of their k-th powers, over Q and over Q(sqrt(-5))."""
+    for d in (0, -5):
+        K = NumberField(d)
+        rng = random.Random(100 + d)
+        for n in range(MAX_CURVE_N + 1):
+            roots = [K.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                               rng.randint(-3, 3) if d else 0) for _ in range(n)]
+            poly = [K.one]
+            for r in roots:
+                poly = [a - r * b for a, b in zip(poly + [K.zero], [K.zero] + poly)]
+            powers, want = [K.one] * n, []
+            for _ in range(2 * n + 2):
+                want.append(sum(powers, K.zero))
+                powers = [x * r for x, r in zip(powers, roots)]
+            assert curve._power_sums(poly, K, 2 * n + 2) == want
+    # roots 1, 2, 3: e = (6, 11, 6) and s_0 .. s_3 = (3, 6, 14, 36)
+    poly = [QQ.element(c) for c in (1, -6, 11, -6)]
+    assert [s.a for s in curve._power_sums(poly, QQ, 4)] == [3, 6, 14, 36]
+
+
 def test_cameral_examples():
     # n = 1: single relation l_1 = tr(phi)
     C1 = cameral_curve(q_higgs([[7]]))

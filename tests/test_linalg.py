@@ -1,5 +1,5 @@
-"""The characteristic polynomial, det and solve against sympy, over Q (Fractions)
-and over quadratic fields."""
+"""The characteristic polynomial and det against sympy, over Q (Fractions) and
+over quadratic fields."""
 
 import functools
 import random
@@ -15,7 +15,7 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from arithcurves.arakelov import FieldElement, NumberField  # noqa: E402
 from arithcurves.charmorph import char_coeffs  # noqa: E402
 from arithcurves.errors import ArithCurvesError  # noqa: E402
-from arithcurves.linalg import det, solve  # noqa: E402
+from arithcurves.linalg import det  # noqa: E402
 
 FIELDS = [0, -5, 13]            # Q; w = sqrt(-5); w = (1 + sqrt(13))/2
 CHAR_FIELDS = [0, -1, -5, 13]   # and Q(i), w = i
@@ -79,34 +79,6 @@ def test_det_matches_sympy(d):
             assert _to_sympy(d, dom, got) == want, rows
             singular += not want
     assert singular > 10
-
-
-@pytest.mark.parametrize("d", FIELDS)
-def test_solve_matches_sympy(d):
-    rng = random.Random(200 + d)
-    elem = _element_maker(d, rng)
-    dom = _domain(d)
-    outcomes = {"unique": 0, "underdetermined": 0, "inconsistent": 0}
-    for m, k in ((1, 1), (2, 2), (3, 3), (4, 4), (4, 2), (3, 1), (2, 4)):
-        for _ in range(20):
-            rows = _random_matrix(rng, elem, m, k)
-            if rng.random() < 0.5:                  # a consistent right-hand side
-                x0 = [elem() for _ in range(k)]
-                rhs = [sum((a * b for a, b in zip(row, x0)), 0 * x0[0]) for row in rows]
-            else:
-                rhs = [elem() for _ in range(m)]
-            A = _domain_matrix(d, dom, rows, k)
-            b = _domain_matrix(d, dom, [[y] for y in rhs], 1)
-            rank, rank_aug = A.rank(), A.hstack(b).rank()
-            x = solve(rows, rhs)
-            if rank_aug > rank:
-                assert x is None, (rows, rhs)
-                outcomes["inconsistent"] += 1
-                continue
-            assert x is not None and len(x) == k, (rows, rhs)
-            assert A * _domain_matrix(d, dom, [[v] for v in x], 1) == b
-            outcomes["unique" if rank == k else "underdetermined"] += 1
-    assert min(outcomes.values()) > 5, outcomes
 
 
 def _special_matrices(rng, d, n):

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from arithcurves.charmorph import _simple_reflections, realization
 from arithcurves.errors import NotARoot, ProportionalRoots, UnsupportedType
 from arithcurves.rootsys import (CartanType, ROOT_COUNT, WEYL_ORDER, build_root_system,
                                  cartan_integer, compose, inner, reflect, root_string,
-                                 root_system_json, vadd, vneg, weyl_group, weyl_matrices)
+                                 root_system_json, vadd, vneg, vscale, weyl_group)
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 
@@ -202,40 +203,67 @@ def test_weyl_order_formulas():
 def test_weyl_group_closed_and_preserves_inner(token):
     rs = build_root_system(token)
     w = weyl_group(rs)
-    mats = weyl_matrices(rs)
-    assert len(mats) == len(w)
     perms = {el.perm for el in w}
+    assert len(perms) == len(w)
     assert tuple(range(len(rs.roots))) in perms
     for el1 in w[:8]:
         for el2 in w[:8]:
             assert compose(el1, el2).perm in perms
-    for el, mat in zip(w, mats):
-        n = rs.ambient_dim
-        for a in rs.roots:
-            img = tuple(sum(mat[i][j] * a[j] for j in range(n)) for i in range(n))
-            assert img == rs.roots[el.perm[rs.index[a]]]
+    for el in w:
+        for i, a in enumerate(rs.roots):
+            img = rs.roots[el.perm[i]]
             assert inner(rs, img, img) == inner(rs, a, a)
+            assert inner(rs, img, rs.roots[el.perm[0]]) == inner(rs, a, rs.roots[0])
 
 
 @pytest.mark.parametrize("token", ALL_TYPES)
 def test_weyl_matrices_match_sympy_reflection_products(token):
-    """Each matrix is the product of the simple reflections along its word.
+    """The product of charmorph's simple-reflection matrices along each Weyl word
+    equals the product of sympy's reflections I - 2 a a^T / (a^T a) along it, and
+    moves every root as the element's permutation says.
 
     Root images alone would not pin the matrix down on the (1, ..., 1)
-    direction of type A or on G2's normal direction, so compare whole matrices.
+    direction of type A, so compare whole matrices.  G2's matrices act on the
+    plane coordinates (c1, c2) of c1 b1 + c2 b2, b1 = (1,-1,0), b2 = (1,1,-2).
     """
     sympy = pytest.importorskip("sympy")
     rs = build_root_system(token)
     n = rs.ambient_dim
     refl = []
     for a in rs.simple:
-        col = sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in a])
+        col = sympy.Matrix(a)
         refl.append(sympy.eye(n) - 2 * col * col.T / (col.T * col)[0, 0])
-    for el, mat in zip(weyl_group(rs), weyl_matrices(rs)):
-        expected = sympy.eye(n)
-        for i in el.word:
-            expected = expected * refl[i]
-        assert sympy.Matrix(mat) == expected, el.word
+    to_coords = to_ambient = sympy.eye(n)
+    if token == "G2":
+        to_ambient = sympy.Matrix([[1, 1], [-1, 1], [0, -2]])
+        to_coords = (to_ambient.T * to_ambient).inv() * to_ambient.T
+    ours = [sympy.Matrix(m) for m in _simple_reflections(realization(token))]
+    assert len(ours) == rs.rank
+    roots = sympy.Matrix.hstack(*(sympy.Matrix(a) for a in rs.roots))
+    # a word (i, *rest) acts as s_i after rest, and weyl_group lists rest earlier
+    expected, got = {(): sympy.eye(n)}, {(): sympy.eye(to_coords.rows)}
+    for el in weyl_group(rs):
+        if el.word:
+            i, rest = el.word[0], el.word[1:]
+            expected[el.word], got[el.word] = refl[i] * expected[rest], ours[i] * got[rest]
+        assert got[el.word] == to_coords * expected[el.word] * to_ambient, el.word
+        moved = to_ambient * got[el.word] * to_coords * roots
+        assert [tuple(moved.col(j)) for j in range(len(rs.roots))] == \
+            [rs.roots[k] for k in el.perm]
+
+
+@pytest.mark.parametrize("token", ALL_TYPES)
+def test_poset_walk_coordinates(token):
+    """Every root is the sum of the simple roots weighted by its coordinates."""
+    rs = build_root_system(token)
+    assert set(rs.coeffs) == set(rs.roots)
+    for a in rs.roots:
+        total = (0,) * rs.ambient_dim
+        for c, s in zip(rs.coeffs[a], rs.simple):
+            total = vadd(total, vscale(c, s))
+        assert total == a
+        assert all(type(c) is int for c in rs.coeffs[a])
+        assert all(c >= 0 for c in rs.coeffs[a]) == (a in rs.positive)
 
 
 @pytest.mark.parametrize("bad", ["E8", "F4", "A5", "B1", "D2", "G3", "Z2", "A0"])
@@ -260,3 +288,21 @@ def test_b_family_norms():
 def test_cartan_type_parse_and_order():
     assert CartanType.parse("g2") == CartanType("G", 2)
     assert str(CartanType.parse("B3")) == "B3"
+    assert sorted(CartanType.parse(t) for t in ("G2", "B3", "A4", "B2", "A1")) == [
+        CartanType("A", 1), CartanType("A", 4), CartanType("B", 2), CartanType("B", 3),
+        CartanType("G", 2)]
+
+
+@pytest.mark.parametrize("family, rank", [("E", 8), ("A", 5), ("B", 1), ("D", 2), ("A", 0)])
+def test_unsupported_type_from_each_entry_point(family, rank):
+    token = f"{family}{rank}"
+    with pytest.raises(UnsupportedType):
+        CartanType.parse(token)
+    with pytest.raises(UnsupportedType):
+        build_root_system(token)
+    with pytest.raises(UnsupportedType):
+        build_root_system(CartanType(family, rank))
+    with pytest.raises(UnsupportedType):
+        realization(token)
+    with pytest.raises(UnsupportedType):
+        realization(CartanType(family, rank))
