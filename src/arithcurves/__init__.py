@@ -9,7 +9,8 @@ import importlib
 _EXPORTS = {
     "rootsys": ("CartanType", "RootSystem", "build_root_system", "weyl_group"),
     "chevalley": ("IntegralLieAlgebra", "build_chevalley_basis", "verify_chevalley"),
-    "charmorph": ("chi_gl", "chi_torus", "fundamental_invariants"),
+    "linalg": ("chi_gl",),
+    "charmorph": ("chi_torus", "fundamental_invariants"),
     "arakelov": ("NumberField", "FractionalIdeal", "MetrizedLineBundle", "arithmetic_degree"),
     "curve": ("HiggsField", "spectral_curve", "cameral_curve"),
 }

@@ -1,6 +1,6 @@
 """Arithmetic over Q and quadratic fields Q(sqrt(d)): rings of integers,
-fractional ideals in Hermite normal form, the Minkowski embedding, metrized
-line bundles and their arithmetic degree.
+fractional ideals in Hermite normal form, metrized line bundles and their
+arithmetic degree.
 
 Finite-place data is exact (Fractions over the integral basis {1, w}); only
 archimedean metrics are floating point, with a global 1e-9 tolerance.  The
@@ -10,17 +10,19 @@ arithmetic degree uses the section-based convention
 
 with eps = 1 at real and 2 at complex places; the product formula makes the
 value independent of the chosen section s in I.
+
+The records are NamedTuples.  NumberField, FieldElement and MetrizedLineBundle
+validate in `__new__` on a NamedTuple base; `_replace` does not validate.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ArithCurvesError, MalformedInput, ZeroIdeal
-from .finitefield import factor_pattern, is_prime
+from .errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
 from .jsonutil import parse_rational, rat_str
 
 
@@ -34,15 +36,24 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NumberField:
-    """Q when d = 0, otherwise Q(sqrt(d)) for squarefree d."""
+_FIELD_TOO_LARGE = f"|d| exceeds the limit MAX_FIELD_D = {MAX_FIELD_D}"
 
-    d: int = 0
 
-    def __post_init__(self):
-        if self.d != 0 and (self.d == 1 or not _is_squarefree(self.d)):
-            raise ArithCurvesError(f"d = {self.d} must be 0 or squarefree != 1")
+class _NumberField(NamedTuple):
+    d: int
+
+
+class NumberField(_NumberField):
+    """Q when d = 0, otherwise Q(sqrt(d)) for squarefree d, |d| <= MAX_FIELD_D."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int = 0):
+        if abs(d) > MAX_FIELD_D:            # before the squarefree loop, which is O(sqrt |d|)
+            raise ArithCurvesError(_FIELD_TOO_LARGE)
+        if d != 0 and (d == 1 or not _is_squarefree(d)):
+            raise ArithCurvesError(f"d = {d} must be 0 or squarefree != 1")
+        return super().__new__(cls, d)
 
     @property
     def degree(self) -> int:
@@ -115,23 +126,30 @@ def parse_field(name: str) -> NumberField:
         return NumberField(0)
     if s == "Q(i)":
         return NumberField(-1)
-    m = re.fullmatch(r"Q\(sqrt\((-?\d+)\)\)", s)
+    m = re.fullmatch(r"Q\(sqrt\((-?)0*(\d+)\)\)", s)
     if not m:
         raise ArithCurvesError(f"cannot parse field {name!r}")
-    return NumberField(int(m.group(1)))
+    sign, digits = m.groups()
+    if len(digits) > len(str(MAX_FIELD_D)):     # past the limit, and maybe past int()'s
+        raise ArithCurvesError(_FIELD_TOO_LARGE)
+    return NumberField(int(sign + digits))
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """a + b*w over the integral basis {1, w} of the field."""
-
+class _FieldElement(NamedTuple):
     field: NumberField
     a: Fraction
-    b: Fraction = Fraction(0)
+    b: Fraction
 
-    def __post_init__(self):
-        if self.field.d == 0 and self.b != 0:
+
+class FieldElement(_FieldElement):
+    """a + b*w over the integral basis {1, w} of the field."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: NumberField, a: Fraction, b: Fraction = Fraction(0)):
+        if field.d == 0 and b != 0:
             raise ArithCurvesError("Q has no w component")
+        return super().__new__(cls, field, a, b)
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
@@ -260,8 +278,7 @@ def _rat_gcd(values: list[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class FractionalIdeal:
+class FractionalIdeal(NamedTuple):
     """Nonzero fractional ideal, canonical upper-triangular HNF basis.
 
     Degree 1: rows = ((q,),) for the ideal q Z, q > 0.
@@ -370,47 +387,26 @@ def ideal_norm(K: NumberField, I: FractionalIdeal) -> Fraction:
     return I.norm()
 
 
-def minkowski_embed(K: NumberField, x: FieldElement) -> list[complex]:
-    """sigma(x) over all archimedean places, complex places taken once."""
-    return x.embeddings()
-
-
 # ---------------------------------------------------------------------------
 # Metrized line bundles
 
-@dataclass(frozen=True)
-class MetrizedLineBundle:
+class _MetrizedLineBundle(NamedTuple):
     ideal: FractionalIdeal
     metrics: tuple[float, ...]       # one positive scalar per archimedean place
 
-    def __post_init__(self):
-        r1, r2 = self.ideal.field.signature
-        if len(self.metrics) != r1 + r2:
-            raise ArithCurvesError(f"need {r1 + r2} metric factors, got {len(self.metrics)}")
-        if not all(math.isfinite(m) for m in self.metrics):
+
+class MetrizedLineBundle(_MetrizedLineBundle):
+    __slots__ = ()
+
+    def __new__(cls, ideal: FractionalIdeal, metrics: tuple[float, ...]):
+        r1, r2 = ideal.field.signature
+        if len(metrics) != r1 + r2:
+            raise ArithCurvesError(f"need {r1 + r2} metric factors, got {len(metrics)}")
+        if not all(math.isfinite(m) for m in metrics):
             raise ArithCurvesError("metric factors must be finite")
-        if any(m <= 0 for m in self.metrics):
+        if any(m <= 0 for m in metrics):
             raise ArithCurvesError("metric factors must be positive")
-
-
-def trivial_bundle(K: NumberField) -> MetrizedLineBundle:
-    r1, r2 = K.signature
-    return MetrizedLineBundle(FractionalIdeal.ring_of_integers(K), (1.0,) * (r1 + r2))
-
-
-def principal_bundle(K: NumberField, x: FieldElement) -> MetrizedLineBundle:
-    """(x O_F) with the metric transported from the trivial bundle along x.
-
-    The generator has norm 1 at every place, so the arithmetic degree is zero;
-    with the flat rho = 1 metric instead, the degree would be -log|N(x)|.
-    """
-    return MetrizedLineBundle(FractionalIdeal.principal(x),
-                              tuple(1.0 / abs(s) for s in x.embeddings()))
-
-
-def tensor(L1: MetrizedLineBundle, L2: MetrizedLineBundle) -> MetrizedLineBundle:
-    return MetrizedLineBundle(L1.ideal * L2.ideal,
-                              tuple(a * b for a, b in zip(L1.metrics, L2.metrics)))
+        return super().__new__(cls, ideal, metrics)
 
 
 def arithmetic_degree(K: NumberField, L: MetrizedLineBundle,
@@ -423,39 +419,10 @@ def arithmetic_degree(K: NumberField, L: MetrizedLineBundle,
         finite = math.log(abs(s.norm()) / L.ideal.norm())
         inf = 0.0
         for eps, rho, sigma in zip(K.place_weights, L.metrics, s.embeddings()):
-            inf += eps * math.log(rho * abs(sigma))
-    except OverflowError:
+            scale = rho * abs(sigma)    # summed as logs where the product underflows
+            inf += eps * (math.log(scale) if scale else math.log(rho) + math.log(abs(sigma)))
+    except (OverflowError, ValueError):
         raise ArithCurvesError("the section is beyond the floating-point range of the "
                                "archimedean metrics") from None
     return finite - inf
 
-
-# ---------------------------------------------------------------------------
-# Prime splitting
-
-@dataclass(frozen=True)
-class PlaceFactorization:
-    prime: int
-    splitting: tuple[tuple[int, int], ...]   # (residue degree f, ramification e)
-
-    @property
-    def kind(self) -> str:
-        if len(self.splitting) == 2:
-            return "split"
-        f, e = self.splitting[0]
-        if e == 2:
-            return "ramified"
-        return "inert" if f == 2 else "trivial"
-
-
-def factor_prime(K: NumberField, p: int) -> PlaceFactorization:
-    """Splitting of p via the minimal polynomial of w mod p."""
-    if not is_prime(p):
-        raise ArithCurvesError(f"{p} is not prime")
-    if K.degree == 1:
-        return PlaceFactorization(p, ((1, 1),))
-    s, t = K.omega_poly
-    shape = factor_pattern([-t, -s, 1], p)
-    splitting = tuple(sorted((d, e) for d, e in shape))
-    assert sum(d * e for d, e in splitting) == 2
-    return PlaceFactorization(p, splitting)

@@ -12,9 +12,9 @@ Supported torus realizations:
 * G2: intrinsic coordinates (c1, c2) on the plane spanned by b1 = (1,-1,0)
   and b2 = (1,1,-2); invariants of degrees 2 and 6.
 
-chi on all of gl_n is the characteristic polynomial map, computed exactly and
-without division by Berkowitz's algorithm on integer pairs (linalg.char_poly),
-over Q and over the quadratic fields of the curve layer.
+chi on all of gl_n is the characteristic polynomial map, `linalg.chi_gl`
+(re-exported here), computed exactly and without division by Berkowitz's
+algorithm on integer pairs.
 
 W enters only through its simple reflections, as matrices on a realization's
 coordinates: W is generated by them, so invariance under them is invariance
@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, NonSquare, UnsupportedType
+from .errors import DimensionMismatch, UnsupportedType
 from .poly import Poly, elementary_symmetric
 from .rootsys import CartanType, build_root_system, reflect
 
@@ -153,30 +153,10 @@ def reynolds_symmetrize(t, exponents) -> Poly:
     return total.scale(Fraction(1, len(orbit)))
 
 
-# ---------------------------------------------------------------------------
-# chi on gl_n: characteristic polynomial coefficients
-
-def char_coeffs(a):
-    """Monic characteristic polynomial det(li - A) = l^n + a_1 l^{n-1} + ... + a_n.
-
-    Returns [a_1, ..., a_n] over Q (Fractions) or a quadratic field
-    (FieldElements), from the division-free Berkowitz routine in linalg.
-    """
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise NonSquare("characteristic polynomial needs a square matrix")
-    from .linalg import char_poly
-    return char_poly(a)
-
-
-def chi_gl(a) -> CharPoint:
-    """chi of a rational matrix: (c_1, ..., c_n) with c_k = e_k(eigenvalues).
-
-    The characteristic polynomial is l^n - c_1 l^{n-1} + c_2 l^{n-2} - ...
-    + (-1)^n c_n.
-    """
-    mat = [[Fraction(x) for x in row] for row in a]
-    if any(len(row) != len(mat) for row in mat):
-        raise NonSquare("matrix is not square")
-    acs = char_coeffs(mat)
-    return tuple(-ak if k % 2 == 0 else ak for k, ak in enumerate(acs))
+def __getattr__(name: str):
+    # chi on gl_n lives in linalg; it resolves here on first use, so the torus
+    # verbs that load this module do not load linalg
+    if name == "chi_gl":
+        from .linalg import chi_gl
+        return chi_gl
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

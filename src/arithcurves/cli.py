@@ -73,12 +73,13 @@ def chevalley_payload(type_token: str, center: int, with_verify: bool) -> dict:
 
 def chi_payload(matrix: list | None, type_token: str | None, point: list | None) -> dict:
     """chi of a rational matrix, or of a torus point of the given type."""
-    from . import charmorph
     if matrix is not None:
-        vals = charmorph.chi_gl(matrix)
+        from . import linalg
+        vals = linalg.chi_gl(matrix)
         given = {"type": f"gl_{len(matrix)}",
                  "matrix": [[rat_str(x) for x in row] for row in matrix]}
     else:
+        from . import charmorph
         vals = charmorph.chi_torus(type_token, point)
         token = charmorph.realization(type_token).token
         given = {"type": f"gl_{token[2:]}" if token.startswith("gl") else token,
@@ -118,8 +119,6 @@ def slope_payload(K: arakelov.NumberField, n: int, ideals: tuple, metrics: tuple
 
 def curve_payload(K: arakelov.NumberField, entries: list, twist, cameral: bool,
                   fiber_bound: int | None) -> dict:
-    from dataclasses import replace
-
     from . import curve
     phi = curve.higgs_field(K, entries, twist=twist)
     C = curve.cameral_curve(phi) if cameral else curve.spectral_curve(phi)
@@ -141,7 +140,7 @@ def curve_payload(K: arakelov.NumberField, entries: list, twist, cameral: bool,
                 payload["rational_points"] = [[rat_str(x) for x in p] for p in pts]
     if fiber_bound is not None:
         payload["fiber_bound"] = fiber_bound
-        primes = curve.ramified_primes(replace(C, kind="spectral"), fiber_bound)
+        primes = curve.ramified_primes(C._replace(kind="spectral"), fiber_bound)
         payload["ramified"] = [{"p": p, "pattern": [list(fe) for fe in pat]}
                                for p, pat in primes if pat is not None]
         skipped = [{"p": p, "reason": "divides a coefficient denominator: the characteristic "
@@ -293,11 +292,20 @@ def read_torsor(doc: dict) -> tuple:
     return K, n, tuple(ideals), _get(doc, "metrics", _place_metrics, K, n)
 
 
+def _chi_matrix(value, key: str) -> list[list]:
+    """A rational matrix of at most MAX_CHI_N rows, refused past MAX_CHI_WORK before
+    Berkowitz runs (linalg.chi_gl checks the same work bound for library callers)."""
+    matrix = _matrix(value, key, _rational, None, MAX_CHI_N)
+    from . import linalg
+    linalg.check_chi_work(matrix)
+    return matrix
+
+
 def read_chi(doc: dict) -> tuple:
     if ("matrix" in doc) == ("point" in doc):
         raise MalformedInput("chi takes exactly one of a matrix and a torus point")
     if "matrix" in doc:
-        return _get(doc, "matrix", _matrix, _rational, None, MAX_CHI_N), None, None
+        return _get(doc, "matrix", _chi_matrix), None, None
     return None, _get(doc, "type", _text), _get(doc, "point", _list, _rational)
 
 

@@ -21,19 +21,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arakelov import FieldElement, FractionalIdeal, NumberField
-from .charmorph import char_coeffs
 from .errors import (MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve,
                      MembershipFailure, UnsupportedBase)
 from .finitefield import factor_pattern, is_prime, is_squarefree, roots_mod_p
-from .linalg import det
+from .linalg import char_poly, det
 
 
-@dataclass(frozen=True)
-class HiggsField:
+class HiggsField(NamedTuple):
     field: NumberField
     matrix: tuple[tuple[FieldElement, ...], ...]
     twist: FractionalIdeal
@@ -70,15 +68,14 @@ def higgs_field(K: NumberField, entries, twist: FractionalIdeal | None = None) -
                       entry_membership=tuple(memb))
 
 
-@dataclass(frozen=True)
-class CharPointCertificate:
+class CharPointCertificate(NamedTuple):
     values: tuple[FieldElement, ...]            # c_k = e_k(eigenvalues)
     power_coords: tuple[tuple[int, ...], ...]   # coords of c_k over a basis of L^k
 
 
 def characteristic_point(phi: HiggsField) -> CharPointCertificate:
     """chi(phi) with the exact certificate that c_k lies in twist^k."""
-    acs = char_coeffs([list(row) for row in phi.matrix])
+    acs = char_poly(phi.matrix)
     values = tuple(-a if k % 2 == 1 else a for k, a in enumerate(acs, start=1))
     coords = []
     for k, c in enumerate(values, start=1):
@@ -90,8 +87,7 @@ def characteristic_point(phi: HiggsField) -> CharPointCertificate:
     return CharPointCertificate(values=values, power_coords=tuple(coords))
 
 
-@dataclass(frozen=True)
-class CharacteristicCurve:
+class CharacteristicCurve(NamedTuple):
     kind: str                                # "spectral" | "cameral"
     field: NumberField
     n: int
@@ -152,7 +148,7 @@ def cameral_curve(phi: HiggsField) -> CharacteristicCurve:
     It is cut out by the same characteristic point as the spectral curve, so
     it carries the same data under another kind.
     """
-    return replace(spectral_curve(phi), kind="cameral")
+    return spectral_curve(phi)._replace(kind="cameral")
 
 
 def discriminant(phi: HiggsField) -> FieldElement:

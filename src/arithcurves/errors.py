@@ -25,12 +25,26 @@ MAX_CURVE_N = 6
 # takes about 1.4 s cold on one 2-vCPU Intel Xeon core, against 2.6 s at 80.
 MAX_CHI_N = 64
 
+# Largest accepted work estimate n^3 * D of a `chi --matrix`, where D is
+# Hadamard's bound on the decimal digits of the coefficients of the scaled
+# matrix's characteristic polynomial (linalg.coefficient_digits).  Berkowitz
+# takes about 1e-8 s per unit on one 2-vCPU Intel Xeon core: `chi` on 64 x 64
+# with 8-digit entries (D = 570, just under the limit) takes 1.5-1.7 s cold,
+# against 11.7 s for 16 x 16 with 4000-digit entries (D > 64000).
+MAX_CHI_WORK = 150_000_000
+
 # Largest accepted torsor rank.  A place's Lie-algebra forms are dense
 # n^2 x n^2 matrices (2n^2 x 2n^2 at a complex place), decomposed by every
 # compatibility check; at rank 16 over Q(sqrt(-5)), `slope --torsor` and
 # `verify` on a dense metric take about 0.8 s cold on one 2-vCPU Intel Xeon
 # core (70 MB peak RSS), against 4.5 s and 215 MB at rank 24 over Q(i).
 MAX_TORSOR_RANK = 16
+
+# Largest accepted |d| of a field Q(sqrt(d)).  Checking that d is squarefree
+# trial-divides by k^2 for every k <= sqrt(|d|); `degree` over Q(sqrt(d)) for a
+# prime d just below 10^13 takes 0.8-1.2 s cold on one 2-vCPU Intel Xeon core,
+# against 3.3 s just below 10^14.
+MAX_FIELD_D = 10 ** 13
 
 
 class ArithCurvesError(Exception):
@@ -63,10 +77,6 @@ class NonSquare(ArithCurvesError):
 
 class ZeroIdeal(ArithCurvesError):
     """The zero module is not a fractional ideal."""
-
-
-class SingularForm(ArithCurvesError):
-    """A bilinear form that must be invertible is singular."""
 
 
 class SingularMatrix(ArithCurvesError):

@@ -4,6 +4,12 @@ The characteristic polynomial and the determinant come from one division-free
 routine, Berkowitz's algorithm (Inf. Process. Lett. 18, 1984), on integer pairs
 (a, b) = a + b w with w^2 = s w + t, after scaling the matrix by the common
 denominator D of its entries: that multiplies the k-th coefficient by D^k.
+
+chi on gl_n, the characteristic morphism on all n x n matrices, is the
+coefficient tuple of that polynomial.  Its cost grows with n and with the
+digits of the scaled entries, so `chi_gl` refuses, before Berkowitz, a matrix
+whose cost estimate n^3 * D passes MAX_CHI_WORK, where D is Hadamard's bound
+on the digits of the coefficients.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ArithCurvesError
+from .errors import MAX_CHI_WORK, ArithCurvesError, MalformedInput, NonSquare
 
 
 def _dot(xs, ys, s: int, t: int) -> tuple[int, int]:
@@ -76,3 +82,42 @@ def det(matrix):
         return 1
     c = char_poly(matrix)[-1]
     return -c if len(matrix) % 2 else c
+
+
+def coefficient_digits(n: int, entry_bound: int) -> int:
+    """Decimal digits that bound every coefficient of det(l I - M), for an n x n
+    integer matrix M whose entries are at most entry_bound in absolute value.
+
+    The k-th coefficient is a sum of C(n, k) principal k x k minors, and
+    Hadamard's inequality bounds each by (sqrt(k) entry_bound)^k.
+    """
+    log_b = math.log10(max(entry_bound, 1))
+    return 1 + int(max(math.log10(math.comb(n, k)) + k * (math.log10(k) / 2 + log_b)
+                       for k in range(1, n + 1)))
+
+
+def check_chi_work(matrix) -> None:
+    """Refuse a square rational matrix whose characteristic polynomial would cost
+    more than MAX_CHI_WORK: n^3 times the digit bound of its scaled coefficients."""
+    n = len(matrix)
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    bound = max((abs(x.numerator) * (den // x.denominator) for row in matrix for x in row),
+                default=0)
+    digits = coefficient_digits(n, bound) if n else 0
+    if n ** 3 * digits > MAX_CHI_WORK:
+        raise MalformedInput(f"characteristic polynomial work n^3 * D = {n ** 3 * digits} "
+                             f"exceeds the limit {MAX_CHI_WORK} (n = {n}, and D = {digits} "
+                             f"digits bound the coefficients)")
+
+
+def chi_gl(a) -> tuple[Fraction, ...]:
+    """chi of a rational matrix: (c_1, ..., c_n) with c_k = e_k(eigenvalues).
+
+    The characteristic polynomial is l^n - c_1 l^{n-1} + c_2 l^{n-2} - ...
+    + (-1)^n c_n.
+    """
+    mat = [[Fraction(x) for x in row] for row in a]
+    if any(len(row) != len(mat) for row in mat):
+        raise NonSquare("matrix is not square")
+    check_chi_work(mat)
+    return tuple(-c if k % 2 else c for k, c in enumerate(char_poly(mat), start=1))

@@ -11,25 +11,26 @@ standard representation; that n x n block is what the determinant line bundle
 sees, via the square root of its Gram determinant.  Compatibility of the Lie
 algebra block is checked by the four involution/definiteness clauses with
 residuals measured in max norm relative to the operand scale, at 1e-9.
+
+The records are NamedTuples; ArithmeticTorsor validates its place metrics in
+`__new__` on a NamedTuple base.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .arakelov import (FractionalIdeal, MetrizedLineBundle, NumberField,
                        arithmetic_degree)
-from .errors import (MAX_TORSOR_RANK, ArithCurvesError, DimensionMismatch, SingularForm,
-                     SingularMatrix)
+from .errors import MAX_TORSOR_RANK, ArithCurvesError, DimensionMismatch, SingularMatrix
 
 TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(NamedTuple):
     n: int
     place: str                     # "real" | "complex"
     theta_K: np.ndarray            # involution on the flattened Lie algebra
@@ -85,17 +86,6 @@ def ad_matrix(cd: CartanData, g: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
-def fine_involution(cd: CartanData, H: np.ndarray) -> np.ndarray:
-    """theta_H = -H_K^{-1} H."""
-    H = np.asarray(H, dtype=float)
-    if H.shape != (cd.dim, cd.dim):
-        raise DimensionMismatch(f"form must be {cd.dim} x {cd.dim}")
-    try:
-        return -np.linalg.solve(cd.H_K, H)
-    except np.linalg.LinAlgError as exc:            # pragma: no cover - H_K is unimodular
-        raise SingularForm("H_K is singular on this space") from exc
-
-
 def _rel(defect: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(defect).max() / (1.0 + np.abs(reference).max()))
 
@@ -118,8 +108,7 @@ def semisimple_basis(cd: CartanData) -> np.ndarray:
     return vecs[:, vals > 0.5]
 
 
-@dataclass
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     """Lemma-7 clauses on the trace-zero block plus the center-splitting checks.
 
     A compatible metric splits as (trace-zero block) + (any positive metric on
@@ -220,8 +209,7 @@ def verify_compatibility(cd: CartanData, H: np.ndarray, tol: float = TOL) -> Com
                                center_min_eig=center_min, tol=tol)
 
 
-@dataclass(frozen=True)
-class CompatibleMetric:
+class CompatibleMetric(NamedTuple):
     """A compatible form on gl_n plus the Gram matrix on the standard rep."""
 
     cd: CartanData
@@ -231,11 +219,6 @@ class CompatibleMetric:
 
     def verify(self, tol: float = TOL) -> CompatibilityReport:
         return verify_compatibility(self.cd, self.H, tol)
-
-
-def canonical_metric(cd: CartanData) -> CompatibleMetric:
-    eye = np.eye(cd.n, dtype=complex if cd.place == "complex" else float)
-    return CompatibleMetric(cd=cd, H=cd.H_can.copy(), std=eye, witness=eye)
 
 
 def witnessed_metric(cd: CartanData, g: np.ndarray) -> CompatibleMetric:
@@ -262,37 +245,33 @@ def act(cd: CartanData, g: np.ndarray, metric):
 # ---------------------------------------------------------------------------
 # Arithmetic torsors and slopes
 
-@dataclass(frozen=True)
-class ArithmeticTorsor:
-    """Rank-n pseudo-lattice (one ideal per basis vector) with place metrics."""
-
+class _ArithmeticTorsor(NamedTuple):
     field: NumberField
     rank: int
     ideals: tuple[FractionalIdeal, ...]
     metrics: tuple[CompatibleMetric, ...]    # real places first, then complex
 
-    def __post_init__(self):
-        r1, r2 = self.field.signature
-        if len(self.ideals) != self.rank:
+
+class ArithmeticTorsor(_ArithmeticTorsor):
+    """Rank-n pseudo-lattice (one ideal per basis vector) with place metrics."""
+
+    __slots__ = ()
+
+    def __new__(cls, field: NumberField, rank: int, ideals: tuple, metrics: tuple):
+        r1, r2 = field.signature
+        if len(ideals) != rank:
             raise ArithCurvesError("need one ideal per basis vector")
-        if len(self.metrics) != r1 + r2:
+        if len(metrics) != r1 + r2:
             raise ArithCurvesError(f"need {r1 + r2} place metrics")
         kinds = ["real"] * r1 + ["complex"] * r2
-        for kind, m in zip(kinds, self.metrics):
-            if m.cd.place != kind or m.cd.n != self.rank:
+        for kind, m in zip(kinds, metrics):
+            if m.cd.place != kind or m.cd.n != rank:
                 raise ArithCurvesError("metric place data does not match the field")
             report = m.verify()
             if not report.ok:
                 raise ArithCurvesError(f"incompatible metric at a {kind} place: "
                                        f"{report.as_dict()}")
-
-
-def trivial_torsor(K: NumberField, n: int) -> ArithmeticTorsor:
-    r1, r2 = K.signature
-    unit = FractionalIdeal.ring_of_integers(K)
-    metrics = tuple(canonical_metric(canonical_form(n, "real")) for _ in range(r1)) + \
-        tuple(canonical_metric(canonical_form(n, "complex")) for _ in range(r2))
-    return ArithmeticTorsor(field=K, rank=n, ideals=(unit,) * n, metrics=metrics)
+        return super().__new__(cls, field, rank, ideals, metrics)
 
 
 def determinant_bundle(T: ArithmeticTorsor) -> MetrizedLineBundle:
@@ -320,32 +299,3 @@ def slope(T: ArithmeticTorsor, k: int = 1) -> float:
                                "the archimedean metrics")
     return value
 
-
-# ---------------------------------------------------------------------------
-# Cocharacter pairing
-
-@dataclass(frozen=True)
-class CocharacterLattice:
-    rank: int
-    pairing_matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        m = np.array(self.pairing_matrix, dtype=float)
-        if m.shape != (self.rank, self.rank):
-            raise DimensionMismatch("pairing matrix must be rank x rank")
-        if abs(np.linalg.det(m)) < 0.5:
-            raise ArithCurvesError("cocharacter pairing must be non-degenerate")
-
-
-def gl_cocharacter_lattice(n: int) -> CocharacterLattice:
-    """Rank-1 lattice of GL_n with <det, central cocharacter> = n."""
-    return CocharacterLattice(rank=1, pairing_matrix=((n,),))
-
-
-def cochar_pairing(L: CocharacterLattice, chi, mu) -> int:
-    chi = [int(x) for x in chi]
-    mu = [int(x) for x in mu]
-    if len(chi) != L.rank or len(mu) != L.rank:
-        raise DimensionMismatch("cocharacter vectors must match the lattice rank")
-    return sum(chi[i] * L.pairing_matrix[i][j] * mu[j]
-               for i in range(L.rank) for j in range(L.rank))

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from arithcurves.arakelov import (FractionalIdeal, MetrizedLineBundle, NumberField,
-                                  arithmetic_degree, factor_prime, ideal_norm,
-                                  minkowski_embed, parse_element, parse_field,
-                                  principal_bundle, tensor, trivial_bundle)
+from arithcurves.arakelov import (FieldElement, FractionalIdeal, MetrizedLineBundle,
+                                  NumberField, arithmetic_degree, ideal_norm, parse_element,
+                                  parse_field)
 from arithcurves.errors import ArithCurvesError, MalformedInput, ZeroIdeal
+from arithcurves.finitefield import factor_pattern
 
 QQ = NumberField(0)
 Q2 = NumberField(2)
@@ -88,10 +88,10 @@ def test_norm_trace_conj():
 
 
 def test_minkowski_examples():
-    assert minkowski_embed(QQ, QQ.element(3)) == [3.0]
-    em = minkowski_embed(Q2, Q2.omega)
+    assert QQ.element(3).embeddings() == [3.0]
+    em = Q2.omega.embeddings()
     assert em[0] == pytest.approx(math.sqrt(2)) and em[1] == pytest.approx(-math.sqrt(2))
-    (z,) = minkowski_embed(QI, QI.element(1, 1))
+    (z,) = QI.element(1, 1).embeddings()
     assert z == pytest.approx(1 + 1j)
 
 
@@ -148,8 +148,8 @@ def test_ideal_power():
 
 
 def test_degree_trivial_and_scaled():
-    assert arithmetic_degree(QQ, trivial_bundle(QQ)) == 0.0
     unit = FractionalIdeal.ring_of_integers(QQ)
+    assert arithmetic_degree(QQ, MetrizedLineBundle(unit, (1.0,))) == 0.0
     for t in (0.5, 2.0, 7.25):
         bundle = MetrizedLineBundle(unit, (t,))
         assert arithmetic_degree(QQ, bundle) == pytest.approx(-math.log(t), abs=1e-12)
@@ -201,18 +201,22 @@ def test_degree_additive_under_tensor():
             l2 = MetrizedLineBundle(FractionalIdeal.from_elements(
                 K, [rand_element(K, rng), rand_element(K, rng)]),
                 tuple(rng.uniform(0.5, 2.0) for _ in range(r)))
-            assert arithmetic_degree(K, tensor(l1, l2)) == pytest.approx(
+            tensor = MetrizedLineBundle(l1.ideal * l2.ideal,
+                                        tuple(a * b for a, b in zip(l1.metrics, l2.metrics)))
+            assert arithmetic_degree(K, tensor) == pytest.approx(
                 arithmetic_degree(K, l1) + arithmetic_degree(K, l2), abs=1e-9)
 
 
 def test_principal_bundle_degree_zero():
-    """Transported metric on x O_F: degree 0 is exactly the product formula."""
+    """x O_F with the metric transported from the trivial bundle along x, so that x has
+    norm 1 at every place: degree 0 is exactly the product formula."""
     rng = random.Random(37)
     for K in FIELDS:
         for _ in range(10):
             x = rand_element(K, rng)
-            assert arithmetic_degree(K, principal_bundle(K, x)) == pytest.approx(
-                0.0, abs=1e-9)
+            transported = MetrizedLineBundle(FractionalIdeal.principal(x),
+                                             tuple(1.0 / abs(s) for s in x.embeddings()))
+            assert arithmetic_degree(K, transported) == pytest.approx(0.0, abs=1e-9)
             # flat rho = 1 metric instead shifts the degree by -log|N(x)|
             flat = MetrizedLineBundle(FractionalIdeal.principal(x),
                                       (1.0,) * sum(K.signature))
@@ -220,25 +224,76 @@ def test_principal_bundle_degree_zero():
                 -math.log(abs(x.norm())), abs=1e-9)
 
 
+def _splitting(K: NumberField, p: int) -> list[tuple[int, int]]:
+    """(f, e) shape of p in K: the minimal polynomial of w factored mod p (Dedekind)."""
+    if K.degree == 1:
+        return factor_pattern([0, 1], p)
+    s, t = K.omega_poly
+    return factor_pattern([-t, -s, 1], p)
+
+
 def test_factor_prime_examples():
-    assert factor_prime(QI, 5).splitting == ((1, 1), (1, 1))
-    assert factor_prime(QI, 2).splitting == ((1, 2),)
-    assert factor_prime(QQ, 11).splitting == ((1, 1),)
-    assert factor_prime(QI, 7).splitting == ((2, 1),)
+    assert _splitting(QI, 5) == [(1, 1), (1, 1)]
+    assert _splitting(QI, 2) == [(1, 2)]
+    assert _splitting(QQ, 11) == [(1, 1)]
+    assert _splitting(QI, 7) == [(2, 1)]
 
 
 def test_factor_prime_degree_sum():
+    """The shapes sum to [K:Q], and p ramifies exactly when it divides disc(K)."""
     for K in [Q2, QI, Q5M, NumberField(5), NumberField(-3)]:
         for p in (2, 3, 5, 7, 11, 13, 41):
-            fac = factor_prime(K, p)
-            assert sum(f * e for f, e in fac.splitting) == K.degree
-    # ramified exactly at primes dividing the discriminant
-    for K in [Q2, QI, Q5M, NumberField(5)]:
-        for p in (2, 3, 5, 7, 11, 13):
-            ram = any(e > 1 for _, e in factor_prime(K, p).splitting)
-            assert ram == (K.discriminant % p == 0)
+            shape = _splitting(K, p)
+            assert sum(f * e for f, e in shape) == K.degree
+            assert any(e > 1 for _, e in shape) == (K.discriminant % p == 0)
 
 
-def test_factor_prime_rejects_composite():
-    with pytest.raises(ArithCurvesError):
-        factor_prime(QI, 6)
+def test_degree_with_a_tiny_section_and_metric():
+    """rho |sigma(s)| below the smallest float: the archimedean term is summed as logs."""
+    x = Fraction(3.0320515274385424e-230)
+    bundle = MetrizedLineBundle(FractionalIdeal.principal(QQ.element(x)), (float(x),))
+    assert arithmetic_degree(QQ, bundle) == pytest.approx(-2 * math.log(x), rel=1e-12)
+
+
+def _error(call) -> tuple[type, str]:
+    with pytest.raises(ArithCurvesError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def test_validating_records_raise_as_before():
+    unit = FractionalIdeal.ring_of_integers(QQ)
+    assert _error(lambda: NumberField(4)) == (
+        ArithCurvesError, "d = 4 must be 0 or squarefree != 1")
+    assert _error(lambda: NumberField(1)) == (
+        ArithCurvesError, "d = 1 must be 0 or squarefree != 1")
+    assert _error(lambda: FieldElement(QQ, 0, 1)) == (ArithCurvesError, "Q has no w component")
+    assert _error(lambda: MetrizedLineBundle(unit, (math.nan,))) == (
+        ArithCurvesError, "metric factors must be finite")
+    assert _error(lambda: MetrizedLineBundle(unit, (-1.0,))) == (
+        ArithCurvesError, "metric factors must be positive")
+    assert _error(lambda: MetrizedLineBundle(unit, (1.0, 1.0))) == (
+        ArithCurvesError, "need 1 metric factors, got 2")
+
+
+def test_records_are_immutable_and_hashable():
+    x = Q5M.element(1, 2)
+    ideal = FractionalIdeal.from_elements(Q5M, [Q5M.element(2), Q5M.element(1, 1)])
+    bundle = MetrizedLineBundle(ideal, (2.0,))
+    for record, name in ((Q5M, "d"), (x, "a"), (ideal, "rows"), (bundle, "metrics")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        assert hash(record) == hash(type(record)(*record))
+    assert len({Q5M, NumberField(-5), x, Q5M.element(1, 2), ideal, bundle}) == 4
+
+
+def test_field_elements_stay_field_elements_under_int_arithmetic():
+    x = Q5M.element(Fraction(1, 2), 3)
+    for value in (2 * x, x * 2, 0 + x, x + 0, sum([x, x, x]), 1 - x, x - 1, 1 / x):
+        assert isinstance(value, FieldElement)
+    assert 2 * x == x * 2 == x + x and 0 + x == x + 0 == x
+    assert sum([x, x, x]) == 3 * x
+    assert not QQ.zero and not Q5M.zero and Q5M.one and x
+    assert str(x) == "1/2 + 3*w"

@@ -163,6 +163,9 @@ COMPUTATIONAL = ("rootsys", "chevalley", "charmorph", "poly", "arakelov", "finit
                  "curve", "torsor")
 
 
+LIE = ("charmorph", "rootsys", "poly")
+
+
 @pytest.mark.parametrize("argv, code, absent, present", [
     ([], None, COMPUTATIONAL + ("numpy",), ()),
     (["chi", "--matrix", "5"], 2, COMPUTATIONAL + ("dataclasses", "numpy"), ()),
@@ -171,19 +174,25 @@ COMPUTATIONAL = ("rootsys", "chevalley", "charmorph", "poly", "arakelov", "finit
     (["chevalley", "--type", "B2", "--verify"], 0,
      ("charmorph", "arakelov", "curve", "numpy", "dataclasses", "linalg"), ("chevalley",)),
     (["degree", "--field", "Q(i)", "--ideal", '["1+i"]', "--metrics", '["2.0"]'], 0,
-     ("rootsys", "chevalley", "numpy"), ("arakelov",)),
+     ("rootsys", "chevalley", "numpy", "dataclasses", "finitefield"), ("arakelov",)),
     (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0,
      ("arakelov", "numpy", "dataclasses", "linalg"), ("charmorph",)),
-    (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0, ("torsor", "numpy"),
-     ("curve",)),
-    (["slope", "--torsor", "TORSOR", "--char", "2"], 0, ("rootsys", "curve"), ("numpy",)),
-    (["verify", "--input", "TORSOR"], 0, ("rootsys", "curve"), ("numpy",)),
-], ids=["import", "usage-error", "rootsys", "chevalley", "degree", "chi", "curve", "slope",
-        "verify-torsor"])
+    (["chi", "--matrix", '[["1/2", 3], [4, 5]]'], 0,
+     LIE + ("arakelov", "numpy", "dataclasses"), ("linalg",)),
+    (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0,
+     LIE + ("torsor", "numpy", "dataclasses"), ("curve",)),
+    (["slope", "--torsor", "TORSOR", "--char", "2"], 0, ("rootsys", "curve", "dataclasses"),
+     ("numpy",)),
+    (["verify", "--input", "TORSOR"], 0, ("rootsys", "curve", "dataclasses"), ("numpy",)),
+    (["verify", "--input", "CURVE"], 0, LIE + ("torsor", "numpy", "dataclasses"), ("curve",)),
+], ids=["import", "usage-error", "rootsys", "chevalley", "degree", "chi", "chi-matrix", "curve",
+        "slope", "verify-torsor", "verify-curve"])
 def test_each_verb_loads_only_its_modules(tmp_path, argv, code, absent, present):
     """A fresh interpreter that imports the CLI and runs one verb loads only that verb's modules."""
-    f = tmp_path / "torsor.json"
-    f.write_text(json.dumps(TORSOR))
+    files = {"TORSOR": json.dumps(TORSOR),
+             "CURVE": invoke("curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20")[1]}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     script = textwrap.dedent("""
         import io, json, sys
         import arithcurves.cli as cli
@@ -196,7 +205,7 @@ def test_each_verb_loads_only_its_modules(tmp_path, argv, code, absent, present)
                 code = exc.code
         print(json.dumps([code, [m.removeprefix("arithcurves.") for m in sys.modules]]))
     """)
-    argv = [str(f) if a == "TORSOR" else a for a in argv]
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -233,8 +242,8 @@ def test_curve_verb_and_domain_error():
 @pytest.mark.parametrize("extra", [[], ["--cameral"], ["--cameral", "--fibers", "30"]])
 def test_curve_computes_the_characteristic_polynomial_once(monkeypatch, extra):
     calls = []
-    char_coeffs = curve.char_coeffs
-    monkeypatch.setattr(curve, "char_coeffs", lambda a: calls.append(a) or char_coeffs(a))
+    char_poly = curve.char_poly
+    monkeypatch.setattr(curve, "char_poly", lambda a: calls.append(a) or char_poly(a))
     invoke_json("curve", "--matrix", '[["1","2"],["3","4"]]', *extra)
     assert len(calls) == 1
 

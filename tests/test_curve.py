@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -55,6 +54,16 @@ def test_spectral_curve_examples():
     C3 = spectral_curve(q_higgs([[0, 1], [0, 0]]))
     assert [c.a for c in C3.poly] == [1, 0, 0]
     assert C3.disc.a == 0 and C3.degenerate
+
+
+def test_curve_records_are_immutable_and_hashable():
+    phi = q_higgs([[0, 1], [2, 0]])
+    C = cameral_curve(phi)
+    assert C == spectral_curve(phi)._replace(kind="cameral") and C.degree == 2
+    for record, name in ((phi, "matrix"), (C, "kind"), (C.certificate, "values")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert hash(record) == hash(type(record)(*record))
 
 
 def test_discriminant_formulas():
@@ -214,11 +223,11 @@ def test_covering_check_matches_the_tuple_count(monkeypatch):
         p = smallest_split_prime(C)
         values = list(C.certificate.values)
         k = rng.randrange(n)
-        curves = [C, replace(C, kind="spectral")]
+        curves = [C, C._replace(kind="spectral")]
         # a shift by p is invisible mod p; a shift by 1 or -2 is not
         for delta in (p, 1, -2):
             tampered = values[:k] + [values[k] + delta] + values[k + 1:]
-            curves.append(replace(C, certificate=replace(C.certificate, values=tuple(tampered))))
+            curves.append(C._replace(certificate=C.certificate._replace(values=tuple(tampered))))
         # also at a small prime other than p, where p_phi need not split
         for prime in (p, rng.choice([q for q in (2, 3, 5, 7) if q != p])):
             monkeypatch.setattr(curve, "smallest_split_prime", lambda _, prime=prime: prime)

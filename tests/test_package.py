@@ -1,11 +1,13 @@
 import importlib
 import io
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
 import arithcurves
-from arithcurves import chevalley, curve, errors
+from arithcurves import arakelov, chevalley, curve, errors, linalg
 from arithcurves.arakelov import NumberField
 from arithcurves.cli import read_chi, run
 
@@ -96,6 +98,98 @@ def test_chi_size_limit(capsys, tmp_path):
     with pytest.raises(errors.MalformedInput) as exc:
         read_chi({"matrix": [["not a rational"]] * (limit + 1)})
     assert exc.value.key == "matrix"
+
+
+def _largest_admitted_entry(n: int) -> int:
+    """The largest B for which an n x n matrix with entries at most B passes MAX_CHI_WORK."""
+    def admitted(b: int) -> bool:
+        return n ** 3 * linalg.coefficient_digits(n, b) <= errors.MAX_CHI_WORK
+    lo, hi = 1, 2
+    while admitted(hi):
+        lo, hi = hi, hi * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo
+
+
+def test_chi_work_limit(capsys, tmp_path):
+    """An entry at the work budget runs and verifies; one more is refused before
+    Berkowitz: a usage error from --matrix, a domain error from a document and the
+    library.  One large entry among zeros keeps the admitted call itself cheap."""
+    n = 14
+    b = _largest_admitted_entry(n)
+    assert 3000 < len(str(b)) < 4300                   # within the literal limit
+    assert n ** 3 * linalg.coefficient_digits(n, b) <= errors.MAX_CHI_WORK
+    assert n ** 3 * linalg.coefficient_digits(n, b + 1) > errors.MAX_CHI_WORK
+    at, past = ([[str(x if i == j == 0 else 0) for j in range(n)] for i in range(n)]
+                for x in (b, b + 1))
+    out = io.StringIO()
+    assert run(["chi", "--matrix", json.dumps(at)], out=out) == 0
+    assert json.loads(out.getvalue())["invariants"] == [str(b)] + ["0"] * (n - 1)
+    doc = tmp_path / "doc.json"
+    doc.write_text(out.getvalue())
+    assert _outcome(["verify", "--input", str(doc)])[1]["ok"]
+    assert linalg.chi_gl(at)[0] == b
+
+    digits = linalg.coefficient_digits(n, b + 1)
+    message = (f"characteristic polynomial work n^3 * D = {n ** 3 * digits} exceeds the limit "
+               f"{errors.MAX_CHI_WORK} (n = {n}, and D = {digits} digits bound the coefficients)")
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(["chi", "--matrix", json.dumps(past)], out=out)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert f"argument --matrix: {message}" in capsys.readouterr().err
+    doc.write_text(json.dumps({"kind": "chi", "type": f"gl_{n}", "matrix": past}))
+    assert _outcome(["verify", "--input", str(doc)]) == (
+        1, {"error": {"type": "MalformedInput", "message": message}})
+    with pytest.raises(errors.MalformedInput, match=re.escape(message)):
+        linalg.chi_gl(past)
+
+
+def test_chi_work_reads_the_scaled_matrix():
+    """The bound reads the integer matrix Berkowitz runs on, after clearing the common
+    denominator, so entries below 1 in absolute value can pass the budget."""
+    assert 64 ** 3 * linalg.coefficient_digits(64, 1) <= errors.MAX_CHI_WORK
+    wide = [[Fraction(1, 10 ** 40 + 2 * k + 1) for k in range(64)] for _ in range(64)]
+    with pytest.raises(errors.MalformedInput, match="exceeds the limit"):
+        linalg.check_chi_work(wide)
+
+
+def _outcome(argv) -> tuple[int, dict]:
+    out = io.StringIO()
+    code = run(argv, out=out)
+    return code, json.loads(out.getvalue())
+
+
+def test_field_size_limit(monkeypatch, tmp_path):
+    """|d| at MAX_FIELD_D builds the field; one past it is a domain error from the
+    library, the CLI and `verify`, refused before the squarefree loop runs.  The loop
+    is stubbed to count its calls: at the limit it would take about a second."""
+    limit = errors.MAX_FIELD_D
+    calls = []
+    monkeypatch.setattr(arakelov, "_is_squarefree", lambda n: calls.append(n) or True)
+    assert NumberField(limit).d == limit and NumberField(-limit).d == -limit
+    argv = ["degree", "--ideal", '["2"]', "--metrics", '["1", "1"]', "--field"]
+    code, doc = _outcome([*argv, f"Q(sqrt({limit}))"])
+    assert code == 0 and doc["field"] == f"Q(sqrt({limit}))"
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert _outcome(["verify", "--input", str(f)]) == (
+        0, {"kind": "verify", "input_kind": "degree", "ok": True, "mismatches": []})
+    assert calls == [limit, -limit, limit, limit]
+
+    calls.clear()
+    message = f"|d| exceeds the limit MAX_FIELD_D = {limit}"
+    refused = (1, {"error": {"type": "ArithCurvesError", "message": message}})
+    for d in (limit + 1, -limit - 1):
+        with pytest.raises(errors.ArithCurvesError, match=re.escape(message)):
+            NumberField(d)
+    for d in (limit + 1, -limit - 1, "9" * 5000):        # 5000 digits: past int() too
+        assert _outcome([*argv, f"Q(sqrt({d}))"]) == refused
+        f.write_text(json.dumps({**doc, "field": f"Q(sqrt({d}))"}))
+        assert _outcome(["verify", "--input", str(f)]) == refused
+    assert calls == []
 
 
 HELP = {

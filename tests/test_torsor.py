@@ -6,12 +6,10 @@ import pytest
 from arithcurves.arakelov import FractionalIdeal, NumberField
 from arithcurves.errors import (MAX_TORSOR_RANK, ArithCurvesError, DimensionMismatch,
                                SingularMatrix)
-from arithcurves.torsor import (ArithmeticTorsor, CocharacterLattice, CompatibleMetric,
-                                act, ad_matrix, canonical_form, canonical_metric,
-                                center_basis, cochar_pairing, determinant_bundle,
-                                fine_involution, gl_cocharacter_lattice,
-                                semisimple_basis, slope, trivial_torsor,
-                                verify_compatibility, witnessed_metric)
+from arithcurves.torsor import (ArithmeticTorsor, CompatibleMetric, act, ad_matrix,
+                                canonical_form, center_basis, determinant_bundle,
+                                semisimple_basis, slope, verify_compatibility,
+                                witnessed_metric)
 
 RNG = np.random.default_rng(20260810)
 
@@ -73,9 +71,26 @@ def test_theta_fixed_space_dimension():
     assert fixed == 4                             # u(2) inside gl_2(C)
 
 
+def canonical_metric(cd):
+    """The canonical metric -<X, theta_K Y>: the one g = 1 witnesses."""
+    return witnessed_metric(cd, np.eye(cd.n))
+
+
+def trivial_torsor(K, n):
+    """O_F^n with the canonical metric at every place."""
+    r1, r2 = K.signature
+    metrics = tuple(canonical_metric(canonical_form(n, kind))
+                    for kind in ["real"] * r1 + ["complex"] * r2)
+    return ArithmeticTorsor(field=K, rank=n, ideals=(FractionalIdeal.ring_of_integers(K),) * n,
+                            metrics=metrics)
+
+
 def test_fine_involution_examples():
+    """theta_H = -H_K^{-1} H is theta_K for the canonical form, an involution for a
+    compatible one and not for a generic positive form."""
     cd = canonical_form(2)
-    assert np.allclose(fine_involution(cd, cd.H_can), cd.theta_K)
+    assert np.allclose(-np.linalg.solve(cd.H_K, cd.H_can), cd.theta_K)
+    assert verify_compatibility(cd, cd.H_can).involution_residual < 1e-12
     m = witnessed_metric(cd, np.diag([2.0, 1.0]))
     vs = semisimple_basis(cd)
     hss = vs.T @ m.H @ vs
@@ -84,13 +99,14 @@ def test_fine_involution_examples():
     assert np.abs(theta @ theta - np.eye(3)).max() < 1e-12
     a = RNG.standard_normal((4, 4))
     bad = a.T @ a + 0.3 * np.eye(4)
-    theta_bad = fine_involution(cd, bad)
+    theta_bad = -np.linalg.solve(cd.H_K, bad)
     assert np.abs(theta_bad @ theta_bad - np.eye(4)).max() > 1e-3
+    assert not verify_compatibility(cd, bad).involution_ok
 
 
 def test_fine_involution_shape_check():
     with pytest.raises(DimensionMismatch):
-        fine_involution(canonical_form(2), np.eye(3))
+        verify_compatibility(canonical_form(2), np.eye(3))
 
 
 def test_witnessed_metrics_pass_all_clauses():
@@ -230,16 +246,39 @@ def test_torsor_validation():
                          metrics=(bad,))
 
 
-def test_cochar_pairing():
-    gm = gl_cocharacter_lattice(1)
-    assert cochar_pairing(gm, [1], [1]) == 1
-    gl3 = gl_cocharacter_lattice(3)
-    assert cochar_pairing(gl3, [1], [1]) == 3     # det composed with t -> t Id
-    assert cochar_pairing(gl3, [1], [0]) == 0
-    assert cochar_pairing(gl3, [2], [3]) == 18    # bilinear
-    lat = CocharacterLattice(rank=2, pairing_matrix=((1, 0), (0, 2)))
-    assert cochar_pairing(lat, [1, 1], [1, 1]) == 3
-    with pytest.raises(ArithCurvesError):
-        CocharacterLattice(rank=2, pairing_matrix=((1, 1), (1, 1)))
-    with pytest.raises(DimensionMismatch):
-        cochar_pairing(gl3, [1, 2], [1])
+def test_slope_pairs_det_with_the_central_cocharacter():
+    """det composed with the central cocharacter t -> t Id is t -> t^n: the metric
+    pulled back along t Id moves the slope of det^k by -k n log t, bilinearly."""
+    K = NumberField(0)
+    unit = FractionalIdeal.ring_of_integers(K)
+    for n in (1, 2, 3):
+        cd = canonical_form(n)
+        for t in (0.5, 2.0, 3.0):
+            T = ArithmeticTorsor(field=K, rank=n, ideals=(unit,) * n,
+                                 metrics=(witnessed_metric(cd, t * np.eye(n)),))
+            for k in (1, 2, -3):
+                assert slope(T, k) == pytest.approx(-k * n * math.log(t), abs=1e-9)
+
+
+def _error(call) -> tuple[type, str]:
+    with pytest.raises(ArithCurvesError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+def test_torsor_records_raise_as_before_and_are_immutable():
+    K = NumberField(-5)
+    unit = FractionalIdeal.ring_of_integers(K)
+    real, cplx = (canonical_metric(canonical_form(2, kind)) for kind in ("real", "complex"))
+    assert _error(lambda: ArithmeticTorsor(K, 2, (unit,), (cplx,))) == (
+        ArithCurvesError, "need one ideal per basis vector")
+    assert _error(lambda: ArithmeticTorsor(K, 2, (unit, unit), (cplx, cplx))) == (
+        ArithCurvesError, "need 1 place metrics")
+    assert _error(lambda: ArithmeticTorsor(K, 2, (unit, unit), (real,))) == (
+        ArithCurvesError, "metric place data does not match the field")
+    T = ArithmeticTorsor(K, 2, (unit, unit), (cplx,))
+    report = cplx.verify()
+    for record, name in ((T, "rank"), (cplx, "H"), (cplx.cd, "n"), (report, "tol")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert hash(report) == hash(verify_compatibility(cplx.cd, cplx.H))
