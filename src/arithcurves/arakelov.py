@@ -12,7 +12,8 @@ with eps = 1 at real and 2 at complex places; the product formula makes the
 value independent of the chosen section s in I.
 
 The records are NamedTuples.  NumberField, FieldElement and MetrizedLineBundle
-validate in `__new__` on a NamedTuple base; `_replace` does not validate.
+validate in `__new__` on a NamedTuple base, and `_make` and `_replace` go through
+it.  Tuple arithmetic and ordering, which mean nothing here, raise TypeError.
 """
 
 from __future__ import annotations
@@ -27,13 +28,23 @@ from .jsonutil import parse_rational, rat_str
 
 
 def _is_squarefree(n: int) -> bool:
+    """Trial division up to the cube root of |n|: every prime factor of the
+    cofactor left is above it, so the cofactor is 1, p, pq or p^2."""
     n = abs(n)
     k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
+    while k * k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return False
         k += 1
-    return True
+    r = math.isqrt(n)
+    return n == 1 or r * r != n
+
+
+def _validated_make(cls, iterable):
+    """`_make`, and so `_replace`, through the validating `__new__`."""
+    return cls(*iterable)
 
 
 _FIELD_TOO_LARGE = f"|d| exceeds the limit MAX_FIELD_D = {MAX_FIELD_D}"
@@ -49,11 +60,13 @@ class NumberField(_NumberField):
     __slots__ = ()
 
     def __new__(cls, d: int = 0):
-        if abs(d) > MAX_FIELD_D:            # before the squarefree loop, which is O(sqrt |d|)
+        if abs(d) > MAX_FIELD_D:            # before the squarefree loop, which is O(cbrt |d|)
             raise ArithCurvesError(_FIELD_TOO_LARGE)
         if d != 0 and (d == 1 or not _is_squarefree(d)):
             raise ArithCurvesError(f"d = {d} must be 0 or squarefree != 1")
         return super().__new__(cls, d)
+
+    _make = classmethod(_validated_make)
 
     @property
     def degree(self) -> int:
@@ -150,6 +163,13 @@ class FieldElement(_FieldElement):
         if field.d == 0 and b != 0:
             raise ArithCurvesError("Q has no w component")
         return super().__new__(cls, field, a, b)
+
+    _make = classmethod(_validated_make)
+
+    def _unordered(self, other):
+        raise TypeError("field elements are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
@@ -351,6 +371,11 @@ class FractionalIdeal(NamedTuple):
         prods = [x * y for x in self.basis_elements() for y in other.basis_elements()]
         return FractionalIdeal.from_elements(self.field, prods)
 
+    def _not_a_product(self, other):
+        raise TypeError("fractional ideals support only the ideal product")
+
+    __add__ = __radd__ = __rmul__ = _not_a_product
+
     def power(self, k: int) -> "FractionalIdeal":
         assert k >= 0
         out = FractionalIdeal.ring_of_integers(self.field)
@@ -407,6 +432,8 @@ class MetrizedLineBundle(_MetrizedLineBundle):
         if any(m <= 0 for m in metrics):
             raise ArithCurvesError("metric factors must be positive")
         return super().__new__(cls, ideal, metrics)
+
+    _make = classmethod(_validated_make)
 
 
 def arithmetic_degree(K: NumberField, L: MetrizedLineBundle,

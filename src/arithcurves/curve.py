@@ -27,7 +27,8 @@ from typing import NamedTuple
 from .arakelov import FieldElement, FractionalIdeal, NumberField
 from .errors import (MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve,
                      MembershipFailure, UnsupportedBase)
-from .finitefield import factor_pattern, is_prime, is_squarefree, roots_mod_p
+from .finitefield import (factor_pattern, is_prime, is_squarefree, roots_mod_p,
+                          splits_completely)
 from .linalg import char_poly, det
 
 
@@ -78,8 +79,9 @@ def characteristic_point(phi: HiggsField) -> CharPointCertificate:
     acs = char_poly(phi.matrix)
     values = tuple(-a if k % 2 == 1 else a for k, a in enumerate(acs, start=1))
     coords = []
+    power = FractionalIdeal.ring_of_integers(phi.field)
     for k, c in enumerate(values, start=1):
-        power = phi.twist.power(k)
+        power = power * phi.twist                   # L^k, one product per k
         cert = power.membership_coords(c)
         if cert is None:
             raise MembershipFailure(f"coefficient {k} escapes the twist power")
@@ -218,7 +220,15 @@ def ramified_primes(C: CharacteristicCurve,
 
 
 def smallest_split_prime(C: CharacteristicCurve) -> int:
-    """Least prime where p_phi splits into n distinct linear factors."""
+    """Least prime where p_phi splits into n distinct linear factors.
+
+    The scan skips the primes dividing the discriminant or a coefficient
+    denominator and tests each other prime with one x^p = x (mod p_phi) check.
+    Split primes have density 1/|Gal| >= 1/n! (Chebotarev); the least one is
+    at most d_L^A for the discriminant d_L of the splitting field and an
+    absolute constant A (Lagarias, Montgomery and Odlyzko, 1979), and
+    O((log d_L)^2) under GRH (Lagarias and Odlyzko, 1977).
+    """
     if C.degenerate:
         raise DegenerateCurve("discriminant vanishes identically")
     coeffs = _rational_poly(C)
@@ -232,7 +242,7 @@ def smallest_split_prime(C: CharacteristicCurve) -> int:
             continue
         if any(c.denominator % p == 0 for c in coeffs):
             continue
-        if factor_pattern(_reduce_poly(C, p), p) == [(1, 1)] * C.n:
+        if splits_completely(_reduce_poly(C, p), p):
             return p
 
 

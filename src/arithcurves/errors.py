@@ -15,9 +15,11 @@ MAX_FIBER_BOUND = 10 ** 7
 
 # Largest accepted size n of a `curve` matrix.  The covering check over Q scans
 # primes until the characteristic polynomial splits completely, about n! of
-# them for a generic matrix; the worst of twelve random 6 x 6 matrices with
-# 4-bit entries splits first at p = 21613, and `curve` on it takes about 3 s
-# cold on one 2-vCPU Intel Xeon core, against 9.2 s for one 7 x 7 matrix.
+# them for a generic matrix, with one x^p = x (mod f) test each; the worst of
+# 120 random 6 x 6 matrices with entries in [-15, 15] splits first at
+# p = 47653, and `curve` on it takes 2.4-3.0 s cold on one 2-vCPU Intel Xeon
+# core, while the scan alone takes 2.6 s and 9.4 s for two random 7 x 7
+# matrices (p = 41453 and 138569).
 MAX_CURVE_N = 6
 
 # Largest accepted size n of a `chi --matrix`.  The characteristic polynomial
@@ -41,9 +43,9 @@ MAX_CHI_WORK = 150_000_000
 MAX_TORSOR_RANK = 16
 
 # Largest accepted |d| of a field Q(sqrt(d)).  Checking that d is squarefree
-# trial-divides by k^2 for every k <= sqrt(|d|); `degree` over Q(sqrt(d)) for a
-# prime d just below 10^13 takes 0.8-1.2 s cold on one 2-vCPU Intel Xeon core,
-# against 3.3 s just below 10^14.
+# trial-divides by every k up to the cube root of |d|; `degree` over
+# Q(sqrt(d)) for a prime d just below 10^13 takes 0.09-0.15 s cold on one
+# 2-vCPU Intel Xeon core, start-up included.
 MAX_FIELD_D = 10 ** 13
 
 

@@ -176,6 +176,16 @@ def factor_pattern(f, p) -> list[tuple[int, int]]:
     return sorted(shape)
 
 
+def splits_completely(f, p) -> bool:
+    """Whether monic f is a product of distinct linear factors over F_p.
+
+    x^p - x is the product of x - a over all a in F_p, so this holds exactly
+    when f divides it: one powmod, where factor_pattern runs the whole
+    distinct-degree factorization.
+    """
+    return powmod([0, 1], p, f, p) == mod_poly([0, 1], f, p)
+
+
 def is_squarefree(f, p) -> bool:
     fp = derivative(f, p)
     return bool(fp) and deg(gcd(f, fp, p)) == 0

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from arithcurves.arakelov import (FieldElement, FractionalIdeal, MetrizedLineBundle,
-                                  NumberField, arithmetic_degree, ideal_norm, parse_element,
-                                  parse_field)
-from arithcurves.errors import ArithCurvesError, MalformedInput, ZeroIdeal
+                                  NumberField, _is_squarefree, arithmetic_degree, ideal_norm,
+                                  parse_element, parse_field)
+from arithcurves.errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
 from arithcurves.finitefield import factor_pattern
 
 QQ = NumberField(0)
@@ -297,3 +297,61 @@ def test_field_elements_stay_field_elements_under_int_arithmetic():
     assert sum([x, x, x]) == 3 * x
     assert not QQ.zero and not Q5M.zero and Q5M.one and x
     assert str(x) == "1/2 + 3*w"
+
+
+def test_is_squarefree_matches_trial_division_by_squares():
+    for d in range(1, 10 ** 4):
+        want = all(d % (k * k) for k in range(2, math.isqrt(d) + 1))
+        assert _is_squarefree(d) == _is_squarefree(-d) == want, d
+
+
+# 21557 is the least prime above the cube root of MAX_FIELD_D (21544.3) and 21529
+# the largest below it; 3162253 and 3162167 are the two largest primes below its
+# square root, and 9999999999971 the largest prime below it.
+@pytest.mark.parametrize("d, squarefree", [
+    (21557 ** 2, False), (2 * 21557 ** 2, False), (21529 ** 2, False),
+    (21557 * 21559, True), (21529 * 21557, True), (3162253 ** 2, False),
+    (3162253 * 3162167, True), (9999999999971, True),
+])
+def test_is_squarefree_near_the_field_limit(d, squarefree):
+    assert d <= MAX_FIELD_D
+    assert _is_squarefree(d) == _is_squarefree(-d) == squarefree
+    if squarefree:
+        assert NumberField(-d).d == -d
+    else:
+        assert _error(lambda: NumberField(d))[1] == f"d = {d} must be 0 or squarefree != 1"
+
+
+def test_fractional_ideals_refuse_tuple_repetition():
+    with pytest.raises(TypeError):
+        2 * FractionalIdeal.ring_of_integers(Q5M)
+
+
+def test_fractional_ideals_refuse_tuple_concatenation():
+    ideal = FractionalIdeal.ring_of_integers(Q5M)
+    with pytest.raises(TypeError):
+        ideal + ideal
+
+
+def test_field_elements_are_not_ordered():
+    for x, y in ((Q5M.one, Q5M.omega), (QQ.one, QQ.element(2))):
+        for compare in (lambda: x < y, lambda: x <= y, lambda: x > y, lambda: x >= y):
+            with pytest.raises(TypeError):
+                compare()
+        with pytest.raises(TypeError):
+            sorted([x, y])
+    assert QQ.one == QQ.element(1) and Q5M.one != Q5M.omega
+
+
+def test_replace_validates_like_the_constructor():
+    unit = FractionalIdeal.ring_of_integers(QQ)
+    bundle = MetrizedLineBundle(unit, (1.0,))
+    assert _error(lambda: bundle._replace(metrics=(math.nan,))) == (
+        ArithCurvesError, "metric factors must be finite")
+    assert _error(lambda: Q5M._replace(d=4)) == (
+        ArithCurvesError, "d = 4 must be 0 or squarefree != 1")
+    assert _error(lambda: QQ.one._replace(b=Fraction(1))) == (
+        ArithCurvesError, "Q has no w component")
+    assert bundle._replace(metrics=(2.0,)) == MetrizedLineBundle(unit, (2.0,))
+    assert Q5M.one._replace(b=Fraction(1)) == Q5M.element(1, 1)
+    assert type(Q5M._replace(d=2)) is NumberField

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithcurves import curve
+from arithcurves import curve, finitefield
 from arithcurves.arakelov import FractionalIdeal, NumberField
 from arithcurves.curve import (MAX_CURVE_N, MAX_FIBER_BOUND, cameral_curve,
                                cameral_fiber_rational, characteristic_point,
@@ -15,7 +15,7 @@ from arithcurves.curve import (MAX_CURVE_N, MAX_FIBER_BOUND, cameral_curve,
                                spectral_curve)
 from arithcurves.errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
                                 UnsupportedBase)
-from arithcurves.finitefield import factor_pattern, is_prime, is_squarefree
+from arithcurves.finitefield import factor_pattern, is_prime, is_squarefree, splits_completely
 
 QQ = NumberField(0)
 
@@ -193,6 +193,38 @@ def test_covering_degree_spectral_and_cameral():
     if not C3.degenerate:
         assert covering_degree_check(C3)
         assert covering_degree_check(cameral_curve(phi3))
+
+
+def test_split_criterion_matches_factor_pattern_exhaustively():
+    """x^p = x (mod f) holds exactly when f is n distinct linear factors mod p,
+    for every monic f of degree n <= 3 over F_p, p <= 7, squarefree or not."""
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for low in itertools.product(range(p), repeat=n):
+                f = [*low, 1]
+                assert splits_completely(f, p) == (factor_pattern(f, p) == [(1, 1)] * n), (f, p)
+
+
+# A 6 x 6 matrix whose characteristic polynomial splits first at p = 12653.
+LATE_SPLIT_6X6 = [[-14, 5, 6, -12, 7, -12], [-14, 5, 0, -1, 8, 13], [-13, 5, -15, 7, 2, -11],
+                  [4, 11, 14, -13, -10, 4], [5, 14, -7, 14, 11, 13], [5, -1, 0, 7, -15, 10]]
+
+
+def test_split_scan_tests_each_unskipped_prime_once(monkeypatch):
+    C = spectral_curve(q_higgs(LATE_SPLIT_6X6))
+    tried = []
+
+    def counting(f, p):
+        tried.append(p)
+        return finitefield.splits_completely(f, p)
+
+    monkeypatch.setattr(curve, "splits_completely", counting)
+    monkeypatch.setattr(curve, "factor_pattern", None)      # the scan factors nothing
+    assert smallest_split_prime(C) == 12653
+    # the 1512 primes up to 12653, less 5, 17 and 61, which divide the discriminant
+    assert [p for p in (5, 17, 61) if C.disc.a.numerator % p == 0] == [5, 17, 61]
+    assert len(tried) == 1509 and len(set(tried)) == 1509 and tried[-1] == 12653
+    assert all(is_prime(p) and p not in (5, 17, 61) for p in tried)
 
 
 def _tuple_count_check(C, p):

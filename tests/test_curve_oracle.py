@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from arithcurves.arakelov import FractionalIdeal, NumberField  # noqa: E402
 from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E402
-                               higgs_field, poly_discriminant, ramified_primes,
+                               characteristic_point, higgs_field, poly_discriminant, ramified_primes,
                                spectral_curve)
 from arithcurves.finitefield import factor_pattern  # noqa: E402
 
@@ -22,6 +22,7 @@ QQ = NumberField(0)
 X = sympy.Symbol("x")
 
 FIELDS = [0, -1, -5, 13]        # Q, Q(i), Q(sqrt(-5)), Q(sqrt(13))
+CURVE_QUADRATIC_FIELDS = [-1, -5, 2, 13]     # the bases of the curve-quadratic benchmark
 PRIMES = [2, 3, 5, 7, 11, 13, 101]
 
 small = st.fractions(min_value=-40, max_value=40, max_denominator=6)
@@ -164,3 +165,17 @@ def test_ideal_norms_are_multiplicative(data, d):
     if K.degree == 2:                           # times the Galois conjugate a + b w'
         norm = sympy.expand(norm * _sympy_element(K, x.conj()))
     assert FractionalIdeal.principal(x).norm() == abs(norm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.sampled_from(CURVE_QUADRATIC_FIELDS), n=st.integers(1, 4))
+def test_certificates_are_coordinates_over_the_twist_powers(data, d, n):
+    K = NumberField(d)
+    twist = data.draw(_ideals(K))
+    u, v = twist.basis_elements()
+    entry = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda c: c[0] * u + c[1] * v)
+    rows = st.lists(entry, min_size=n, max_size=n)
+    cert = characteristic_point(higgs_field(K, data.draw(st.lists(rows, min_size=n, max_size=n)),
+                                            twist=twist))
+    for k, (c, coords) in enumerate(zip(cert.values, cert.power_coords), start=1):
+        assert coords == twist.power(k).membership_coords(c)
