@@ -407,11 +407,6 @@ class FractionalIdeal(NamedTuple):
         return [[rat_str(x) for x in row] for row in self.rows]
 
 
-def ideal_norm(K: NumberField, I: FractionalIdeal) -> Fraction:
-    """Multiplicative ideal norm; N(x O_F) = |N(x)|."""
-    return I.norm()
-
-
 # ---------------------------------------------------------------------------
 # Metrized line bundles
 

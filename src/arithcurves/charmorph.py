@@ -12,9 +12,9 @@ Supported torus realizations:
 * G2: intrinsic coordinates (c1, c2) on the plane spanned by b1 = (1,-1,0)
   and b2 = (1,1,-2); invariants of degrees 2 and 6.
 
-chi on all of gl_n is the characteristic polynomial map, `linalg.chi_gl`
-(re-exported here), computed exactly and without division by Berkowitz's
-algorithm on integer pairs.
+chi on all of gl_n is the characteristic polynomial map, `linalg.chi_gl`,
+computed exactly and without division by Berkowitz's algorithm on integer
+pairs.
 
 W enters only through its simple reflections, as matrices on a realization's
 coordinates: W is generated by them, so invariance under them is invariance
@@ -152,11 +152,3 @@ def reynolds_symmetrize(t, exponents) -> Poly:
         total = total + p
     return total.scale(Fraction(1, len(orbit)))
 
-
-def __getattr__(name: str):
-    # chi on gl_n lives in linalg; it resolves here on first use, so the torus
-    # verbs that load this module do not load linalg
-    if name == "chi_gl":
-        from .linalg import chi_gl
-        return chi_gl
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

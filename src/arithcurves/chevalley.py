@@ -1,15 +1,15 @@
 """Integral Chevalley bases with integer structure constants.
 
 The basis of [g,g] is {x_a : a in Phi} u {h_i : simple i}; a reductive g adds
-an abelian center with a unimodular integer basis, of rank at most
-MAX_CENTER_RANK.  Signs are resolved by the extraspecial-pair convention:
-positive roots are ordered by height then colexicographically on simple-root
-coefficients, the minimal decomposition of each non-simple positive root gets
-constant +(l+1), and every remaining constant is forced from those seeds
-through Jacobi-derived reduction rules.  With this ordering the type-A tables
-coincide with the elementary-matrix realization of gl_n, which
-`gl_realization` exposes for cross-checking.  All of it runs on the integer
-root vectors of `rootsys`, and `verify_chevalley` brackets on ints.
+an abelian center of rank c at most MAX_CENTER_RANK with basis z_1, ..., z_c.
+Signs are resolved by the extraspecial-pair convention: positive roots are
+ordered by height then colexicographically on simple-root coefficients, the
+minimal decomposition of each non-simple positive root gets constant +(l+1),
+and every remaining constant is forced from those seeds through Jacobi-derived
+reduction rules.  With this ordering the type-A tables coincide with the
+elementary-matrix realization of gl_n, which `gl_realization` exposes for
+cross-checking.  All of it runs on the integer root vectors of `rootsys`, and
+`verify_chevalley` brackets on ints.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class IntegralLieAlgebra(NamedTuple):
     basis: tuple[BasisVector, ...]
     # (i, j) -> ((k, c), ...) meaning [b_i, b_j] = sum c * b_k, all c integers
     table: dict[tuple[int, int], tuple[tuple[int, int], ...]]
-    center_basis: tuple[tuple[int, ...], ...] = ()     # () for the standard basis
 
     @property
     def dim(self) -> int:
@@ -130,20 +129,12 @@ def structure_constants(rs: RootSystem) -> dict[tuple[Vector, Vector], int]:
     return table
 
 
-def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
-                          center_basis: tuple[tuple[int, ...], ...] | None = None
-                          ) -> IntegralLieAlgebra:
+def build_chevalley_basis(rs: RootSystem, center_rank: int = 0) -> IntegralLieAlgebra:
     """Chevalley basis of [g,g] extended by an abelian center of the given rank."""
     if center_rank < 0:
         raise DimensionMismatch(f"center rank must be >= 0, got {center_rank}")
     if center_rank > MAX_CENTER_RANK:
         raise DimensionMismatch(f"center rank {center_rank} exceeds the limit {MAX_CENTER_RANK}")
-    if center_basis is not None:
-        from .linalg import det
-        center_basis = tuple(tuple(int(x) for x in row) for row in center_basis)
-        d = det(center_basis)
-        if abs(d) != 1:
-            raise ValueError(f"center basis must be unimodular, det = {d}")
 
     nroots, rank = len(rs.roots), rs.rank
     basis = tuple([BasisVector("x", i) for i in range(nroots)]
@@ -177,8 +168,7 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0,
     for (a, b), v in consts.items():
         assert v == -consts[(vneg(a), vneg(b))]
 
-    return IntegralLieAlgebra(rs=rs, center_rank=center_rank, basis=basis,
-                              table=table, center_basis=center_basis or ())
+    return IntegralLieAlgebra(rs=rs, center_rank=center_rank, basis=basis, table=table)
 
 
 # ---------------------------------------------------------------------------

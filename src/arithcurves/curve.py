@@ -7,8 +7,9 @@ the spectral curve is the rank-n algebra O_F[l]/(p(l)) for the monic
 characteristic polynomial p, and the cameral curve imposes e_k(l_1..l_n) = c_k,
 a cover of generic degree n!.
 
-Fiber analysis works over the base Q: factorization shapes of p mod a prime
-come from the squarefree/distinct-degree machinery, ramified primes are the
+Fiber analysis works over the base Q: factorization shapes of p mod a prime q
+come from one distinct-degree pass in `finitefield` (gcd(p, x^(q^d) - x) for
+d = 1, 2, ..., which also counts multiplicities), ramified primes are the
 prime divisors of the discriminant (found by trial division up to the fiber
 bound, at most MAX_FIBER_BOUND), rational cameral points are Hensel lifts of
 the roots mod the least prime where p stays squarefree, and covering degrees

@@ -1,11 +1,16 @@
 """Univariate polynomial arithmetic over F_p: factorization patterns and roots.
 
 Polynomials are lists of ints in [0, p), lowest degree first, no trailing
-zeros.  The ramification analysis only needs the shape of a factorization
-(degree, multiplicity), so distinct-degree factorization suffices and no
-equal-degree splitting is performed; root extraction is a direct scan, used
-only at small primes: the least completely split prime of a covering-degree
-check, and the least prime where a rational-root search stays squarefree.
+zeros.  Every division is by a monic polynomial, so none needs an inverse.
+The ramification analysis only needs the shape of a factorization (degree,
+multiplicity), which one distinct-degree pass gives in every characteristic:
+with the factors of degree below d removed, gcd(f, x^(p^d) - x) is the
+product of the distinct irreducible factors of degree d, and dividing it out
+and taking the gcd again peels their multiplicities one at a time.  No
+squarefree decomposition or equal-degree splitting is performed.  Root
+extraction is a direct scan, used only at small primes: the least completely
+split prime of a covering-degree check, and the least prime where a
+rational-root search stays squarefree.
 """
 
 from __future__ import annotations
@@ -45,10 +50,13 @@ def deg(f: list[int]) -> int:
     return len(f) - 1
 
 
-def sub(f, g, p):
-    n = max(len(f), len(g))
-    return trim([((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-                 for i in range(n)])
+def monic(f, p):
+    """f reduced mod p and scaled to leading coefficient 1 ([] for f = 0)."""
+    f = trim([c % p for c in f])
+    if not f:
+        return f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
 
 
 def mul(f, g, p):
@@ -62,132 +70,80 @@ def mul(f, g, p):
     return trim(out)
 
 
-def divmod_poly(f, g, p):
-    g = trim([c % p for c in g])
-    assert g, "division by zero polynomial"
-    r = trim([c % p for c in f])
-    inv = pow(g[-1], p - 2, p)
-    q = [0] * max(0, len(r) - len(g) + 1)
-    while len(r) >= len(g):
-        c = r[-1] * inv % p
+def divmod_monic(f, g, p):
+    """Quotient and remainder of reduced f by monic g over F_p."""
+    n = deg(g)
+    r = list(f)
+    q = [0] * max(0, len(r) - n)
+    for k in range(len(r) - n - 1, -1, -1):
+        c = r[k + n]
         if c:
-            k = len(r) - len(g)
             q[k] = c
-            for i, b in enumerate(g):
-                r[k + i] = (r[k + i] - c * b) % p
-        r.pop()  # leading coefficient is now zero
-    return trim(q), trim(r)
-
-
-def mod_poly(f, g, p):
-    return divmod_poly(f, g, p)[1]
-
-
-def monic(f, p):
-    if not f:
-        return []
-    inv = pow(f[-1], p - 2, p)
-    return [c * inv % p for c in f]
+            for i in range(n):
+                r[k + i] = (r[k + i] - c * g[i]) % p
+    return trim(q), trim(r[:n])
 
 
 def gcd(f, g, p):
-    f, g = trim(list(f)), trim(list(g))
+    """Monic gcd of f and g over F_p."""
+    f, g = monic(f, p), monic(g, p)
     while g:
-        f, g = g, mod_poly(f, g, p)
-    return monic(f, p)
-
-
-def derivative(f, p):
-    return trim([(i * c) % p for i, c in enumerate(f)][1:])
+        f, g = g, monic(divmod_monic(f, g, p)[1], p)
+    return f
 
 
 def powmod(base, e: int, f, p):
-    """base^e mod f over F_p."""
+    """base^e mod monic f over F_p."""
     result = [1]
-    base = mod_poly(base, f, p)
+    base = divmod_monic(base, f, p)[1]
     while e:
         if e & 1:
-            result = mod_poly(mul(result, base, p), f, p)
-        base = mod_poly(mul(base, base, p), f, p)
+            result = divmod_monic(mul(result, base, p), f, p)[1]
+        base = divmod_monic(mul(base, base, p), f, p)[1]
         e >>= 1
     return result
 
 
-def squarefree_decomposition(f, p) -> list[tuple[tuple[int, ...], int]]:
-    """Monic squarefree parts with multiplicities, valid in characteristic p."""
-    f = monic(trim(list(f)), p)
-    out: dict[tuple[int, ...], int] = {}
-
-    def accumulate(f, mult_scale):
-        if deg(f) < 1:
-            return
-        fp = derivative(f, p)
-        if not fp:
-            # f = v(x^p) = v~(x)^p since Frobenius fixes F_p
-            v = [f[i] for i in range(0, len(f), p)]
-            accumulate(trim(v), mult_scale * p)
-            return
-        c = gcd(f, fp, p)
-        w = divmod_poly(f, c, p)[0]
-        i = 1
-        while deg(w) >= 1:
-            y = gcd(w, c, p)
-            z = divmod_poly(w, y, p)[0]
-            if deg(z) >= 1:
-                key = tuple(monic(z, p))
-                out[key] = out.get(key, 0) + i * mult_scale
-            w = y
-            c = divmod_poly(c, y, p)[0]
-            i += 1
-        if deg(c) >= 1:
-            v = [c[i] for i in range(0, len(c), p)]
-            accumulate(trim(v), mult_scale * p)
-
-    accumulate(f, 1)
-    return sorted(out.items())
-
-
-def distinct_degree_pattern(g, p) -> list[tuple[int, int]]:
-    """(degree, count) pairs of the irreducible factors of squarefree monic g."""
-    g = monic(trim(list(g)), p)
-    out = []
-    h = [0, 1]  # x, raised to successive Frobenius powers mod g
-    d = 0
-    while deg(g) >= 1:
-        d += 1
-        if deg(g) < 2 * d:
-            out.append((deg(g), 1))
-            break
-        h = powmod(h, p, g, p)
-        gd = gcd(g, sub(h, [0, 1], p), p)
-        if deg(gd) >= 1:
-            out.append((d, deg(gd) // d))
-            g = divmod_poly(g, gd, p)[0]
-            h = mod_poly(h, g, p)
-    return out
-
-
 def factor_pattern(f, p) -> list[tuple[int, int]]:
     """Sorted (degree, multiplicity) shape of the factorization of f mod p."""
+    f = monic(f, p)
     shape: list[tuple[int, int]] = []
-    for sq, e in squarefree_decomposition(f, p):
-        for d, cnt in distinct_degree_pattern(list(sq), p):
-            shape.extend([(d, e)] * cnt)
+    h = [0, 1]  # x^(p^d) modulo a multiple of f
+    d = 0
+    while deg(f) >= 1:
+        d += 1
+        if deg(f) < 2 * d:  # every factor left has degree >= d: f is irreducible
+            shape.append((deg(f), 1))
+            break
+        h = powmod(h, p, f, p)
+        hx = h + [0] * (2 - len(h))
+        hx[1] -= 1
+        g = gcd(f, hx, p)
+        e = 0
+        while deg(g) >= 1:
+            # g: the distinct degree-d factors of multiplicity > e
+            e += 1
+            f = divmod_monic(f, g, p)[0]
+            rest = gcd(f, g, p)
+            shape.extend([(d, e)] * ((len(g) - len(rest)) // d))
+            g = rest
     return sorted(shape)
 
 
 def splits_completely(f, p) -> bool:
-    """Whether monic f is a product of distinct linear factors over F_p.
+    """Whether f is a nonzero constant times distinct linear factors over F_p.
 
     x^p - x is the product of x - a over all a in F_p, so this holds exactly
     when f divides it: one powmod, where factor_pattern runs the whole
     distinct-degree factorization.
     """
-    return powmod([0, 1], p, f, p) == mod_poly([0, 1], f, p)
+    f = monic(f, p)
+    return powmod([0, 1], p, f, p) == divmod_monic([0, 1], f, p)[1]
 
 
 def is_squarefree(f, p) -> bool:
-    fp = derivative(f, p)
+    f = monic(f, p)
+    fp = trim([i * c % p for i, c in enumerate(f)][1:])
     return bool(fp) and deg(gcd(f, fp, p)) == 0
 
 

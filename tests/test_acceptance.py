@@ -18,11 +18,12 @@ import numpy as np
 from arithcurves.arakelov import (FractionalIdeal, MetrizedLineBundle, NumberField,
                                   arithmetic_degree)
 from arithcurves.chevalley import build_chevalley_basis, verify_chevalley
-from arithcurves.charmorph import chi_gl, chi_torus
+from arithcurves.charmorph import chi_torus
 from arithcurves.curve import (cameral_curve, characteristic_point,
                                covering_degree_check, fiber, higgs_field,
                                ramified_primes, spectral_curve)
 from arithcurves.finitefield import is_prime
+from arithcurves.linalg import chi_gl
 from arithcurves.rootsys import ROOT_COUNT, build_root_system, root_string, vadd
 from arithcurves.torsor import (act, canonical_form, verify_compatibility,
                                 witnessed_metric)

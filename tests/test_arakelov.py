@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from arithcurves.arakelov import (FieldElement, FractionalIdeal, MetrizedLineBundle,
-                                  NumberField, _is_squarefree, arithmetic_degree, ideal_norm,
+                                  NumberField, _is_squarefree, arithmetic_degree,
                                   parse_element, parse_field)
 from arithcurves.errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
 from arithcurves.finitefield import factor_pattern
@@ -96,15 +96,15 @@ def test_minkowski_examples():
 
 
 def test_ideal_norm_examples():
-    assert ideal_norm(QQ, FractionalIdeal.from_elements(QQ, [QQ.element(2)])) == 2
+    assert FractionalIdeal.from_elements(QQ, [QQ.element(2)]).norm() == 2
     ideal = FractionalIdeal.from_elements(Q5M, [Q5M.element(2), Q5M.element(1, 1)])
-    assert ideal_norm(Q5M, ideal) == 2
+    assert ideal.norm() == 2
     # oracle: index of the generated Z-module via gcd of 2x2 minors
     gens = [Q5M.element(2), Q5M.element(2) * Q5M.omega,
             Q5M.element(1, 1), Q5M.element(1, 1) * Q5M.omega]
     rows = [(int(g.a), int(g.b)) for g in gens]
     assert minor_gcd_index(rows) == 2
-    assert ideal_norm(QI, FractionalIdeal.principal(QI.element(1, 1))) == 2
+    assert FractionalIdeal.principal(QI.element(1, 1)).norm() == 2
 
 
 def test_ideal_norm_multiplicative():

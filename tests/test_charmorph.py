@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from arithcurves import rootsys
-from arithcurves.charmorph import (GL_MAX, chi_gl, chi_torus, fundamental_invariants,
-                                   is_invariant, realization, reynolds_symmetrize)
+from arithcurves.charmorph import (GL_MAX, chi_torus, fundamental_invariants, is_invariant,
+                                   realization, reynolds_symmetrize)
 from arithcurves.errors import DimensionMismatch, NonSquare, UnsupportedType
+from arithcurves.linalg import chi_gl
 from arithcurves.poly import Poly, elementary_symmetric
 from arithcurves.rootsys import ROOT_COUNT, WEYL_ORDER, build_root_system, weyl_group
 

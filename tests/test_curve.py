@@ -15,7 +15,8 @@ from arithcurves.curve import (MAX_CURVE_N, MAX_FIBER_BOUND, cameral_curve,
                                spectral_curve)
 from arithcurves.errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
                                 UnsupportedBase)
-from arithcurves.finitefield import factor_pattern, is_prime, is_squarefree, splits_completely
+from arithcurves.finitefield import (factor_pattern, is_prime, is_squarefree, roots_mod_p,
+                                     splits_completely)
 
 QQ = NumberField(0)
 
@@ -203,6 +204,54 @@ def test_split_criterion_matches_factor_pattern_exhaustively():
             for low in itertools.product(range(p), repeat=n):
                 f = [*low, 1]
                 assert splits_completely(f, p) == (factor_pattern(f, p) == [(1, 1)] * n), (f, p)
+
+
+def _trial_division_pattern(f, p):
+    """Factor shape of monic f over F_p by dividing out every monic g, smallest
+    degree first: each g that divides what is left has no factor of lower
+    degree, so it is irreducible."""
+    shape = []
+    for d in range(1, len(f)):
+        for low in itertools.product(range(p), repeat=d):
+            g = [*low, 1]
+            e = 0
+            while len(f) >= len(g):
+                q, r = [0] * (len(f) - d), list(f)
+                for k in range(len(f) - d - 1, -1, -1):
+                    q[k] = r[k + d]
+                    for i in range(d + 1):
+                        r[k + i] = (r[k + i] - q[k] * g[i]) % p
+                if any(r):
+                    break
+                f, e = q, e + 1
+            if e:
+                shape.append((d, e))
+    return sorted(shape)
+
+
+def test_factor_pattern_matches_trial_division_exhaustively():
+    """Every monic f of degree <= 6 over F_2, <= 4 over F_3, <= 3 over F_5 and F_7,
+    inseparable ones included, against trial division."""
+    assert factor_pattern([1, 0, 0, 0, 1], 2) == [(1, 4)]           # x^4 + 1 = (x + 1)^4
+    assert factor_pattern([2, 0, 0, 1], 3) == [(1, 3)]              # x^3 + 2 = (x + 2)^3
+    count = 0
+    for p, top in ((2, 6), (3, 4), (5, 3), (7, 3)):
+        for n in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=n):
+                f = [*low, 1]
+                want = _trial_division_pattern(f, p)
+                assert factor_pattern(f, p) == want, (f, p)
+                assert is_squarefree(f, p) == all(e == 1 for _, e in want), (f, p)
+                count += 1
+    assert count == 126 + 120 + 155 + 399
+    # a non-monic c * f answers as f does, in every public function
+    f, p = [1, 2, 2, 2, 1], 3                                        # (x + 1)^2 (x^2 + 1)
+    cf = [2 * c % p for c in f]
+    assert factor_pattern(cf, p) == factor_pattern(f, p) == [(1, 2), (2, 1)]
+    assert is_squarefree(cf, p) is is_squarefree(f, p) is False
+    assert roots_mod_p(cf, p) == roots_mod_p(f, p) == [2]
+    f, p = [0, 6, 0, 1], 7                                           # x (x - 1)(x + 1)
+    assert splits_completely([3 * c % p for c in f], p) is splits_completely(f, p) is True
 
 
 # A 6 x 6 matrix whose characteristic polynomial splits first at p = 12653.
