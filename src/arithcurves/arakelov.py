@@ -286,10 +286,12 @@ def parse_element(field: NumberField, s: str) -> FieldElement:
 # Fractional ideals
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), 1 if a >= 0 else -1, 0)
-    g, u, v = _xgcd(b, a % b)
-    return (g, v, u - (a // b) * v)
+    """(g, u, v) with g = gcd(a, b) >= 0 and u a + v b = g, by Euclid's steps in a loop."""
+    u, v, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, u, v, u1, v1 = b, r, u1, v1, u - q * u1, v - q * v1
+    return (a, u, v) if a >= 0 else (-a, -u, -v)
 
 
 def _rat_gcd(values: list[Fraction]) -> Fraction:

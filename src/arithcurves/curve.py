@@ -7,15 +7,18 @@ the spectral curve is the rank-n algebra O_F[l]/(p(l)) for the monic
 characteristic polynomial p, and the cameral curve imposes e_k(l_1..l_n) = c_k,
 a cover of generic degree n!.
 
-Fiber analysis works over the base Q: factorization shapes of p mod a prime q
-come from one distinct-degree pass in `finitefield` (gcd(p, x^(q^d) - x) for
-d = 1, 2, ..., which also counts multiplicities), ramified primes are the
-prime divisors of the discriminant (found by trial division up to the fiber
-bound, at most MAX_FIBER_BOUND), rational cameral points are Hensel lifts of
-the roots mod the least prime where p stays squarefree, and covering degrees
-are checked at the smallest completely split prime: its n distinct roots must
-reproduce the characteristic point, so the cameral fiber there has n! points.
-The discriminant is the Hankel determinant of the power sums of the roots.
+Fiber analysis works over the base Q, where one rule decides good reduction:
+the bad primes of a nondegenerate curve are the prime divisors of
+N = |num(disc)| * den(disc) * den, den the lcm of the coefficient denominators.
+Factorization shapes of p mod a prime q come from one distinct-degree pass in
+`finitefield` (gcd(p, x^(q^d) - x) for d = 1, 2, ..., which also counts
+multiplicities), ramified primes are the prime divisors of N (found by trial
+division up to the fiber bound, at most MAX_FIBER_BOUND), rational cameral
+points are Hensel lifts of the simple roots mod the least good prime, and
+covering degrees are checked at the smallest completely split good prime: its
+n distinct roots must reproduce the characteristic point, so the cameral
+fiber there has n! points.  The discriminant is the Hankel determinant of the
+power sums of the roots.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from typing import NamedTuple
 from .arakelov import FieldElement, FractionalIdeal, NumberField
 from .errors import (MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve,
                      MembershipFailure, UnsupportedBase)
-from .finitefield import (factor_pattern, is_prime, is_squarefree, roots_mod_p,
-                          splits_completely)
+from .finitefield import factor_pattern, is_prime, roots_mod_p, splits_completely
 from .linalg import char_poly, det
 
 
@@ -37,7 +39,6 @@ class HiggsField(NamedTuple):
     field: NumberField
     matrix: tuple[tuple[FieldElement, ...], ...]
     twist: FractionalIdeal
-    entry_membership: tuple[tuple[tuple[int, ...], ...], ...]   # coords in the twist basis
 
     @property
     def n(self) -> int:
@@ -51,23 +52,18 @@ def higgs_field(K: NumberField, entries, twist: FractionalIdeal | None = None) -
     if twist is None:
         twist = FractionalIdeal.ring_of_integers(K)
     mat = []
-    memb = []
     for row in entries:
-        r, m = [], []
+        r = []
         for x in row:
             e = x if isinstance(x, FieldElement) else K.element(Fraction(x))
-            coords = twist.membership_coords(e)
-            if coords is None:
+            if not twist.contains(e):
                 raise MembershipFailure(f"entry {e} is not in the twist ideal")
             r.append(e)
-            m.append(coords)
         mat.append(tuple(r))
-        memb.append(tuple(m))
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ArithCurvesError("Higgs matrix must be square")
-    return HiggsField(field=K, matrix=tuple(mat), twist=twist,
-                      entry_membership=tuple(memb))
+    return HiggsField(field=K, matrix=tuple(mat), twist=twist)
 
 
 class CharPointCertificate(NamedTuple):
@@ -140,6 +136,10 @@ def spectral_curve(phi: HiggsField) -> CharacteristicCurve:
     cert = characteristic_point(phi)
     # p(l) = l^n - c_1 l^{n-1} + c_2 l^{n-2} - ... + (-1)^n c_n
     poly = (phi.field.one, *(c * (-1) ** k for k, c in enumerate(cert.values, start=1)))
+    # A coefficient past the int-to-str limit cannot be emitted: raise its
+    # ArithCurvesError here, before the discriminant, the costliest step.
+    for c in poly:
+        str(c)
     return CharacteristicCurve(kind="spectral", field=phi.field, n=phi.n, poly=poly,
                                certificate=cert, twist=phi.twist,
                                disc=poly_discriminant(poly, phi.field))
@@ -176,6 +176,22 @@ def _reduce_poly(C: CharacteristicCurve, p: int) -> list[int]:
     return [int(c.numerator * pow(c.denominator, -1, p)) % p for c in reversed(coeffs)]
 
 
+def _bad_reduction(C: CharacteristicCurve) -> tuple[int, int]:
+    """(den, N): den the lcm of the coefficient denominators, N = |num(disc)| *
+    den(disc) * den.  The bad primes are the prime divisors of N; at every other
+    prime p_phi reduces to a squarefree polynomial of degree n."""
+    if C.degenerate:
+        raise DegenerateCurve("discriminant vanishes identically")
+    den = math.lcm(*(c.denominator for c in _rational_poly(C)))
+    d = C.disc.a
+    return den, abs(d.numerator) * d.denominator * den
+
+
+def _good_primes(N: int):
+    """The primes not dividing N, in increasing order."""
+    return (p for p in itertools.count(2) if is_prime(p) and N % p)
+
+
 def fiber(C: CharacteristicCurve, p: int) -> list[tuple[int, int]]:
     """(residue degree, multiplicity) shape of p_phi mod p; sum e f = n."""
     if C.kind != "spectral":
@@ -191,21 +207,17 @@ def fiber(C: CharacteristicCurve, p: int) -> list[tuple[int, int]]:
 
 def ramified_primes(C: CharacteristicCurve,
                     bound: int) -> list[tuple[int, list[tuple[int, int]] | None]]:
-    """Primes below the bound dividing the discriminant, with fiber shapes.
+    """Primes below the bound of bad reduction, with fiber shapes.
 
     A prime dividing a coefficient denominator is listed with shape None: p_phi
     has no reduction there, so its fiber is not defined on this presentation.
-    The primes come from trial division of |num(disc)| * den(disc) * den, so
-    the scan stops at min(bound, sqrt of what is left) and tests no candidate
-    for primality; its cost is capped by MAX_FIBER_BOUND.
+    The primes come from trial division of N (see `_bad_reduction`), so the
+    scan stops at min(bound, sqrt of what is left) and tests no candidate for
+    primality; its cost is capped by MAX_FIBER_BOUND.
     """
     if bound > MAX_FIBER_BOUND:
         raise ArithCurvesError(f"fiber bound {bound} exceeds the limit {MAX_FIBER_BOUND}")
-    if C.degenerate:
-        raise DegenerateCurve("discriminant vanishes identically")
-    den = math.lcm(*(c.denominator for c in _rational_poly(C)))
-    d = C.disc.a
-    rest = abs(d.numerator) * d.denominator * den
+    den, rest = _bad_reduction(C)
     primes = []
     p = 2
     while p < bound and p * p <= rest:
@@ -223,28 +235,15 @@ def ramified_primes(C: CharacteristicCurve,
 def smallest_split_prime(C: CharacteristicCurve) -> int:
     """Least prime where p_phi splits into n distinct linear factors.
 
-    The scan skips the primes dividing the discriminant or a coefficient
-    denominator and tests each other prime with one x^p = x (mod p_phi) check.
-    Split primes have density 1/|Gal| >= 1/n! (Chebotarev); the least one is
-    at most d_L^A for the discriminant d_L of the splitting field and an
-    absolute constant A (Lagarias, Montgomery and Odlyzko, 1979), and
-    O((log d_L)^2) under GRH (Lagarias and Odlyzko, 1977).
+    The scan runs over the good primes (see `_bad_reduction`) and tests each
+    with one x^p = x (mod p_phi) check.  Split primes have density
+    1/|Gal| >= 1/n! (Chebotarev); the least one is at most d_L^A for the
+    discriminant d_L of the splitting field and an absolute constant A
+    (Lagarias, Montgomery and Odlyzko, 1979), and O((log d_L)^2) under GRH
+    (Lagarias and Odlyzko, 1977).
     """
-    if C.degenerate:
-        raise DegenerateCurve("discriminant vanishes identically")
-    coeffs = _rational_poly(C)
-    d = C.disc.a
-    p = 1
-    while True:
-        p += 1
-        if not is_prime(p):
-            continue
-        if d.numerator % p == 0 or d.denominator % p == 0:
-            continue
-        if any(c.denominator % p == 0 for c in coeffs):
-            continue
-        if splits_completely(_reduce_poly(C, p), p):
-            return p
+    _, N = _bad_reduction(C)
+    return next(p for p in _good_primes(N) if splits_completely(_reduce_poly(C, p), p))
 
 
 def covering_degree_check(C: CharacteristicCurve) -> bool:
@@ -273,35 +272,22 @@ def cameral_fiber_rational(C: CharacteristicCurve) -> list[tuple[Fraction, ...]]
     """Ordered eigenvalue tuples over Q, or None if p_phi does not split there.
 
     The rational roots r of the monic p_phi are y / den for the integer roots y
-    of g(y) = den^n p_phi(y / den).  They are found p-adically: at the least
-    prime p where the squarefree part of g stays squarefree, its roots mod p
-    are Newton-lifted past twice the Cauchy bound and checked exactly.
+    of g(y) = den^n p_phi(y / den).  At the least good prime p (see
+    `_bad_reduction`), g mod p is squarefree, so every root mod p is simple:
+    each is Newton-lifted past twice the Cauchy bound and checked exactly.
     """
-    f = _rational_poly(C)
-    den = math.lcm(*(c.denominator for c in f))
-    g = [int(c * den ** i) for i, c in enumerate(f)]
-    if not C.disc:
-        g = _squarefree_part(g)
-    roots: list[Fraction] = []
-    for y in _integer_roots(g):
-        r = Fraction(y, den)
-        while len(f) > 1 and _eval_poly(f, r) == 0:
-            roots.append(r)
-            f = _deflate(f, r)
-    if len(f) > 1:
+    den, N = _bad_reduction(C)
+    g = [int(c * den ** i) for i, c in enumerate(_rational_poly(C))]
+    roots = [Fraction(y, den) for y in _integer_roots(g, next(_good_primes(N)))]
+    if len(roots) < C.n:
         return None
-    return sorted(set(itertools.permutations(roots)))
+    return sorted(itertools.permutations(roots))
 
 
-def _integer_roots(g: list[int]) -> list[int]:
-    """Integer roots of a monic squarefree g (highest degree first), by Hensel lifting."""
-    if len(g) < 2:
-        return []
-    p = 2
-    while not (is_prime(p) and is_squarefree([c % p for c in reversed(g)], p)):
-        p += 1
+def _integer_roots(g: list[int], p: int) -> list[int]:
+    """Integer roots of a monic g (highest degree first) squarefree mod p, by Hensel lifting."""
     bound = 2 * (1 + max(abs(c) for c in g))
-    dg = _derivative(g)
+    dg = [c * (len(g) - 1 - i) for i, c in enumerate(g[:-1])]
     out = []
     for r in roots_mod_p([c % p for c in reversed(g)], p):
         m = p
@@ -314,40 +300,8 @@ def _integer_roots(g: list[int]) -> list[int]:
     return out
 
 
-def _squarefree_part(g: list[int]) -> list[int]:
-    """g / gcd(g, g') for a monic integral g, again monic and integral."""
-    a, b = [Fraction(c) for c in g], [Fraction(c) for c in _derivative(g)]
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return [int(c) for c in _divmod(g, [c / a[0] for c in a])[0]]
-
-
-def _divmod(f, g) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder over Q, highest degree first."""
-    q, r = [], [Fraction(c) for c in f]
-    while len(r) >= len(g):
-        c = r[0] / g[0]
-        q.append(c)
-        r = [x - c * y for x, y in zip(r[1:], g[1:])] + r[len(g):]
-    while r and r[0] == 0:
-        r.pop(0)
-    return q, r
-
-
-def _derivative(coeffs) -> list:
-    n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-
-
 def _eval_poly(coeffs, x):
     acc = 0
     for c in coeffs:
         acc = acc * x + c
     return acc
-
-
-def _deflate(coeffs, root: Fraction) -> list[Fraction]:
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + out[-1] * root)
-    return out

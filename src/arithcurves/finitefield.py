@@ -9,8 +9,8 @@ product of the distinct irreducible factors of degree d, and dividing it out
 and taking the gcd again peels their multiplicities one at a time.  No
 squarefree decomposition or equal-degree splitting is performed.  Root
 extraction is a direct scan, used only at small primes: the least completely
-split prime of a covering-degree check, and the least prime where a
-rational-root search stays squarefree.
+split prime of a covering-degree check, and the least prime of good reduction,
+where the rational cameral points are lifted from the simple roots.
 """
 
 from __future__ import annotations
@@ -139,12 +139,6 @@ def splits_completely(f, p) -> bool:
     """
     f = monic(f, p)
     return powmod([0, 1], p, f, p) == divmod_monic([0, 1], f, p)[1]
-
-
-def is_squarefree(f, p) -> bool:
-    f = monic(f, p)
-    fp = trim([i * c % p for i, c in enumerate(f)][1:])
-    return bool(fp) and deg(gcd(f, fp, p)) == 0
 
 
 def roots_mod_p(f, p) -> list[int]:

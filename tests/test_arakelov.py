@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from arithcurves.arakelov import (FieldElement, FractionalIdeal, MetrizedLineBundle,
-                                  NumberField, _is_squarefree, arithmetic_degree,
+                                  NumberField, _is_squarefree, _xgcd, arithmetic_degree,
                                   parse_element, parse_field)
 from arithcurves.errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
 from arithcurves.finitefield import factor_pattern
@@ -297,6 +297,24 @@ def test_field_elements_stay_field_elements_under_int_arithmetic():
     assert sum([x, x, x]) == 3 * x
     assert not QQ.zero and not Q5M.zero and Q5M.one and x
     assert str(x) == "1/2 + 3*w"
+
+
+def _xgcd_recursive(a, b):
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, u, v = _xgcd_recursive(b, a % b)
+    return (g, v, u - (a // b) * v)
+
+
+def test_xgcd_matches_the_recursive_euclid():
+    """The same (g, u, v) as Euclid written recursively, signs and zeros included."""
+    rng = random.Random(288)
+    for _ in range(3000):
+        a, b = (rng.choice([0, rng.randint(-50, 50), rng.randint(-10 ** 40, 10 ** 40)])
+                for _ in range(2))
+        g, u, v = _xgcd(a, b)
+        assert (g, u, v) == _xgcd_recursive(a, b), (a, b)
+        assert g == math.gcd(a, b) and u * a + v * b == g
 
 
 def test_is_squarefree_matches_trial_division_by_squares():

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 import textwrap
@@ -223,6 +224,15 @@ def test_degree_verb():
     assert abs(float(doc["degree"]) + 0.6931471805599453) < 1e-9
 
 
+def test_degree_with_4000_digit_generators():
+    """The ideal's HNF runs extended Euclid over thousands of steps, in a loop."""
+    rng = random.Random(4000)
+    a, b, c = (rng.randrange(10 ** 3999, 10 ** 4000) for _ in range(3))
+    doc = invoke_json("degree", "--field", "Q(sqrt(-5))",
+                      "--ideal", json.dumps([f"{a} + {b}*w", c]), "--metrics", '["1"]')
+    assert doc["kind"] == "degree" and len(doc["ideal_hnf"]) == 2
+
+
 def test_curve_verb_and_domain_error():
     doc = invoke_json("curve", "--matrix", '[["0","1"],["2","0"]]',
                       "--field", "Q", "--fibers", "100")
@@ -349,6 +359,22 @@ def test_result_above_the_output_digit_limit_is_a_domain_error(verb):
     code, text = invoke(verb, "--matrix", json.dumps(matrix))
     assert code == 1
     assert str(sys.get_int_max_str_digits()) in json.loads(text)["error"]["message"]
+
+
+def test_unprintable_characteristic_polynomial_fails_before_the_discriminant(monkeypatch):
+    """A 6 x 6 matrix of 4000-digit integers: its coefficients cannot print, so the
+    discriminant, whose Hankel determinant dominates the cost, is never taken."""
+    def refuse(poly, K):
+        raise AssertionError("poly_discriminant was called")
+
+    monkeypatch.setattr(curve, "poly_discriminant", refuse)
+    rng = random.Random(6)
+    matrix = [[str(rng.randrange(10 ** 3999, 10 ** 4000)) for _ in range(6)] for _ in range(6)]
+    code, text = invoke("curve", "--matrix", json.dumps(matrix))
+    assert code == 1
+    err = json.loads(text)["error"]
+    assert err["type"] == "ArithCurvesError"
+    assert str(sys.get_int_max_str_digits()) in err["message"]
 
 
 def test_json_number_above_the_int_limit_is_a_usage_error(tmp_path, capsys):
