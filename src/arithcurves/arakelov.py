@@ -378,13 +378,6 @@ class FractionalIdeal(NamedTuple):
 
     __add__ = __radd__ = __rmul__ = _not_a_product
 
-    def power(self, k: int) -> "FractionalIdeal":
-        assert k >= 0
-        out = FractionalIdeal.ring_of_integers(self.field)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def membership_coords(self, x: FieldElement) -> tuple[int, ...] | None:
         """Integer coordinates of x over the HNF basis, or None if x not in it."""
         if self.field.degree == 1:

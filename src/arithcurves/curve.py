@@ -18,7 +18,9 @@ points are Hensel lifts of the simple roots mod the least good prime, and
 covering degrees are checked at the smallest completely split good prime: its
 n distinct roots must reproduce the characteristic point, so the cameral
 fiber there has n! points.  The discriminant is the Hankel determinant of the
-power sums of the roots.
+power sums of the roots D l_i of g(y) = det(y I - D M), D the common
+denominator of the entries, taken on the integer pairs of the Berkowitz run
+that gives the characteristic point and divided by D^(n(n-1)).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .arakelov import FieldElement, FractionalIdeal, NumberField
 from .errors import (MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve,
                      MembershipFailure, UnsupportedBase)
 from .finitefield import factor_pattern, is_prime, roots_mod_p, splits_completely
-from .linalg import char_poly, det
+from .linalg import _berkowitz, _dot, descale, integral_char_poly
 
 
 class HiggsField(NamedTuple):
@@ -73,8 +75,12 @@ class CharPointCertificate(NamedTuple):
 
 def characteristic_point(phi: HiggsField) -> CharPointCertificate:
     """chi(phi) with the exact certificate that c_k lies in twist^k."""
-    acs = char_poly(phi.matrix)
-    values = tuple(-a if k % 2 == 1 else a for k, a in enumerate(acs, start=1))
+    return _certify(phi, descale(*integral_char_poly(phi.matrix, phi.field), phi.field))
+
+
+def _certify(phi: HiggsField, coeffs) -> CharPointCertificate:
+    """The certificate for the coefficients of det(l I - phi), c_k = (-1)^k coeffs[k-1]."""
+    values = tuple(-a if k % 2 == 1 else a for k, a in enumerate(coeffs, start=1))
     coords = []
     power = FractionalIdeal.ring_of_integers(phi.field)
     for k, c in enumerate(values, start=1):
@@ -104,45 +110,51 @@ class CharacteristicCurve(NamedTuple):
         return not self.disc and self.n > 1
 
 
-def poly_discriminant(poly, K: NumberField) -> FieldElement:
-    """disc of a monic polynomial; zero iff it has a repeated root.
+def poly_discriminant(g, den: int, K: NumberField) -> FieldElement:
+    """disc(p) for g(y) = D^n p(y / D) on integer pairs, highest degree first, and
+    D = den; zero iff the monic p has a repeated root.
 
-    With s_k the k-th power sum of the roots, disc = prod_{i<j} (l_i - l_j)^2
-    = det(V^T V) = det[s_{i+j}] for the Vandermonde matrix V; Newton's
-    identities give s_1 .. s_{2n-2} from the coefficients without division.
+    With S_k the k-th power sum of the roots D l_i of g, disc(g) = D^(n(n-1)) disc(p)
+    = prod_{i<j} (D l_i - D l_j)^2 = det(V^T V) = det[S_{i+j}] for the Vandermonde V.
     """
-    n = len(poly) - 1
+    n = len(g) - 1
     if n <= 1:
         return K.one
-    s = _power_sums(poly, K, 2 * n - 1)
-    return det([s[i:i + n] for i in range(n)])
+    s, t = K.omega_poly
+    sums = _power_sums(g, 2 * n - 1, s, t)
+    # the constant term of det(y I - H) is (-1)^n det H
+    a, b = _berkowitz([sums[i:i + n] for i in range(n)], s, t)[-1]
+    scale = (-1) ** n * den ** (n * (n - 1))
+    return K.element(Fraction(a, scale), Fraction(b, scale))
 
 
-def _power_sums(poly, K: NumberField, count: int) -> list[FieldElement]:
-    """s_0 .. s_{count-1} of the roots of a monic polynomial, by Newton's identities
-    s_k = -(k c_k + sum_{0<i<k} c_i s_{k-i}) (c_k = 0 for k > n): no division."""
-    n = len(poly) - 1
-    s = [K.element(n)]
+def _power_sums(g, count: int, s: int, t: int) -> list[tuple[int, int]]:
+    """S_0 .. S_{count-1} of the roots of a monic g on integer pairs, by Newton's
+    identities S_k = -(k g_k + sum_{0<i<k} g_i S_{k-i}) (g_k = 0 for k > n): no
+    division, and w^2 = s w + t applied once per S_k."""
+    n = len(g) - 1
+    S = [(n, 0)]
     for k in range(1, count):
-        acc = k * poly[k] if k <= n else K.zero
-        for i in range(1, min(k, n + 1)):
-            acc = acc + poly[i] * s[k - i]
-        s.append(-acc)
-    return s
+        a, b = _dot(g[1:], S[:0:-1], s, t)
+        if k <= n:
+            a, b = a + k * g[k][0], b + k * g[k][1]
+        S.append((-a, -b))
+    return S
 
 
 def spectral_curve(phi: HiggsField) -> CharacteristicCurve:
     """Spec O_F[l]/(p_phi): the degree-n cover cut out by the char polynomial."""
-    cert = characteristic_point(phi)
-    # p(l) = l^n - c_1 l^{n-1} + c_2 l^{n-2} - ... + (-1)^n c_n
-    poly = (phi.field.one, *(c * (-1) ** k for k, c in enumerate(cert.values, start=1)))
+    den, g = integral_char_poly(phi.matrix, phi.field)     # the one Berkowitz run
+    coeffs = descale(den, g, phi.field)
+    cert = _certify(phi, coeffs)
+    poly = (phi.field.one, *coeffs)
     # A coefficient past the int-to-str limit cannot be emitted: raise its
     # ArithCurvesError here, before the discriminant, the costliest step.
     for c in poly:
         str(c)
     return CharacteristicCurve(kind="spectral", field=phi.field, n=phi.n, poly=poly,
                                certificate=cert, twist=phi.twist,
-                               disc=poly_discriminant(poly, phi.field))
+                               disc=poly_discriminant(g, den, phi.field))
 
 
 def cameral_curve(phi: HiggsField) -> CharacteristicCurve:
@@ -152,10 +164,6 @@ def cameral_curve(phi: HiggsField) -> CharacteristicCurve:
     it carries the same data under another kind.
     """
     return spectral_curve(phi)._replace(kind="cameral")
-
-
-def discriminant(phi: HiggsField) -> FieldElement:
-    return spectral_curve(phi).disc
 
 
 # ---------------------------------------------------------------------------

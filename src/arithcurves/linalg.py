@@ -1,9 +1,10 @@
 """Exact linear algebra over Q (ints, Fractions) and quadratic fields (FieldElements).
 
-The characteristic polynomial and the determinant come from one division-free
-routine, Berkowitz's algorithm (Inf. Process. Lett. 18, 1984), on integer pairs
+The characteristic polynomial comes from one division-free routine,
+Berkowitz's algorithm (Inf. Process. Lett. 18, 1984), on integer pairs
 (a, b) = a + b w with w^2 = s w + t, after scaling the matrix by the common
 denominator D of its entries: that multiplies the k-th coefficient by D^k.
+`curve` also takes the discriminant from those pairs (`integral_char_poly`).
 
 chi on gl_n, the characteristic morphism on all n x n matrices, is the
 coefficient tuple of that polynomial.  Its cost grows with n and with the
@@ -53,6 +54,22 @@ def _berkowitz(m, s: int, t: int) -> list[tuple[int, int]]:
     return p
 
 
+def integral_char_poly(matrix, field) -> tuple[int, list[tuple[int, int]]]:
+    """(D, g): D the common denominator of the entries (ints, Fractions or
+    FieldElements of `field`), g = det(y I - D M) on integer pairs, highest first."""
+    pairs = [[(x.a, x.b) if hasattr(x, "field") else (x, 0) for x in row] for row in matrix]
+    den = math.lcm(*(c.denominator for row in pairs for x in row for c in x))
+    scaled = [[(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+               for a, b in row] for row in pairs]
+    return den, _berkowitz(scaled, *(field.omega_poly if field else (0, 0)))
+
+
+def descale(den: int, g, field) -> list:
+    """[g_1 / D, ..., g_n / D^n]: FieldElements of `field`, or Fractions for None."""
+    return [field.element(Fraction(a, den ** k), Fraction(b, den ** k)) if field
+            else Fraction(a, den ** k) for k, (a, b) in enumerate(g[1:], start=1)]
+
+
 def char_poly(matrix) -> list:
     """[c_1, ..., c_n] with det(l I - M) = l^n + c_1 l^{n-1} + ... + c_n.
 
@@ -63,25 +80,7 @@ def char_poly(matrix) -> list:
     if len(fields) > 1:
         raise ArithCurvesError("field elements from different fields")
     field = fields.pop() if fields else None
-    pairs = [[(x.a, x.b) if hasattr(x, "field") else (x, 0) for x in row] for row in matrix]
-    den = math.lcm(*(c.denominator for row in pairs for x in row for c in x))
-    scaled = [[(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-               for a, b in row] for row in pairs]
-    s, t = field.omega_poly if field else (0, 0)
-    out, scale = [], 1
-    for a, b in _berkowitz(scaled, s, t)[1:]:
-        scale *= den
-        out.append(field.element(Fraction(a, scale), Fraction(b, scale)) if field
-                   else Fraction(a, scale))
-    return out
-
-
-def det(matrix):
-    """Determinant of a square matrix, (-1)^n c_n; 1 for the empty matrix."""
-    if not matrix:
-        return 1
-    c = char_poly(matrix)[-1]
-    return -c if len(matrix) % 2 else c
+    return descale(*integral_char_poly(matrix, field), field)
 
 
 def coefficient_digits(n: int, entry_bound: int) -> int:

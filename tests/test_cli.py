@@ -252,8 +252,9 @@ def test_curve_verb_and_domain_error():
 @pytest.mark.parametrize("extra", [[], ["--cameral"], ["--cameral", "--fibers", "30"]])
 def test_curve_computes_the_characteristic_polynomial_once(monkeypatch, extra):
     calls = []
-    char_poly = curve.char_poly
-    monkeypatch.setattr(curve, "char_poly", lambda a: calls.append(a) or char_poly(a))
+    integral_char_poly = curve.integral_char_poly
+    monkeypatch.setattr(curve, "integral_char_poly",
+                        lambda *a: calls.append(a) or integral_char_poly(*a))
     invoke_json("curve", "--matrix", '[["1","2"],["3","4"]]', *extra)
     assert len(calls) == 1
 
@@ -364,7 +365,7 @@ def test_result_above_the_output_digit_limit_is_a_domain_error(verb):
 def test_unprintable_characteristic_polynomial_fails_before_the_discriminant(monkeypatch):
     """A 6 x 6 matrix of 4000-digit integers: its coefficients cannot print, so the
     discriminant, whose Hankel determinant dominates the cost, is never taken."""
-    def refuse(poly, K):
+    def refuse(g, den, K):
         raise AssertionError("poly_discriminant was called")
 
     monkeypatch.setattr(curve, "poly_discriminant", refuse)

@@ -10,12 +10,13 @@ from arithcurves import curve, finitefield
 from arithcurves.arakelov import FractionalIdeal, NumberField
 from arithcurves.curve import (MAX_CURVE_N, MAX_FIBER_BOUND, cameral_curve,
                                cameral_fiber_rational, characteristic_point,
-                               covering_degree_check, discriminant, fiber, higgs_field,
+                               covering_degree_check, fiber, higgs_field,
                                poly_discriminant, ramified_primes, smallest_split_prime,
                                spectral_curve)
 from arithcurves.errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
                                 UnsupportedBase)
 from arithcurves.finitefield import factor_pattern, is_prime, roots_mod_p, splits_completely
+from helpers import ideal_power, integral_pairs
 
 QQ = NumberField(0)
 
@@ -38,7 +39,7 @@ def test_twisted_membership_certificates():
     assert [v.a for v in cert.values] == [4, 0]
     # coordinates over the basis of (2)^k reconstruct the coefficient
     for k, (v, coords) in enumerate(zip(cert.values, cert.power_coords), start=1):
-        basis = phi.twist.power(k).basis_elements()
+        basis = ideal_power(phi.twist, k).basis_elements()
         assert sum((b * c for b, c in zip(basis, coords)), QQ.zero) == v
     with pytest.raises(MembershipFailure):
         q_higgs([[1, 0], [0, 0]], twist=two)
@@ -78,7 +79,7 @@ def test_discriminant_formulas():
         C = spectral_curve(q_higgs([[d[0], 0, 0], [0, d[1], 0], [0, 0, d[2]]]))
         want = Fraction((d[0] - d[1]) ** 2 * (d[0] - d[2]) ** 2 * (d[1] - d[2]) ** 2)
         assert C.disc.a == want
-    assert discriminant(q_higgs([[5]])).a == 1          # n = 1 convention
+    assert spectral_curve(q_higgs([[5]])).disc.a == 1   # n = 1 convention
 
 
 def test_conjugation_invariance_over_integers():
@@ -333,29 +334,54 @@ def test_discriminant_is_the_product_of_squared_root_differences(d):
                 poly = [a - r * b for a, b in zip(poly + [K.zero], [K.zero] + poly)]
             want = functools.reduce(lambda acc, ij: acc * (ij[0] - ij[1]) * (ij[0] - ij[1]),
                                     itertools.combinations(roots, 2), K.one)
-            assert poly_discriminant(poly, K) == want
+            assert poly_discriminant(*integral_pairs(poly), K) == want
 
 
 def test_power_sums_of_known_roots():
-    """Newton's identities in poly_discriminant: s_k of a polynomial built from its
-    roots is the sum of their k-th powers, over Q and over Q(sqrt(-5))."""
+    """Newton's identities in poly_discriminant: S_k of g(y) = D^n p(y / D), built
+    from the roots D l_i on integer pairs, is the sum of their k-th powers, over Q
+    and over Q(sqrt(-5))."""
     for d in (0, -5):
         K = NumberField(d)
+        s, t = K.omega_poly
         rng = random.Random(100 + d)
         for n in range(MAX_CURVE_N + 1):
             roots = [K.element(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
                                rng.randint(-3, 3) if d else 0) for _ in range(n)]
+            den = math.lcm(*(r.a.denominator for r in roots))
+            roots = [r * den for r in roots]                # the roots D l_i of g
             poly = [K.one]
             for r in roots:
                 poly = [a - r * b for a, b in zip(poly + [K.zero], [K.zero] + poly)]
+            g, one = integral_pairs(poly)
+            assert one == 1
             powers, want = [K.one] * n, []
             for _ in range(2 * n + 2):
                 want.append(sum(powers, K.zero))
                 powers = [x * r for x, r in zip(powers, roots)]
-            assert curve._power_sums(poly, K, 2 * n + 2) == want
-    # roots 1, 2, 3: e = (6, 11, 6) and s_0 .. s_3 = (3, 6, 14, 36)
-    poly = [QQ.element(c) for c in (1, -6, 11, -6)]
-    assert [s.a for s in curve._power_sums(poly, QQ, 4)] == [3, 6, 14, 36]
+            assert curve._power_sums(g, 2 * n + 2, s, t) == [(x.a, x.b) for x in want]
+    # roots 1, 2, 3: e = (6, 11, 6) and S_0 .. S_3 = (3, 6, 14, 36)
+    g = [(1, 0), (-6, 0), (11, 0), (-6, 0)]
+    assert [a for a, _ in curve._power_sums(g, 4, 0, 0)] == [3, 6, 14, 36]
+
+
+def test_discriminant_closed_forms_exhaustively():
+    """Every monic quadratic and cubic over Q with integer coefficients in [-4, 4],
+    and every monic quadratic with coefficient pairs in [-2, 2] over the four
+    quadratic bases of the curve-quadratic benchmark."""
+    r = range(-4, 5)
+    for b, c in itertools.product(r, r):
+        assert poly_discriminant([(1, 0), (b, 0), (c, 0)], 1, QQ).a == b * b - 4 * c
+    for b, c, d in itertools.product(r, r, r):
+        want = b * b * c * c - 4 * c ** 3 - 4 * b ** 3 * d - 27 * d * d + 18 * b * c * d
+        assert poly_discriminant([(1, 0), (b, 0), (c, 0), (d, 0)], 1, QQ).a == want
+    r = range(-2, 3)
+    for d in (-1, -5, 2, 13):
+        K = NumberField(d)
+        for b0, b1, c0, c1 in itertools.product(r, r, r, r):
+            b, c = K.element(b0, b1), K.element(c0, c1)
+            got = poly_discriminant([(1, 0), (b0, b1), (c0, c1)], 1, K)
+            assert got == b * b - 4 * c
 
 
 def test_cameral_examples():

@@ -12,6 +12,7 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from arithcurves.arakelov import FractionalIdeal, NumberField  # noqa: E402
 from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E402
@@ -19,6 +20,7 @@ from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E
                                spectral_curve)
 from arithcurves.errors import DegenerateCurve  # noqa: E402
 from arithcurves.finitefield import factor_pattern  # noqa: E402
+from helpers import ideal_power, integral_pairs  # noqa: E402
 
 QQ = NumberField(0)
 X = sympy.Symbol("x")
@@ -138,8 +140,29 @@ def test_poly_discriminant_matches_sympy(data, d, n):
     dom, w = _domain(d)
     want = sympy.Poly([dom.convert(_rational(c.a)) + dom.convert(_rational(c.b)) * w
                        for c in poly], X, domain=dom).discriminant()
-    got = poly_discriminant(poly, K)
+    got = poly_discriminant(*integral_pairs(poly), K)
     assert sympy.expand(_sympy_element(K, got) - want) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), d=st.sampled_from(FIELDS), n=st.integers(1, 4),
+       den=st.integers(1, 10 ** 40))
+def test_curve_discriminant_with_a_large_matrix_denominator(data, d, n, den):
+    """M / D twisted by (1 / D), D up to 10^40: the curve divides the Hankel
+    determinant of g(y) = det(y I - M) by D^(n(n-1))."""
+    K = NumberField(d)
+    pair = st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-9, 9) if d else st.just(0))
+    rows = data.draw(st.lists(st.lists(pair, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):      # a repeated row: a singular matrix
+        rows[-1] = rows[0]
+    mat = [[K.element(Fraction(a, den), Fraction(b, den)) for a, b in row] for row in rows]
+    C = spectral_curve(higgs_field(K, mat, twist=FractionalIdeal.from_elements(
+        K, [K.element(Fraction(1, den))])))
+    dom, w = _domain(d)
+    sym = DomainMatrix([[dom.convert(_rational(x.a)) + dom.convert(_rational(x.b)) * w
+                         for x in row] for row in mat], (n, n), dom)
+    want = sympy.Poly(sym.charpoly(), X, domain=dom).discriminant()
+    assert sympy.expand(_sympy_element(K, C.disc) - want) == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,4 +205,4 @@ def test_certificates_are_coordinates_over_the_twist_powers(data, d, n):
     cert = characteristic_point(higgs_field(K, data.draw(st.lists(rows, min_size=n, max_size=n)),
                                             twist=twist))
     for k, (c, coords) in enumerate(zip(cert.values, cert.power_coords), start=1):
-        assert coords == twist.power(k).membership_coords(c)
+        assert coords == ideal_power(twist, k).membership_coords(c)
