@@ -18,13 +18,14 @@ it.  Tuple arithmetic and ordering, which mean nothing here, raise TypeError.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
-from .jsonutil import parse_rational, rat_str
+from .jsonutil import _rational, _text, parse_rational, rat_str
 
 
 def _is_squarefree(n: int) -> bool:
@@ -400,6 +401,28 @@ class FractionalIdeal(NamedTuple):
 
     def hnf_strings(self) -> list[list[str]]:
         return [[rat_str(x) for x in row] for row in self.rows]
+
+
+# readers of the fields and ideals in CLI documents (see `jsonutil`)
+
+def read_field(value, key: str) -> NumberField:
+    return parse_field(_text(value, key))
+
+
+def read_ideal(spec, key: str, K: NumberField) -> FractionalIdeal:
+    """Generator strings, or HNF rows (lists) emitted by the CLI."""
+    if not isinstance(spec, list):
+        raise MalformedInput(f"an ideal must be a JSON list of generators, got {json.dumps(spec)}")
+    elements = []
+    for item in spec:
+        if isinstance(item, list):
+            if len(item) != K.degree:
+                raise MalformedInput(f"HNF rows over {K.name} must have length {K.degree}, "
+                                     f"got {json.dumps(item)}")
+            elements.append(K.element(*(_rational(x, key) for x in item)))
+        else:
+            elements.append(parse_element(K, str(item)))
+    return FractionalIdeal.from_elements(K, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ chi on all of gl_n is the characteristic polynomial map, `linalg.chi_gl`,
 computed exactly and without division by Berkowitz's algorithm on integer
 pairs.
 
-W enters only through its simple reflections, as matrices on a realization's
-coordinates: W is generated by them, so invariance under them is invariance
-under W, and the mean of a monomial over W is its mean over the orbit that they
-close, by orbit-stabilizer.  No element of W is enumerated.
+The invariants are written down per type, and `chi_torus` only evaluates them,
+so no element of W is enumerated.  Their W-invariance is checked in the tests,
+on W's simple reflections and on every element of W.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import NamedTuple
 
 from .errors import DimensionMismatch, UnsupportedType
 from .poly import Poly, elementary_symmetric
-from .rootsys import CartanType, build_root_system, reflect
+from .rootsys import CartanType
 
 CharPoint = tuple[Fraction, ...]
 
@@ -55,22 +54,6 @@ def _normalize_token(t) -> str:
     if s.lower().startswith("gl"):
         return "gl" + s[2:]
     return s.upper()
-
-
-def _simple_reflections(real: TorusRealization) -> list:
-    """W's simple reflections as matrices on the coordinates, columns the images."""
-    t = real.weyl_type
-    if t is None:
-        return []
-    if t.family == "G":
-        # On the plane basis b1, b2: a1 = b1 and a2 = -(3 b1 + b2) / 2.
-        half = Fraction(1, 2)
-        return [[[-1, 0], [0, 1]], [[-half, -3 * half], [-half, half]]]
-    rs = build_root_system(t)
-    n = rs.ambient_dim
-    # an orthogonal reflection is a symmetric matrix: row j is the image of e_j
-    return [[reflect(rs, tuple(int(i == j) for i in range(n)), a) for j in range(n)]
-            for a in rs.simple]
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +103,6 @@ def fundamental_invariants(t) -> list[Poly]:
     return list(realization(t).invariants)
 
 
-def is_invariant(t, p: Poly) -> bool:
-    """Exact check of p(w t) = p(t) for every w in W, on W's generators."""
-    return all(p.substitute_linear(m) == p for m in _simple_reflections(realization(t)))
-
-
 def chi_torus(t, point) -> CharPoint:
     """Evaluate the fundamental invariants; constant on W-orbits."""
     real = realization(t)
@@ -132,23 +110,3 @@ def chi_torus(t, point) -> CharPoint:
     if len(vals) != real.nvars:
         raise DimensionMismatch(f"expected {real.nvars} coordinates, got {len(vals)}")
     return tuple(p.evaluate(vals) for p in real.invariants)
-
-
-def reynolds_symmetrize(t, exponents) -> Poly:
-    """Average of a monomial over the Weyl group, taken over its orbit; always W-invariant."""
-    real = realization(t)
-    e = tuple(int(k) for k in exponents)
-    if len(e) != real.nvars:
-        raise DimensionMismatch(f"expected {real.nvars} exponents, got {len(e)}")
-    gens = _simple_reflections(real)
-    orbit = {Poly.monomial(e)}
-    frontier = list(orbit)
-    while frontier:
-        images = {p.substitute_linear(m) for p in frontier for m in gens} - orbit
-        orbit |= images
-        frontier = list(images)
-    total = Poly.zero(real.nvars)
-    for p in orbit:
-        total = total + p
-    return total.scale(Fraction(1, len(orbit)))
-

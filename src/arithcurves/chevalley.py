@@ -7,9 +7,9 @@ ordered by height then colexicographically on simple-root coefficients, the
 minimal decomposition of each non-simple positive root gets constant +(l+1),
 and every remaining constant is forced from those seeds through Jacobi-derived
 reduction rules.  With this ordering the type-A tables coincide with the
-elementary-matrix realization of gl_n, which `gl_realization` exposes for
-cross-checking.  All of it runs on the integer root vectors of `rootsys`, and
-`verify_chevalley` brackets on ints.
+elementary-matrix realization of gl_n (checked in the tests).  All of it runs
+on the integer root vectors of `rootsys`, and `verify_chevalley` brackets on
+ints.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MAX_CENTER_RANK, DimensionMismatch
-from .rootsys import (CartanType, RootSystem, Vector, build_root_system, cartan_integer,
-                      inner, root_string, vadd, vneg, vsub)
-
-Coords = tuple[Fraction, ...]
+from .rootsys import RootSystem, Vector, cartan_integer, inner, root_string, vadd, vneg, vsub
 
 
 class BasisVector(NamedTuple):
@@ -172,56 +169,6 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0) -> IntegralLieAl
 
 
 # ---------------------------------------------------------------------------
-# Bracket computation
-
-def _check_coords(L: IntegralLieAlgebra, x) -> Coords:
-    x = tuple(Fraction(c) for c in x)
-    if len(x) != L.dim:
-        raise DimensionMismatch(f"expected {L.dim} coordinates, got {len(x)}")
-    return x
-
-
-def bracket(L: IntegralLieAlgebra, x, y) -> Coords:
-    """[x, y] in basis coordinates; integer inputs give integer outputs."""
-    x, y = _check_coords(L, x), _check_coords(L, y)
-    out = [Fraction(0)] * L.dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            for k, c in L.table.get((i, j), ()):
-                out[k] += xi * yj * c
-    return tuple(out)
-
-
-def adjoint_matrix(L: IntegralLieAlgebra, x) -> list[list[Fraction]]:
-    """Matrix of ad(x) on the Chevalley lattice; column j holds [x, basis_j].
-
-    chi_gl of it is the characteristic morphism of g read through the adjoint
-    representation, with integer entries for an integral x."""
-    x = _check_coords(L, x)
-    cols = []
-    for j in range(L.dim):
-        col = [Fraction(0)] * L.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for k, c in L.table.get((i, j), ()):
-                col[k] += xi * c
-        cols.append(col)
-    return [[cols[j][i] for j in range(L.dim)] for i in range(L.dim)]
-
-
-def principal_nilpotent(L: IntegralLieAlgebra) -> Coords:
-    """e = sum of the simple root vectors: ad(e) is nilpotent, so e lies in the
-    fiber of the characteristic morphism over 0 (chi(ad e) = 0)."""
-    simple_idx = {L.rs.index[a] for a in L.rs.simple}
-    return tuple(Fraction(1) if i in simple_idx else Fraction(0) for i in range(L.dim))
-
-
-# ---------------------------------------------------------------------------
 # Verification report
 
 class ChevalleyReport(NamedTuple):
@@ -349,40 +296,3 @@ def verify_chevalley(L: IntegralLieAlgebra) -> ChevalleyReport:
                            literal_paper_sign_count=literal, pair_count=pairs,
                            string_identity_failures=string_failures,
                            jacobi_ok=jacobi_ok, jacobi_triples=count)
-
-
-# ---------------------------------------------------------------------------
-# gl_n realization
-
-Matrix = tuple[tuple[Fraction, ...], ...]
-
-
-def _zero_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def gl_realization(n: int) -> tuple[IntegralLieAlgebra, list[Matrix]]:
-    """gl_n as A_{n-1} plus a rank-1 center, with matching elementary matrices.
-
-    Returns the abstract algebra and one n x n matrix per basis vector:
-    x_{e_i - e_j} -> E_ij, h_k -> E_kk - E_{k+1,k+1}, z -> identity.  The
-    bracket table agrees with matrix commutators entry for entry.
-    """
-    rs = build_root_system(CartanType("A", n - 1))
-    L = build_chevalley_basis(rs, center_rank=1)
-    mats: list[Matrix] = []
-    for b in L.basis:
-        m = _zero_matrix(n)
-        if b.kind == "x":
-            a = rs.roots[b.index]
-            i = next(k for k, c in enumerate(a) if c == 1)
-            j = next(k for k, c in enumerate(a) if c == -1)
-            m[i][j] = Fraction(1)
-        elif b.kind == "h":
-            m[b.index][b.index] = Fraction(1)
-            m[b.index + 1][b.index + 1] = Fraction(-1)
-        else:
-            for i in range(n):
-                m[i][i] = Fraction(1)
-        mats.append(tuple(tuple(row) for row in m))
-    return L, mats

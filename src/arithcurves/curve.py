@@ -225,6 +225,8 @@ def ramified_primes(C: CharacteristicCurve,
     """
     if bound > MAX_FIBER_BOUND:
         raise ArithCurvesError(f"fiber bound {bound} exceeds the limit {MAX_FIBER_BOUND}")
+    if bound < 0:
+        raise ArithCurvesError(f"fiber bound {bound} is negative")
     den, rest = _bad_reduction(C)
     primes = []
     p = 2

@@ -1,10 +1,13 @@
-"""Canonical string forms for exact and archimedean scalars in JSON payloads."""
+"""JSON in and out: canonical string forms for exact and archimedean scalars in
+payloads, and the readers and argparse types that load the CLI's arguments."""
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from .errors import ArithCurvesError, MalformedInput
 
@@ -46,3 +49,99 @@ def rat_str(q: Fraction | int) -> str:
 def real_str(x: float) -> str:
     """17 significant digits: enough to round-trip a double, stable across runs."""
     return format(float(x), ".17g")
+
+
+# ---------------------------------------------------------------------------
+# readers: one value of a document (a dict keyed as a verb's output) -> a
+# checked input.  A reader takes (value, key, *args) and raises MalformedInput.
+
+def _get(doc: dict, key: str, read: Callable, *args, required: bool = True):
+    """read(doc[key], key, *args), rejections tagged with the key; optional keys may be null."""
+    if doc.get(key) is None and not required:
+        return None
+    if key not in doc:
+        raise MalformedInput(f"{doc.get('kind', 'torsor')} document lacks the key {key!r}")
+    try:
+        return read(doc[key], key, *args)
+    except MalformedInput as exc:
+        exc.key = key
+        raise
+
+
+def _scalar(convert: Callable, what: str) -> Callable:
+    """A reader of one JSON value through convert; what convert cannot take is malformed."""
+    def read(value, key: str):
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise MalformedInput(f"{key} must be {what}, got {json.dumps(value)}") from None
+    return read
+
+
+_text = _scalar(str.strip, "a string")         # str.strip raises TypeError on a non-string
+_integer = _scalar(int, "an integer")
+_real = _scalar(float, "a real")
+# a string goes through parse_rational, whose own MalformedInput says what is wrong
+_rational = _scalar(lambda x: parse_rational(x) if isinstance(x, str) else Fraction(x),
+                    "a rational")
+
+
+def _list(value, key: str, entry: Callable, length: int | None = None, what: str = "values"):
+    """A JSON list read by entry(x, key), of `length` items when that is set."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "" if length is None else f"{length} "
+        raise MalformedInput(f"{key} must be a JSON list of {size}{what}, got {json.dumps(value)}")
+    return [entry(x, key) for x in value]
+
+
+def _matrix(value, key: str, entry: Callable, n: int | None = None,
+            most: int | None = None) -> list[list]:
+    """A non-empty list of rows read by entry; n x n when n is set, else rows of any length.
+    More than `most` rows, when that is set, are rejected before any entry is read."""
+    if value == []:
+        raise MalformedInput(f"{key} must not be empty")
+    if most is not None and isinstance(value, list) and len(value) > most:
+        raise MalformedInput(f"{key} size {len(value)} exceeds the limit {most}")
+    return _list(value, key, lambda row, key: _list(row, key, entry, n), n, "rows")
+
+
+def _reals(value, key: str, length: int | None = None) -> tuple[float, ...]:
+    return tuple(_list(value, key, _real, length, "reals"))
+
+
+# ---------------------------------------------------------------------------
+# argparse types; argparse reports an ArgumentTypeError's message as it is
+
+def _argument_error(message: str) -> Exception:
+    import argparse      # loaded already wherever argparse calls these types
+    return argparse.ArgumentTypeError(message)
+
+
+def _json(text: str):
+    """argparse type: a JSON value given inline or as @path."""
+    try:
+        if text.startswith("@"):
+            with open(text[1:], encoding="utf-8") as fh:
+                text = fh.read()
+        # ValueError covers a number past the int-to-str limit as well as bad syntax
+        return json.loads(text)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise _argument_error(f"cannot read JSON: {exc}") from None
+
+
+def _json_object(path: str) -> dict:
+    """argparse type: the JSON object held by a file."""
+    doc = _json("@" + path)
+    if not isinstance(doc, dict):
+        raise _argument_error("must hold a JSON object")
+    return doc
+
+
+def _bounded_int(low: int, high: int) -> Callable:
+    """argparse type: an int in low..high."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise _argument_error(f"must lie in {low}..{high}, got {value}")
+        return value
+    return integer

@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over exact rationals.
 
 Terms are stored as a map from exponent tuples to nonzero Fractions.  Only the
-operations the invariant-theory layer needs are provided: ring arithmetic,
-evaluation, and substitution of linear forms for the variables.
+operations the fundamental invariants need are provided: ring arithmetic and
+evaluation.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ class Poly:
         e = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {e: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, exponents, c=1) -> "Poly":
-        e = tuple(int(x) for x in exponents)
-        return cls(len(e), {e: Fraction(c)})
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -44,9 +39,6 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
@@ -76,12 +68,6 @@ class Poly:
         c = Fraction(c)
         return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
-    def pow(self, k: int) -> "Poly":
-        out = Poly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def evaluate(self, point) -> Fraction:
         vals = [Fraction(p) for p in point]
         assert len(vals) == self.nvars
@@ -93,34 +79,6 @@ class Poly:
                     term *= v ** k
             total += term
         return total
-
-    def substitute_linear(self, matrix) -> "Poly":
-        """p(M x): replace variable i by the linear form sum_j M[i][j] x_j."""
-        forms = [Poly(self.nvars, {tuple(1 if k == j else 0 for k in range(self.nvars)):
-                                   Fraction(matrix[i][j]) for j in range(self.nvars)
-                                   if matrix[i][j] != 0})
-                 for i in range(self.nvars)]
-        out = Poly.zero(self.nvars)
-        for e, c in self.terms.items():
-            term = Poly.constant(self.nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * forms[i].pow(k)
-            out = out + term
-        return out
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items())
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(f"t{i + 1}^{k}" if k > 1 else f"t{i + 1}"
-                            for i, k in enumerate(e) if k)
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
 
 
 def elementary_symmetric(nvars: int, k: int) -> Poly:

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from arithcurves.chevalley import (MAX_CENTER_RANK, adjoint_matrix, bracket,
-                                   build_chevalley_basis, gl_realization, principal_nilpotent,
-                                   verify_chevalley)
+from arithcurves.chevalley import MAX_CENTER_RANK, build_chevalley_basis, verify_chevalley
 from arithcurves.errors import DimensionMismatch
 from arithcurves.linalg import chi_gl
 from arithcurves.rootsys import build_root_system, vadd, vneg, weyl_group
+from helpers import adjoint_matrix, bracket, gl_realization, principal_nilpotent
 
 try:
     from hypothesis import given, settings

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import pytest
 
 import arithcurves.cli as cli
 from arithcurves import chevalley, curve, rootsys
+from arithcurves.arakelov import NumberField
 from arithcurves.cli import run
-from arithcurves.errors import MAX_TORSOR_RANK
+from arithcurves.errors import MAX_TORSOR_RANK, ArithCurvesError
 from arithcurves.jsonutil import MAX_LITERAL_DIGITS
 
 CLI = [sys.executable, "-m", "arithcurves.cli"]
@@ -165,35 +167,48 @@ COMPUTATIONAL = ("rootsys", "chevalley", "charmorph", "poly", "arakelov", "finit
 
 
 LIE = ("charmorph", "rootsys", "poly")
+VERB_MODULES = tuple(f"cli_{name}" for name in cli.VERBS if name != "verify")
 
 
-@pytest.mark.parametrize("argv, code, absent, present", [
-    ([], None, COMPUTATIONAL + ("numpy",), ()),
-    (["chi", "--matrix", "5"], 2, COMPUTATIONAL + ("dataclasses", "numpy"), ()),
-    (["rootsys", "--type", "A2", "--weyl"], 0,
-     ("chevalley", "arakelov", "curve", "numpy", "dataclasses", "linalg"), ("rootsys",)),
-    (["chevalley", "--type", "B2", "--verify"], 0,
-     ("charmorph", "arakelov", "curve", "numpy", "dataclasses", "linalg"), ("chevalley",)),
-    (["degree", "--field", "Q(i)", "--ideal", '["1+i"]', "--metrics", '["2.0"]'], 0,
-     ("rootsys", "chevalley", "numpy", "dataclasses", "finitefield"), ("arakelov",)),
-    (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0,
-     ("arakelov", "numpy", "dataclasses", "linalg"), ("charmorph",)),
-    (["chi", "--matrix", '[["1/2", 3], [4, 5]]'], 0,
-     LIE + ("arakelov", "numpy", "dataclasses"), ("linalg",)),
-    (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0,
-     LIE + ("torsor", "numpy", "dataclasses"), ("curve",)),
-    (["slope", "--torsor", "TORSOR", "--char", "2"], 0, ("rootsys", "curve", "dataclasses"),
-     ("numpy",)),
-    (["verify", "--input", "TORSOR"], 0, ("rootsys", "curve", "dataclasses"), ("numpy",)),
-    (["verify", "--input", "CURVE"], 0, LIE + ("torsor", "numpy", "dataclasses"), ("curve",)),
-], ids=["import", "usage-error", "rootsys", "chevalley", "degree", "chi", "chi-matrix", "curve",
-        "slope", "verify-torsor", "verify-curve"])
-def test_each_verb_loads_only_its_modules(tmp_path, argv, code, absent, present):
-    """A fresh interpreter that imports the CLI and runs one verb loads only that verb's modules."""
+@pytest.fixture
+def documents(tmp_path):
+    """Files a verb reads, named by the placeholders the argv lists below use."""
     files = {"TORSOR": json.dumps(TORSOR),
              "CURVE": invoke("curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20")[1]}
     for name, text in files.items():
         (tmp_path / name).write_text(text)
+    return lambda argv: [str(tmp_path / a) if a in files else a for a in argv]
+
+
+@pytest.mark.parametrize("argv, code, absent, present", [
+    ([], None, COMPUTATIONAL + ("numpy",), ()),
+    (["chi", "--matrix", "5"], 2, COMPUTATIONAL + ("dataclasses", "numpy"), ("cli_chi",)),
+    (["rootsys", "--type", "A2", "--weyl"], 0,
+     ("chevalley", "arakelov", "curve", "numpy", "dataclasses", "linalg"),
+     ("rootsys", "cli_rootsys")),
+    (["chevalley", "--type", "B2", "--verify"], 0,
+     ("charmorph", "arakelov", "curve", "numpy", "dataclasses", "linalg"),
+     ("chevalley", "cli_chevalley")),
+    (["degree", "--field", "Q(i)", "--ideal", '["1+i"]', "--metrics", '["2.0"]'], 0,
+     ("rootsys", "chevalley", "numpy", "dataclasses", "finitefield"), ("arakelov", "cli_degree")),
+    (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0,
+     ("arakelov", "numpy", "dataclasses", "linalg"), ("charmorph", "cli_chi")),
+    (["chi", "--matrix", '[["1/2", 3], [4, 5]]'], 0,
+     LIE + ("arakelov", "numpy", "dataclasses"), ("linalg", "cli_chi")),
+    (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0,
+     LIE + ("torsor", "numpy", "dataclasses"), ("curve", "cli_curve")),
+    (["slope", "--torsor", "TORSOR", "--char", "2"], 0, ("rootsys", "curve", "dataclasses"),
+     ("numpy", "cli_slope")),
+    (["verify", "--input", "TORSOR"], 0, ("rootsys", "curve", "dataclasses"),
+     ("numpy", "cli_slope")),
+    (["verify", "--input", "CURVE"], 0, LIE + ("torsor", "numpy", "dataclasses"),
+     ("curve", "cli_curve")),
+], ids=["import", "usage-error", "rootsys", "chevalley", "degree", "chi", "chi-matrix", "curve",
+        "slope", "verify-torsor", "verify-curve"])
+def test_each_verb_loads_only_its_modules(documents, argv, code, absent, present):
+    """A fresh interpreter that imports the CLI and runs one verb loads only that verb's
+    modules: of the verb modules `cli_<verb>`, which hold the readers and builders, only
+    the one it runs (`verify` rebuilds through the verb that made its input)."""
     script = textwrap.dedent("""
         import io, json, sys
         import arithcurves.cli as cli
@@ -206,14 +221,46 @@ def test_each_verb_loads_only_its_modules(tmp_path, argv, code, absent, present)
                 code = exc.code
         print(json.dumps([code, [m.removeprefix("arithcurves.") for m in sys.modules]]))
     """)
-    argv = [str(tmp_path / a) if a in files else a for a in argv]
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(documents(argv))],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     got, loaded = json.loads(proc.stdout)
     assert got == code
     assert not set(absent) & set(loaded)
     assert set(present) <= set(loaded)
+    assert set(VERB_MODULES) & set(loaded) == set(present) & set(VERB_MODULES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rootsys", "--type", "A2"],
+    ["chevalley", "--type", "A1", "--verify"],
+    ["chi", "--torus-point", "[1,2]", "--type", "B2"],
+    ["chi", "--matrix", "5"],
+    ["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", '["1"]'],
+    ["slope", "--torsor", "TORSOR"],
+    ["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"],
+    ["verify", "--input", "CURVE"],
+    ["verify", "--input", "TORSOR"],
+], ids=["rootsys", "chevalley", "chi", "usage-error", "degree", "slope", "curve", "verify-curve",
+        "verify-torsor"])
+def test_module_run_compiles_the_cli_once(tmp_path, documents, argv):
+    """Under `python -m arithcurves.cli` the dispatcher runs as __main__: a verb module
+    that imported `arithcurves.cli` would compile and run it a second time."""
+    report = tmp_path / "modules.json"
+    # site imports sitecustomize from the path at start-up, before the -m module runs
+    (tmp_path / "sitecustomize.py").write_text(textwrap.dedent(f"""
+        import atexit, json, sys
+        atexit.register(lambda: open({str(report)!r}, "w").write(json.dumps(
+            [sys.modules["__main__"].__file__, sorted(m for m in sys.modules
+                                                      if m.startswith("arithcurves"))])))
+    """))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path]))
+    proc = subprocess.run(CLI + documents(argv), capture_output=True, text=True, env=env)
+    assert proc.returncode in (0, 2), proc.stderr
+    main, loaded = json.loads(report.read_text())
+    assert main.endswith(os.path.join("arithcurves", "cli.py"))
+    assert "arithcurves.cli" not in loaded
+    assert any(m.startswith("arithcurves.cli_") for m in loaded)
 
 
 def test_degree_verb():
@@ -287,6 +334,25 @@ def test_fiber_bound_limit(tmp_path, capsys):
     code, text = invoke("verify", "--input", str(f))
     assert code == 1
     assert str(limit) in json.loads(text)["error"]["message"]
+
+
+def test_negative_fiber_bound_is_refused(tmp_path, capsys):
+    """A bound below 0 is a usage error from --fibers and a domain error from a
+    document and from the library, as a bound past the limit is."""
+    matrix = '[["1","2"],["3","4"]]'
+    err = invoke_usage(capsys, "curve", "--matrix", matrix, "--fibers", "-5")
+    assert err.endswith(f"argument --fibers: must lie in 0..{curve.MAX_FIBER_BOUND}, got -5\n")
+    doc = invoke_json("curve", "--matrix", matrix, "--fibers", "0")
+    assert doc["fiber_bound"] == 0 and doc["ramified"] == []
+    doc["fiber_bound"] = -5
+    f = tmp_path / "negative.json"
+    f.write_text(json.dumps(doc))
+    assert invoke("verify", "--input", str(f)) == (1, json.dumps(
+        {"error": {"type": "ArithCurvesError", "message": "fiber bound -5 is negative"}},
+        indent=2) + "\n")
+    C = curve.spectral_curve(curve.higgs_field(NumberField(0), [[1, 2], [3, 4]]))
+    with pytest.raises(ArithCurvesError, match="fiber bound -1 is negative"):
+        curve.ramified_primes(C, -1)
 
 
 @pytest.mark.parametrize("argv, doc, message", [
@@ -429,9 +495,25 @@ def test_malformed_verify_document_is_a_json_domain_error(tmp_path, doc):
 
 
 def test_parser_is_built_once_per_process():
+    """One parser per process, and each verb's flags once per process, on the verb's
+    first run; a fresh process adds the flags of the verb it runs and of no other."""
     invoke_json("rootsys", "--type", "A1")
+    invoke_json("rootsys", "--type", "A2")
     invoke_json("chi", "--matrix", '[["1"]]')
     assert cli.build_parser.cache_info().misses == 1
+    script = textwrap.dedent("""
+        import io, json
+        import arithcurves.cli as cli
+        cli.run(["rootsys", "--type", "A1"], out=io.StringIO())
+        cli.run(["rootsys", "--type", "A2", "--weyl"], out=io.StringIO())
+        verbs = cli.build_parser()._subparsers._group_actions[0].choices
+        print(json.dumps({name: [a.dest for a in p._actions] for name, p in verbs.items()}))
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        name: ["help"] + ([key for _, key, _ in verb.flags] if name == "rootsys" else [])
+        for name, verb in cli.VERBS.items()}
 
 
 def test_chevalley_records_list_every_nonzero_bracket():

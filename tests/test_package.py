@@ -9,7 +9,8 @@ import pytest
 import arithcurves
 from arithcurves import arakelov, chevalley, curve, errors, linalg
 from arithcurves.arakelov import NumberField
-from arithcurves.cli import read_chi, run
+from arithcurves.cli import run
+from arithcurves.cli_chi import read_chi
 
 PUBLIC = [
     "CartanType", "RootSystem", "build_root_system", "weyl_group",
@@ -192,7 +193,36 @@ def test_field_size_limit(monkeypatch, tmp_path):
     assert calls == []
 
 
+# The help and usage texts, byte for byte, at COLUMNS=80.  argparse adds a verb's
+# flags only when that verb runs, and none of these texts may show it.
+TOP_HELP = """\
+usage: arithcurves [-h] {rootsys,chevalley,chi,degree,slope,curve,verify} ...
+
+Exact Lie-theoretic and arithmetic curve computations with JSON output.
+
+positional arguments:
+  {rootsys,chevalley,chi,degree,slope,curve,verify}
+    rootsys             build a root system
+    chevalley           integral Chevalley basis and bracket table
+    chi                 characteristic morphism
+    degree              arithmetic degree of a metrized line bundle
+    slope               slope of an arithmetic torsor
+    curve               spectral or cameral characteristic curve
+    verify              re-check the JSON output of any verb
+
+options:
+  -h, --help            show this help message and exit
+"""
+
 HELP = {
+    "rootsys": """\
+usage: arithcurves rootsys [-h] --type TYPE [--weyl]
+
+options:
+  -h, --help   show this help message and exit
+  --type TYPE
+  --weyl       include Weyl group words
+""",
     "chevalley": """\
 usage: arithcurves chevalley [-h] --type TYPE [--center CENTER] [--verify]
 
@@ -201,6 +231,32 @@ options:
   --type TYPE
   --center CENTER  rank of the abelian center (at most 2000)
   --verify         attach the verification report
+""",
+    "chi": """\
+usage: arithcurves chi [-h] [--matrix JSON] [--torus-point JSON] [--type TYPE]
+
+options:
+  -h, --help          show this help message and exit
+  --matrix JSON       JSON matrix of rationals (inline or @file)
+  --torus-point JSON  JSON list of rationals (inline or @file)
+  --type TYPE         torus type for --torus-point (e.g. gl3, B2)
+""",
+    "degree": """\
+usage: arithcurves degree [-h] --field FIELD --ideal JSON --metrics JSON
+
+options:
+  -h, --help      show this help message and exit
+  --field FIELD
+  --ideal JSON    JSON list of generators
+  --metrics JSON  JSON list of positive reals
+""",
+    "slope": """\
+usage: arithcurves slope [-h] --torsor FILE [--char CHAR_POWER]
+
+options:
+  -h, --help         show this help message and exit
+  --torsor FILE      JSON file describing the torsor
+  --char CHAR_POWER  power of the determinant character
 """,
     "curve": """\
 usage: arithcurves curve [-h] --matrix JSON [--field FIELD] [--twist JSON]
@@ -214,7 +270,76 @@ options:
   --cameral
   --fibers PMAX  report ramified primes below PMAX (at most 10000000)
 """,
+    "verify": """\
+usage: arithcurves verify [-h] --input FILE
+
+options:
+  -h, --help    show this help message and exit
+  --input FILE  file with JSON from another verb
+""",
 }
+
+USAGE_ERRORS = [
+    ([],
+     """\
+usage: arithcurves [-h] {rootsys,chevalley,chi,degree,slope,curve,verify} ...
+arithcurves: error: the following arguments are required: verb
+"""),
+    (["frobnicate"],
+     """\
+usage: arithcurves [-h] {rootsys,chevalley,chi,degree,slope,curve,verify} ...
+arithcurves: error: argument verb: invalid choice: 'frobnicate' (choose from 'rootsys', 'chevalley', 'chi', 'degree', 'slope', 'curve', 'verify')
+"""),
+    (["rootsys"],
+     """\
+usage: arithcurves rootsys [-h] --type TYPE [--weyl]
+arithcurves rootsys: error: the following arguments are required: --type
+"""),
+    (["chevalley", "--type", "A2", "--center", "-1"],
+     """\
+usage: arithcurves chevalley [-h] --type TYPE [--center CENTER] [--verify]
+arithcurves chevalley: error: argument --center: must lie in 0..2000, got -1
+"""),
+    (["chi", "--matrix", "5"],
+     """\
+usage: arithcurves [-h] {rootsys,chevalley,chi,degree,slope,curve,verify} ...
+arithcurves: error: argument --matrix: matrix must be a JSON list of rows, got 5
+"""),
+    (["degree", "--field", "Q"],
+     """\
+usage: arithcurves degree [-h] --field FIELD --ideal JSON --metrics JSON
+arithcurves degree: error: the following arguments are required: --ideal, --metrics
+"""),
+    (["slope", "--char", "x"],
+     """\
+usage: arithcurves slope [-h] --torsor FILE [--char CHAR_POWER]
+arithcurves slope: error: argument --char: invalid int value: 'x'
+"""),
+    (["curve", "--matrix", "[[1]]", "--fibers", "x"],
+     """\
+usage: arithcurves curve [-h] --matrix JSON [--field FIELD] [--twist JSON]
+                         [--cameral] [--fibers PMAX]
+arithcurves curve: error: argument --fibers: invalid integer value: 'x'
+"""),
+    (["verify"],
+     """\
+usage: arithcurves verify [-h] --input FILE
+arithcurves verify: error: the following arguments are required: --input
+"""),
+    (["rootsys", "--type", "A2", "--bogus"],
+     """\
+usage: arithcurves [-h] {rootsys,chevalley,chi,degree,slope,curve,verify} ...
+arithcurves: error: unrecognized arguments: --bogus
+"""),
+]
+
+
+def test_top_level_help_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == TOP_HELP
 
 
 @pytest.mark.parametrize("verb", sorted(HELP))
@@ -224,3 +349,16 @@ def test_help_text(monkeypatch, capsys, verb):
         run([verb, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == HELP[verb]
+
+
+@pytest.mark.parametrize("argv, text", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no-verb" for argv, _ in USAGE_ERRORS])
+def test_usage_error_text(monkeypatch, capsys, argv, text):
+    """One usage error per verb, and the parser's own: no verb, an unknown verb and an
+    unknown flag.  Each prints its usage line and message on stderr, and nothing else."""
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        run(argv, out=out)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert capsys.readouterr() == ("", text)

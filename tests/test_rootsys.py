@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from arithcurves.charmorph import _simple_reflections, realization
+from arithcurves.charmorph import realization
 from arithcurves.errors import NotARoot, ProportionalRoots, UnsupportedType
 from arithcurves.rootsys import (CartanType, ROOT_COUNT, WEYL_ORDER, build_root_system,
                                  cartan_integer, compose, inner, reflect, root_string,
                                  root_system_json, vadd, vneg, vscale, weyl_group)
+from helpers import simple_reflections
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 
@@ -237,7 +238,7 @@ def test_weyl_matrices_match_sympy_reflection_products(token):
     if token == "G2":
         to_ambient = sympy.Matrix([[1, 1], [-1, 1], [0, -2]])
         to_coords = (to_ambient.T * to_ambient).inv() * to_ambient.T
-    ours = [sympy.Matrix(m) for m in _simple_reflections(realization(token))]
+    ours = [sympy.Matrix(m) for m in simple_reflections(realization(token))]
     assert len(ours) == rs.rank
     roots = sympy.Matrix.hstack(*(sympy.Matrix(a) for a in rs.roots))
     # a word (i, *rest) acts as s_i after rest, and weyl_group lists rest earlier
