@@ -221,26 +221,6 @@ class FieldElement(_FieldElement):
         s, _ = self.field.omega_poly
         return 2 * self.a + self.b * s
 
-    def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError("zero field element")
-        if self.field.degree == 1:
-            return FieldElement(self.field, 1 / self.a)
-        n = self.norm()        # = x * conj(x) in the quadratic case
-        c = self.conj()
-        return FieldElement(self.field, c.a / n, c.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.b == 0:
-            if o.a == 0:
-                raise ZeroDivisionError("zero field element")
-            return FieldElement(self.field, self.a / o.a, self.b / o.a)
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
     def __bool__(self):
         return self.a != 0 or self.b != 0
 

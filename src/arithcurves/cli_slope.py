@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 
 from . import arakelov
-from .errors import ArithCurvesError
+from .errors import ArithCurvesError, MalformedInput
 from .jsonutil import _get, _integer, _list, _matrix, _real, _reals, real_str
 
 
@@ -27,6 +27,10 @@ def _place_metrics(grams, key: str, K: arakelov.NumberField, n: int) -> tuple:
         gram = np.array(_matrix(gram, key, _real if kind == "real" else _complex, n))
         if not np.isfinite(gram).all():
             raise ArithCurvesError("metric Gram matrix must be finite")
+        # Cholesky reads only the lower triangle: refuse the rest rather than drop it
+        if np.abs(gram - gram.conj().T).max() > torsor.TOL * np.abs(gram).max():
+            raise MalformedInput("metric Gram matrix must be "
+                                 + ("symmetric" if kind == "real" else "Hermitian"))
         try:
             witness = np.linalg.cholesky(gram).conj().T
         except np.linalg.LinAlgError as exc:

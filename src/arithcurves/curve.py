@@ -7,18 +7,20 @@ the spectral curve is the rank-n algebra O_F[l]/(p(l)) for the monic
 characteristic polynomial p, and the cameral curve imposes e_k(l_1..l_n) = c_k,
 a cover of generic degree n!.
 
-Fiber analysis works over the base Q, where one rule decides good reduction:
-the bad primes of a nondegenerate curve are the prime divisors of
-N = |num(disc)| * den(disc) * den, den the lcm of the coefficient denominators.
-Factorization shapes of p mod a prime q come from one distinct-degree pass in
-`finitefield` (gcd(p, x^(q^d) - x) for d = 1, 2, ..., which also counts
-multiplicities), ramified primes are the prime divisors of N (found by trial
-division up to the fiber bound, at most MAX_FIBER_BOUND), rational cameral
-points are Hensel lifts of the simple roots mod the least good prime, and
-covering degrees are checked at the smallest completely split good prime: its
-n distinct roots must reproduce the characteristic point, so the cameral
-fiber there has n! points.  The discriminant is the Hankel determinant of the
-power sums of the roots D l_i of g(y) = det(y I - D M), D the common
+Fiber analysis works over the base Q on one integral model per curve,
+g(y) = den^n p(y / den) for den the lcm of the coefficient denominators: every
+mod-q step reduces g's integers.  One rule decides good reduction: the bad
+primes of a nondegenerate curve are the prime divisors of
+N = |num(disc)| * den(disc) * den, and at every other prime g and p have the
+same factor shape.  Factorization shapes of g mod a prime q come from one
+distinct-degree pass in `finitefield` (gcd(g, x^(q^d) - x) for d = 1, 2, ...,
+which also counts multiplicities), ramified primes are the prime divisors of N
+(found by trial division up to the fiber bound, at most MAX_FIBER_BOUND),
+rational cameral points are Hensel lifts of the simple roots mod the least good
+prime, and covering degrees are checked at the smallest completely split good
+prime: its n distinct roots must reproduce the characteristic point, so the
+cameral fiber there has n! points.  The discriminant is the Hankel determinant
+of the power sums of the roots D l_i of det(y I - D M), D the common
 denominator of the entries, taken on the integer pairs of the Berkowitz run
 that gives the characteristic point and divided by D^(n(n-1)).
 """
@@ -169,30 +171,22 @@ def cameral_curve(phi: HiggsField) -> CharacteristicCurve:
 # ---------------------------------------------------------------------------
 # Fibers and ramification over the base Q
 
-def _rational_poly(C: CharacteristicCurve) -> list[Fraction]:
+def _integral_model(C: CharacteristicCurve) -> tuple[int, list[int], int]:
+    """(den, g, N): den the lcm of the coefficient denominators, g the ints of
+    den^n p_phi(y / den), lowest degree first, and N = |num(disc)| * den(disc) * den.
+    The bad primes are the prime divisors of N; mod any other prime y = den l is
+    invertible, so g has the factor shape of p_phi there, den times its roots,
+    and no repeated factor."""
+    if C.degenerate:
+        raise DegenerateCurve("discriminant vanishes identically")
     if C.field.degree != 1:
         raise UnsupportedBase("fiber analysis runs over base Q; factor the prime "
                               "in the quadratic base first")
-    return [c.a for c in C.poly]
-
-
-def _reduce_poly(C: CharacteristicCurve, p: int) -> list[int]:
-    coeffs = _rational_poly(C)
-    if any(c.denominator % p == 0 for c in coeffs):
-        raise ArithCurvesError(f"coefficients have denominator divisible by {p}")
-    # lowest degree first for the finite-field layer
-    return [int(c.numerator * pow(c.denominator, -1, p)) % p for c in reversed(coeffs)]
-
-
-def _bad_reduction(C: CharacteristicCurve) -> tuple[int, int]:
-    """(den, N): den the lcm of the coefficient denominators, N = |num(disc)| *
-    den(disc) * den.  The bad primes are the prime divisors of N; at every other
-    prime p_phi reduces to a squarefree polynomial of degree n."""
-    if C.degenerate:
-        raise DegenerateCurve("discriminant vanishes identically")
-    den = math.lcm(*(c.denominator for c in _rational_poly(C)))
+    coeffs = [c.a for c in C.poly]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    g = [c.numerator * den ** k // c.denominator for k, c in enumerate(coeffs)][::-1]
     d = C.disc.a
-    return den, abs(d.numerator) * d.denominator * den
+    return den, g, abs(d.numerator) * d.denominator * den
 
 
 def _good_primes(N: int):
@@ -208,7 +202,10 @@ def fiber(C: CharacteristicCurve, p: int) -> list[tuple[int, int]]:
         raise DegenerateCurve("discriminant vanishes identically")
     if not is_prime(p):
         raise ArithCurvesError(f"{p} is not prime")
-    shape = factor_pattern(_reduce_poly(C, p), p)
+    den, g, _ = _integral_model(C)
+    if den % p == 0:
+        raise ArithCurvesError(f"coefficients have denominator divisible by {p}")
+    shape = factor_pattern(g, p)
     assert sum(d * e for d, e in shape) == C.n
     return shape
 
@@ -219,7 +216,7 @@ def ramified_primes(C: CharacteristicCurve,
 
     A prime dividing a coefficient denominator is listed with shape None: p_phi
     has no reduction there, so its fiber is not defined on this presentation.
-    The primes come from trial division of N (see `_bad_reduction`), so the
+    The primes come from trial division of N (see `_integral_model`), so the
     scan stops at min(bound, sqrt of what is left) and tests no candidate for
     primality; its cost is capped by MAX_FIBER_BOUND.
     """
@@ -227,7 +224,7 @@ def ramified_primes(C: CharacteristicCurve,
         raise ArithCurvesError(f"fiber bound {bound} exceeds the limit {MAX_FIBER_BOUND}")
     if bound < 0:
         raise ArithCurvesError(f"fiber bound {bound} is negative")
-    den, rest = _bad_reduction(C)
+    den, _, rest = _integral_model(C)
     primes = []
     p = 2
     while p < bound and p * p <= rest:
@@ -245,15 +242,15 @@ def ramified_primes(C: CharacteristicCurve,
 def smallest_split_prime(C: CharacteristicCurve) -> int:
     """Least prime where p_phi splits into n distinct linear factors.
 
-    The scan runs over the good primes (see `_bad_reduction`) and tests each
-    with one x^p = x (mod p_phi) check.  Split primes have density
-    1/|Gal| >= 1/n! (Chebotarev); the least one is at most d_L^A for the
-    discriminant d_L of the splitting field and an absolute constant A
-    (Lagarias, Montgomery and Odlyzko, 1979), and O((log d_L)^2) under GRH
-    (Lagarias and Odlyzko, 1977).
+    The scan runs over the good primes (see `_integral_model`), where g splits
+    exactly when p_phi does, and tests each with one x^p = x (mod g) check.
+    Split primes have density 1/|Gal| >= 1/n! (Chebotarev); the least one is at
+    most d_L^A for the discriminant d_L of the splitting field and an absolute
+    constant A (Lagarias, Montgomery and Odlyzko, 1979), and O((log d_L)^2)
+    under GRH (Lagarias and Odlyzko, 1977).
     """
-    _, N = _bad_reduction(C)
-    return next(p for p in _good_primes(N) if splits_completely(_reduce_poly(C, p), p))
+    _, g, N = _integral_model(C)
+    return next(p for p in _good_primes(N) if splits_completely(g, p))
 
 
 def covering_degree_check(C: CharacteristicCurve) -> bool:
@@ -262,17 +259,19 @@ def covering_degree_check(C: CharacteristicCurve) -> bool:
     Spectral curves must show n distinct roots r_i mod p.  The tuples with
     e_k = c_k for every k are the orderings of a multiset whose polynomial is
     l^n - c_1 l^{n-1} + ..., so a cameral curve has n! of them exactly when
-    prod (l - r_i) has the coefficients (-1)^k c_k of the certificate.
+    prod (l - r_i) has the coefficients (-1)^k c_k of the certificate; on the
+    roots den r_i of g, prod (y - den r_i) has the coefficients (-den)^k c_k.
     """
     p = smallest_split_prime(C)
-    roots = roots_mod_p(_reduce_poly(C, p), p)
+    den, g, _ = _integral_model(C)
+    roots = roots_mod_p(g, p)
     if len(roots) != C.n:
         return False
     if C.kind == "spectral":
         return True
-    want = [1] + [int(c.a.numerator * pow(c.a.denominator, -1, p)) * (-1) ** k % p
+    want = [1] + [c.a.numerator * pow(c.a.denominator, -1, p) * pow(-den, k, p) % p
                   for k, c in enumerate(C.certificate.values, start=1)]
-    prod = [1]                                  # prod (l - r), highest degree first
+    prod = [1]                                  # prod (y - r), highest degree first
     for r in roots:
         prod = [(a - r * b) % p for a, b in zip(prod + [0], [0] + prod)]
     return prod == want
@@ -283,11 +282,10 @@ def cameral_fiber_rational(C: CharacteristicCurve) -> list[tuple[Fraction, ...]]
 
     The rational roots r of the monic p_phi are y / den for the integer roots y
     of g(y) = den^n p_phi(y / den).  At the least good prime p (see
-    `_bad_reduction`), g mod p is squarefree, so every root mod p is simple:
+    `_integral_model`), g mod p is squarefree, so every root mod p is simple:
     each is Newton-lifted past twice the Cauchy bound and checked exactly.
     """
-    den, N = _bad_reduction(C)
-    g = [int(c * den ** i) for i, c in enumerate(_rational_poly(C))]
+    den, g, N = _integral_model(C)
     roots = [Fraction(y, den) for y in _integer_roots(g, next(_good_primes(N)))]
     if len(roots) < C.n:
         return None
@@ -295,11 +293,11 @@ def cameral_fiber_rational(C: CharacteristicCurve) -> list[tuple[Fraction, ...]]
 
 
 def _integer_roots(g: list[int], p: int) -> list[int]:
-    """Integer roots of a monic g (highest degree first) squarefree mod p, by Hensel lifting."""
+    """Integer roots of a monic g (lowest degree first) squarefree mod p, by Hensel lifting."""
     bound = 2 * (1 + max(abs(c) for c in g))
-    dg = [c * (len(g) - 1 - i) for i, c in enumerate(g[:-1])]
+    dg = [k * c for k, c in enumerate(g)][1:]
     out = []
-    for r in roots_mod_p([c % p for c in reversed(g)], p):
+    for r in roots_mod_p(g, p):
         m = p
         while m <= bound:
             m *= m
@@ -312,6 +310,6 @@ def _integer_roots(g: list[int], p: int) -> list[int]:
 
 def _eval_poly(coeffs, x):
     acc = 0
-    for c in coeffs:
+    for c in reversed(coeffs):                  # lowest degree first
         acc = acc * x + c
     return acc

@@ -8,9 +8,10 @@
 # 2-vCPU Intel Xeon core (64 MB peak RSS) and prints 6 MB.
 MAX_CENTER_RANK = 2000
 
-# Largest accepted fiber bound.  Trial division of the discriminant runs to
-# min(bound, sqrt(|disc|)); at 10**7, a 5 x 5 matrix whose discriminant has a
-# 75-digit prime factor takes about 1.5 s cold on one 2-vCPU Intel Xeon core.
+# Largest accepted fiber bound.  Trial division of N = |num(disc)| * den(disc) * den
+# (`curve._integral_model`), not of the discriminant alone, runs to
+# min(bound, sqrt(N)); at 10**7, a 5 x 5 matrix whose discriminant has a 75-digit
+# prime factor takes about 1.5 s cold on one 2-vCPU Intel Xeon core.
 MAX_FIBER_BOUND = 10 ** 7
 
 # Largest accepted size n of a `curve` matrix.  The covering check over Q scans

@@ -142,7 +142,8 @@ def splits_completely(f, p) -> bool:
 
 
 def roots_mod_p(f, p) -> list[int]:
-    """All roots in F_p by direct scan (meant for small p)."""
+    """All roots in F_p of f mod p by direct scan (meant for small p)."""
+    f = monic(f, p)
     out = []
     for x in range(p):
         acc = 0

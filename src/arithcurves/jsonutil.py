@@ -78,8 +78,15 @@ def _scalar(convert: Callable, what: str) -> Callable:
     return read
 
 
+def _int(value) -> int:
+    """int(value), refusing what int() would misread: a bool, or a truncated 1.9."""
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
 _text = _scalar(str.strip, "a string")         # str.strip raises TypeError on a non-string
-_integer = _scalar(int, "an integer")
+_integer = _scalar(_int, "an integer")
 _real = _scalar(float, "a real")
 # a string goes through parse_rational, whose own MalformedInput says what is wrong
 _rational = _scalar(lambda x: parse_rational(x) if isinstance(x, str) else Fraction(x),

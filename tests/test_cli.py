@@ -462,6 +462,13 @@ BAD_TORSORS = [
     {"field": "Q", "rank": 2, "ideals": [["1"]], "metrics": [[["2", "0"], ["0", "1"]]]},
     {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
      "metrics": [[["2", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]]]},
+    # Gram matrices that are not symmetric, or not Hermitian at a complex place
+    {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]], "metrics": [[["2", "1"], ["0", "2"]]]},
+    {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]], "metrics": [[["2", "0"], ["1", "2"]]]},
+    {"field": "Q(i)", "rank": 1, "ideals": [["1"]], "metrics": [[[["1", "5"]]]]},
+    # a rank that is not an integer
+    {"field": "Q", "rank": 1.5, "ideals": [["1"]], "metrics": [[["1"]]]},
+    {"field": "Q", "rank": True, "ideals": [["1"]], "metrics": [[["1"]]]},
 ]
 
 
@@ -485,6 +492,8 @@ def test_malformed_torsor_is_a_json_domain_error(tmp_path, verb, flag, spec):
     {"kind": "degree", "field": "Q", "ideal_hnf": 5, "metrics": ["1"]},
     {"kind": "degree", "field": "Q", "ideal_hnf": ["1+x"], "metrics": ["1"]},
     {"kind": "degree", "field": "Q", "ideal_hnf": ["2"], "metrics": {"a": 1}},
+    {"kind": "chevalley", "type": "A2", "center": 1.5},
+    {"kind": "spectral", "field": "Q", "matrix": [["1", "2"], ["3", "4"]], "fiber_bound": 2.5},
 ])
 def test_malformed_verify_document_is_a_json_domain_error(tmp_path, doc):
     f = tmp_path / "doc.json"

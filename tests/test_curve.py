@@ -145,6 +145,45 @@ def test_fiber_refuses_degenerate_and_quadratic_base():
     phi = higgs_field(K, [[K.element(0), K.element(1)], [K.omega, K.element(0)]])
     with pytest.raises(UnsupportedBase):
         fiber(spectral_curve(phi), 5)
+    # Where several errors apply, each public fiber function raises the first of:
+    # the kind, the fiber bound, a degenerate curve, p not prime, a quadratic base,
+    # and last a p dividing a coefficient denominator.
+    degenerate, quadratic = C, spectral_curve(phi)
+    quadratic_degenerate = spectral_curve(higgs_field(K, [[K.element(0), K.element(1)],
+                                                          [K.element(0), K.element(0)]]))
+    half = spectral_curve(q_higgs([[Fraction(1, 2), 1], [0, 0]],            # den = 2
+                                  FractionalIdeal.from_elements(QQ, [QQ.element(Fraction(1, 2))])))
+    vanishes, base_q = "discriminant vanishes identically", "fiber analysis runs over base Q"
+    cases = [
+        (fiber, (degenerate._replace(kind="cameral"), 6), ArithCurvesError,
+         "prime fibers are computed on the spectral presentation"),
+        (fiber, (degenerate, 6), DegenerateCurve, vanishes),
+        (fiber, (quadratic_degenerate, 6), DegenerateCurve, vanishes),
+        (fiber, (quadratic, 6), ArithCurvesError, "6 is not prime"),
+        (fiber, (half, 4), ArithCurvesError, "4 is not prime"),
+        (fiber, (quadratic, 5), UnsupportedBase, base_q),
+        (fiber, (half, 2), ArithCurvesError, "coefficients have denominator divisible by 2"),
+        (ramified_primes, (quadratic_degenerate, MAX_FIBER_BOUND + 1), ArithCurvesError,
+         "exceeds the limit"),
+        (ramified_primes, (quadratic_degenerate, -1), ArithCurvesError, "is negative"),
+        (ramified_primes, (quadratic_degenerate, 10), DegenerateCurve, vanishes),
+        (ramified_primes, (degenerate, 10), DegenerateCurve, vanishes),
+        (ramified_primes, (quadratic, 10), UnsupportedBase, base_q),
+    ]
+    for func in (smallest_split_prime, covering_degree_check, cameral_fiber_rational):
+        cases += [(func, (degenerate,), DegenerateCurve, vanishes),
+                  (func, (quadratic_degenerate,), DegenerateCurve, vanishes),
+                  (func, (quadratic,), UnsupportedBase, base_q)]
+    for func, args, error, message in cases:
+        with pytest.raises(ArithCurvesError) as info:
+            func(*args)
+        assert type(info.value) is error and message in str(info.value), (func.__name__, args)
+    # at a prime dividing den the scan reports the prime with no shape, and the
+    # good-prime functions skip it
+    assert ramified_primes(half, 10) == [(2, None)]
+    assert smallest_split_prime(half) == 3 and covering_degree_check(half)
+    assert cameral_fiber_rational(half._replace(kind="cameral")) == [
+        (Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))]
 
 
 def test_ramified_primes_match_discriminant():
@@ -295,12 +334,18 @@ def _tuple_count_check(C, p):
 def test_covering_check_matches_the_tuple_count(monkeypatch):
     rng = random.Random(10)
     outcomes = set()
-    for _ in range(40):
+    dens = set()
+    for trial in range(70):
         n = rng.randint(1, 4)
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        C = cameral_curve(q_higgs(m))
+        # after 40 integral matrices, fractional ones under the matching twist (1/q)
+        q = 1 if trial < 40 else rng.choice((2, 3, 6))
+        m = [[Fraction(rng.randint(-5, 5), q) for _ in range(n)] for _ in range(n)]
+        twist = FractionalIdeal.from_elements(QQ, [QQ.element(Fraction(1, q))])
+        C = cameral_curve(q_higgs(m, twist))
         if C.degenerate:
             continue
+        den = math.lcm(*(c.a.denominator for c in C.poly))
+        dens.add(den)
         p = smallest_split_prime(C)
         values = list(C.certificate.values)
         k = rng.randrange(n)
@@ -309,14 +354,15 @@ def test_covering_check_matches_the_tuple_count(monkeypatch):
         for delta in (p, 1, -2):
             tampered = values[:k] + [values[k] + delta] + values[k + 1:]
             curves.append(C._replace(certificate=C.certificate._replace(values=tuple(tampered))))
-        # also at a small prime other than p, where p_phi need not split
-        for prime in (p, rng.choice([q for q in (2, 3, 5, 7) if q != p])):
+        # also at a small prime other than p and prime to den, where p_phi need not split
+        for prime in (p, rng.choice([r for r in (2, 3, 5, 7) if r != p and den % r])):
             monkeypatch.setattr(curve, "smallest_split_prime", lambda _, prime=prime: prime)
             for D in curves:
                 want = _tuple_count_check(D, prime)
                 assert covering_degree_check(D) == want
                 outcomes.add((D.kind, want))
     assert outcomes == {(kind, ok) for kind in ("spectral", "cameral") for ok in (True, False)}
+    assert 1 in dens and len(dens) > 2
 
 
 @pytest.mark.parametrize("d", [0, -5])

@@ -16,8 +16,8 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from arithcurves.arakelov import FractionalIdeal, NumberField  # noqa: E402
 from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E402
-                               characteristic_point, higgs_field, poly_discriminant, ramified_primes,
-                               spectral_curve)
+                               characteristic_point, fiber, higgs_field, poly_discriminant,
+                               ramified_primes, smallest_split_prime, spectral_curve)
 from arithcurves.errors import DegenerateCurve  # noqa: E402
 from arithcurves.finitefield import factor_pattern  # noqa: E402
 from helpers import ideal_power, integral_pairs  # noqa: E402
@@ -102,6 +102,18 @@ def test_ramified_primes_match_sympy_factorization(coeffs, bound):
         reduced = [c.numerator * pow(c.denominator, -1, p) % p for c in poly]
         _, factors = sympy.Poly(reduced, X, modulus=p).factor_list()
         assert shape == sorted((f.degree(), e) for f, e in factors)
+    # the good primes too: the curve reduces its integral model, the oracle the Fractions
+    for p in sympy.primerange(50):
+        if den % p:
+            assert fiber(C, p) == _sympy_shape(poly, p)
+    assert fiber(C, smallest_split_prime(C)) == [(1, 1)] * len(coeffs)
+
+
+def _sympy_shape(poly, p):
+    """sympy's factor shape of a monic poly over Q (highest degree first) reduced mod p."""
+    reduced = [c.numerator * pow(c.denominator, -1, p) % p for c in poly]
+    _, factors = sympy.Poly(reduced, X, modulus=p).factor_list()
+    return sorted((f.degree(), e) for f, e in factors)
 
 
 def _sympy_element(K, x):
