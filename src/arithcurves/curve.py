@@ -14,15 +14,18 @@ primes of a nondegenerate curve are the prime divisors of
 N = |num(disc)| * den(disc) * den, and at every other prime g and p have the
 same factor shape.  Factorization shapes of g mod a prime q come from one
 distinct-degree pass in `finitefield` (gcd(g, x^(q^d) - x) for d = 1, 2, ...,
-which also counts multiplicities), ramified primes are the prime divisors of N
-(found by trial division up to the fiber bound, at most MAX_FIBER_BOUND),
-rational cameral points are Hensel lifts of the simple roots mod the least good
-prime, and covering degrees are checked at the smallest completely split good
-prime: its n distinct roots must reproduce the characteristic point, so the
-cameral fiber there has n! points.  The discriminant is the Hankel determinant
-of the power sums of the roots D l_i of det(y I - D M), D the common
-denominator of the entries, taken on the integer pairs of the Berkowitz run
-that gives the characteristic point and divided by D^(n(n-1)).
+which also counts multiplicities).  Every prime comes from one sieve
+(`finitefield.primes`): ramified primes are the prime divisors of N, found by
+trial division by the sieve's primes up to the fiber bound (at most
+MAX_FIBER_BOUND), and the split-prime scan and the cameral lift read the good
+primes from it in increasing order.  Rational cameral points are Hensel lifts
+of the simple roots mod the least good prime, and covering degrees are checked
+at the smallest completely split good prime: its n distinct roots must
+reproduce the characteristic point, so the cameral fiber there has n! points.
+The discriminant is the Hankel determinant of the power sums of the roots D l_i
+of det(y I - D M), D the common denominator of the entries, taken on the
+integer pairs of the Berkowitz run that gives the characteristic point and
+divided by D^(n(n-1)).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import NamedTuple
 from .arakelov import FieldElement, FractionalIdeal, NumberField
 from .errors import (MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve,
                      MembershipFailure, UnsupportedBase)
-from .finitefield import factor_pattern, is_prime, roots_mod_p, splits_completely
+from .finitefield import factor_pattern, is_prime, primes, roots_mod_p, splits_completely
 from .linalg import _berkowitz, _dot, descale, integral_char_poly
 
 
@@ -190,8 +193,8 @@ def _integral_model(C: CharacteristicCurve) -> tuple[int, list[int], int]:
 
 
 def _good_primes(N: int):
-    """The primes not dividing N, in increasing order."""
-    return (p for p in itertools.count(2) if is_prime(p) and N % p)
+    """The primes not dividing N, in increasing order, from the sieve."""
+    return (p for p in primes() if N % p)
 
 
 def fiber(C: CharacteristicCurve, p: int) -> list[tuple[int, int]]:
@@ -216,27 +219,28 @@ def ramified_primes(C: CharacteristicCurve,
 
     A prime dividing a coefficient denominator is listed with shape None: p_phi
     has no reduction there, so its fiber is not defined on this presentation.
-    The primes come from trial division of N (see `_integral_model`), so the
-    scan stops at min(bound, sqrt of what is left) and tests no candidate for
-    primality; its cost is capped by MAX_FIBER_BOUND.
+    The primes come from trial division of N (see `_integral_model`) by the
+    sieve's primes, so the scan stops at min(bound, sqrt of what is left) and
+    tests no candidate for primality; its cost is capped by MAX_FIBER_BOUND.
     """
     if bound > MAX_FIBER_BOUND:
         raise ArithCurvesError(f"fiber bound {bound} exceeds the limit {MAX_FIBER_BOUND}")
     if bound < 0:
         raise ArithCurvesError(f"fiber bound {bound} is negative")
     den, _, rest = _integral_model(C)
-    primes = []
-    p = 2
-    while p < bound and p * p <= rest:
+    bad, root = [], math.isqrt(rest)
+    for p in primes(bound):
+        if p > root:
+            break
         if rest % p == 0:
-            primes.append(p)
+            bad.append(p)
             while rest % p == 0:
                 rest //= p
-        p += 1 if p == 2 else 2
-    # every prime below p is stripped, so a cofactor below the bound is prime
+            root = math.isqrt(rest)
+    # every prime below the bound and up to sqrt(rest) is stripped, so 1 < rest < bound is prime
     if 1 < rest < bound:
-        primes.append(rest)
-    return [(p, None) if den % p == 0 else (p, fiber(C, p)) for p in primes]
+        bad.append(rest)
+    return [(p, None) if den % p == 0 else (p, fiber(C, p)) for p in bad]
 
 
 def smallest_split_prime(C: CharacteristicCurve) -> int:

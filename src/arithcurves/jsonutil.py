@@ -78,8 +78,22 @@ def _scalar(convert: Callable, what: str) -> Callable:
     return read
 
 
+_DECIMAL = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _decimal(text: str) -> int:
+    """An optional sign and ASCII digits, as int(text); int() alone would also
+    take "1_0" and non-ASCII digits, such as the Arabic-Indic three."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _int(value) -> int:
-    """int(value), refusing what int() would misread: a bool, or a truncated 1.9."""
+    """An integer from a JSON integer, an integral number or a decimal string,
+    refusing what int() would misread: a bool, a truncated 1.9, or "1_0"."""
+    if isinstance(value, str):
+        return _decimal(value)
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise TypeError(f"not an integer: {value!r}")
     return int(value)
@@ -145,9 +159,9 @@ def _json_object(path: str) -> dict:
 
 
 def _bounded_int(low: int, high: int) -> Callable:
-    """argparse type: an int in low..high."""
+    """argparse type: a decimal int in low..high."""
     def integer(text: str) -> int:
-        value = int(text)
+        value = _decimal(text)
         if not low <= value <= high:
             raise _argument_error(f"must lie in {low}..{high}, got {value}")
         return value

@@ -1,10 +1,11 @@
 """Test-side references shared by several test modules: ideal powers, integral
-characteristic polynomials, W-invariance and Reynolds symmetrization from W's
+characteristic polynomials, ramified primes by odd trial division, W-invariance and Reynolds symmetrization from W's
 simple reflections, and Chevalley brackets with the gl_n realization."""
 
 import math
 from fractions import Fraction
 
+from arithcurves import curve
 from arithcurves.arakelov import FractionalIdeal
 from arithcurves.charmorph import realization
 from arithcurves.chevalley import build_chevalley_basis
@@ -28,6 +29,22 @@ def integral_pairs(poly):
     arguments `curve.poly_discriminant` takes before K."""
     den = math.lcm(*(c.denominator for x in poly for c in (x.a, x.b)))
     return [(int(x.a * den ** k), int(x.b * den ** k)) for k, x in enumerate(poly)], den
+
+
+def ramified_by_odd_division(C, bound):
+    """`curve.ramified_primes` by trial division of N by 2 and every odd number
+    while it is below the bound and its square is at most what is left of N."""
+    den, _, rest = curve._integral_model(C)
+    found, p = [], 2
+    while p < bound and p * p <= rest:
+        if rest % p == 0:
+            found.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1 if p == 2 else 2
+    if 1 < rest < bound:
+        found.append(rest)
+    return [(p, None) if den % p == 0 else (p, curve.fiber(C, p)) for p in found]
 
 
 # ---------------------------------------------------------------------------

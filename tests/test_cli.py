@@ -355,6 +355,22 @@ def test_negative_fiber_bound_is_refused(tmp_path, capsys):
         curve.ramified_primes(C, -1)
 
 
+@pytest.mark.parametrize("flag", ["--fibers", "--center"])
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "1e1", "0x1", "1.0", ""])
+def test_integer_flags_take_only_ascii_decimal_digits(capsys, flag, text):
+    """int() would read "1_0" as 10 and the Arabic-Indic digit three as 3."""
+    argv = (["curve", "--matrix", '[["1","2"],["3","4"]]'] if flag == "--fibers"
+            else ["chevalley", "--type", "A1"])
+    err = invoke_usage(capsys, *argv, flag, text)
+    assert err.endswith(f"argument {flag}: invalid integer value: {text!r}\n")
+
+
+def test_integer_flags_allow_a_sign_and_surrounding_whitespace():
+    doc = invoke_json("curve", "--matrix", '[["1","2"],["3","4"]]', "--fibers", " +12 ")
+    assert doc["fiber_bound"] == 12 and [r["p"] for r in doc["ramified"]] == [3, 11]
+    assert invoke_json("chevalley", "--type", "A1", "--center", "\t0\n")["dim"] == 3
+
+
 @pytest.mark.parametrize("argv, doc, message", [
     (["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", '{"a":1}'], None,
      "metrics must be a JSON list of reals"),
@@ -469,6 +485,10 @@ BAD_TORSORS = [
     # a rank that is not an integer
     {"field": "Q", "rank": 1.5, "ideals": [["1"]], "metrics": [[["1"]]]},
     {"field": "Q", "rank": True, "ideals": [["1"]], "metrics": [[["1"]]]},
+    # int() would read these as 3 and 1
+    {"field": "Q", "rank": "\u0663", "ideals": [["1"], ["1"], ["1"]],
+     "metrics": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]},
+    {"field": "Q", "rank": "0_1", "ideals": [["1"]], "metrics": [[["1"]]]},
 ]
 
 
@@ -494,6 +514,11 @@ def test_malformed_torsor_is_a_json_domain_error(tmp_path, verb, flag, spec):
     {"kind": "degree", "field": "Q", "ideal_hnf": ["2"], "metrics": {"a": 1}},
     {"kind": "chevalley", "type": "A2", "center": 1.5},
     {"kind": "spectral", "field": "Q", "matrix": [["1", "2"], ["3", "4"]], "fiber_bound": 2.5},
+    # int() would read these as 1, 10 and 3
+    {"kind": "chevalley", "type": "A2", "center": "0_1"},
+    {"kind": "spectral", "field": "Q", "matrix": [["1", "2"], ["3", "4"]], "fiber_bound": "1_0"},
+    {"kind": "spectral", "field": "Q", "matrix": [["1", "2"], ["3", "4"]],
+     "fiber_bound": "\u0663"},
 ])
 def test_malformed_verify_document_is_a_json_domain_error(tmp_path, doc):
     f = tmp_path / "doc.json"

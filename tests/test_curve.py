@@ -217,9 +217,12 @@ def test_ramified_primes_test_only_reported_primes(monkeypatch, entries, twist, 
     assert calls == [p for p, shape in out if shape is not None]
 
 
-def test_fiber_bound_limit_raises_before_scanning():
-    C = spectral_curve(q_higgs([[0, 1], [2, 0]]))
+def test_fiber_bound_limit_raises_before_scanning(monkeypatch):
+    monkeypatch.setattr(finitefield, "_SIEVE", bytearray())
+    C = spectral_curve(q_higgs([[0, 1], [2, 0]]))                  # disc 8
     assert ramified_primes(C, MAX_FIBER_BOUND) == [(2, [(1, 2)])]
+    # N = 8 is done at p = 3, so the sieve grew no further than its first stretch
+    assert 0 < len(finitefield._SIEVE) < 1024
     with pytest.raises(ArithCurvesError, match="exceeds the limit"):
         ramified_primes(C, MAX_FIBER_BOUND + 1)
 
@@ -235,6 +238,73 @@ def test_covering_degree_spectral_and_cameral():
     if not C3.degenerate:
         assert covering_degree_check(C3)
         assert covering_degree_check(cameral_curve(phi3))
+
+
+SIEVE_LIMIT = 2 * 10 ** 5
+
+
+@functools.lru_cache(maxsize=None)
+def _primes_by_miller_rabin():
+    return [n for n in range(SIEVE_LIMIT) if is_prime(n)]
+
+
+@pytest.mark.parametrize("start", [
+    0, 1, 2, finitefield._FIRST - 1, finitefield._FIRST, finitefield._FIRST + 1,
+    finitefield._SEGMENT - 1, finitefield._SEGMENT, finitefield._SEGMENT + 1])
+def test_sieve_matches_miller_rabin_exhaustively(monkeypatch, start):
+    """Every prime below 2 * 10^5, from a sieve that starts out covering the odd
+    numbers below 2 * start, on either side of the first growth and of a segment."""
+    monkeypatch.setattr(finitefield, "_SIEVE", bytearray())
+    finitefield._sieve_to(start)
+    assert len(finitefield._SIEVE) == start
+    want = _primes_by_miller_rabin()
+    assert list(finitefield.primes(SIEVE_LIMIT)) == want
+    assert len(finitefield._SIEVE) <= SIEVE_LIMIT // 2
+    # a bounded scan stops at its limit, whatever the sieve already holds
+    for limit in (0, 1, 2, 3, 4, 5, 2 * start - 1, 2 * start, 2 * start + 1, 2 * start + 3):
+        assert list(finitefield.primes(limit)) == [q for q in want if q < limit], limit
+    # an unbounded scan grows the sieve while a bounded one is half read
+    bounded, unbounded = finitefield.primes(SIEVE_LIMIT), finitefield.primes()
+    head = list(itertools.islice(bounded, 100))
+    assert list(itertools.islice(unbounded, len(want) + 5))[:len(want)] == want
+    assert head + list(bounded) == want
+
+
+def _mulmod_reference(a, b, f, p):
+    """a * b mod monic f over F_p by schoolbook product and long division."""
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    n = len(f) - 1
+    for k in range(len(out) - 1, n - 1, -1):
+        c = out[k]
+        for i in range(n + 1):
+            out[k - n + i] = (out[k - n + i] - c * f[i]) % p
+    return finitefield.trim(out[:n])
+
+
+def test_powmod_matches_repeated_multiplication_exhaustively():
+    """base^e mod f for every e < 64, every p < 30 and every degree of f up to 4:
+    all monic f over F_2 and F_3, and four random ones per degree above that,
+    with the base x and a random base of degree up to 6 (reduced first)."""
+    rng = random.Random(19)
+    count = 0
+    for p in [q for q in range(30) if is_prime(q)]:
+        for d in range(5):
+            if p <= 3:
+                fs = [[*low, 1] for low in itertools.product(range(p), repeat=d)]
+            else:
+                fs = [[rng.randrange(p) for _ in range(d)] + [1] for _ in range(4)]
+            for f in fs:
+                for base in ([0, 1], finitefield.trim([rng.randrange(p) for _ in range(7)])):
+                    want = _mulmod_reference([1], [1], f, p) if d else []
+                    for e in range(64):
+                        got = finitefield.powmod(base, e, f, p)
+                        assert (got if e else finitefield.rem(got, f, p)) == want, (base, e, f, p)
+                        want = _mulmod_reference(want, base, f, p)
+                        count += 1
+    assert count == 64 * 2 * ((1 + 2 + 4 + 8 + 16) + (1 + 3 + 9 + 27 + 81) + 8 * 5 * 4)
 
 
 def test_split_criterion_matches_factor_pattern_exhaustively():

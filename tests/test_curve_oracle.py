@@ -10,7 +10,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
@@ -20,7 +20,7 @@ from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E
                                ramified_primes, smallest_split_prime, spectral_curve)
 from arithcurves.errors import DegenerateCurve  # noqa: E402
 from arithcurves.finitefield import factor_pattern  # noqa: E402
-from helpers import ideal_power, integral_pairs  # noqa: E402
+from helpers import ideal_power, integral_pairs, ramified_by_odd_division  # noqa: E402
 
 QQ = NumberField(0)
 X = sympy.Symbol("x")
@@ -107,6 +107,21 @@ def test_ramified_primes_match_sympy_factorization(coeffs, bound):
         if den % p:
             assert fiber(C, p) == _sympy_shape(poly, p)
     assert fiber(C, smallest_split_prime(C)) == [(1, 1)] * len(coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(st.one_of(small, st.integers(-10 ** 6, 10 ** 6).map(Fraction)),
+                       min_size=1, max_size=4),
+       bound=st.integers(0, 3) | st.integers(4, 5000))
+# disc 4 * 7919: the prime cofactor just below the bound, and exactly at it
+@example(coeffs=[Fraction(0), Fraction(-7919)], bound=7920)
+@example(coeffs=[Fraction(0), Fraction(-7919)], bound=7919)
+# disc 4 * 101 * 103: the scan ends at the bound, with a composite cofactor left
+@example(coeffs=[Fraction(0), Fraction(-10403)], bound=50)
+def test_ramified_primes_match_odd_trial_division(coeffs, bound):
+    C = spectral_curve(_phi([Fraction(1), *coeffs]))
+    assume(not C.degenerate)
+    assert ramified_primes(C, bound) == ramified_by_odd_division(C, bound)
 
 
 def _sympy_shape(poly, p):
