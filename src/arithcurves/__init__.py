@@ -7,7 +7,8 @@ import importlib
 # The public names are looked up in their modules on access (PEP 562), so
 # importing the package, or one module of it, loads no other layer.
 _EXPORTS = {
-    "rootsys": ("CartanType", "RootSystem", "build_root_system", "weyl_group"),
+    "cartan": ("CartanType",),
+    "rootsys": ("RootSystem", "build_root_system", "weyl_group"),
     "chevalley": ("IntegralLieAlgebra", "build_chevalley_basis", "verify_chevalley"),
     "linalg": ("chi_gl",),
     "charmorph": ("chi_torus", "fundamental_invariants"),

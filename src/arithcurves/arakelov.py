@@ -87,12 +87,6 @@ class NumberField(_NumberField):
         return (0, self.d)
 
     @property
-    def discriminant(self) -> int:
-        if self.d == 0:
-            return 1
-        return self.d if self.d % 4 == 1 else 4 * self.d
-
-    @property
     def name(self) -> str:
         if self.d == 0:
             return "Q"
@@ -120,10 +114,6 @@ class NumberField(_NumberField):
 
     def element(self, a, b=0) -> "FieldElement":
         return FieldElement(self, Fraction(a), Fraction(b))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.element(0)
 
     @property
     def one(self) -> "FieldElement":
@@ -332,10 +322,6 @@ class FractionalIdeal(NamedTuple):
     @classmethod
     def ring_of_integers(cls, field: NumberField) -> "FractionalIdeal":
         return cls.from_elements(field, [field.one])
-
-    @classmethod
-    def principal(cls, x: FieldElement) -> "FractionalIdeal":
-        return cls.from_elements(x.field, [x])
 
     def basis_elements(self) -> list[FieldElement]:
         if self.field.degree == 1:

@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+from .cartan import CartanType
 from .errors import DimensionMismatch, UnsupportedType
 from .poly import Poly, elementary_symmetric
-from .rootsys import CartanType
 
 CharPoint = tuple[Fraction, ...]
 
@@ -41,10 +41,6 @@ class TorusRealization(NamedTuple):
     nvars: int
     invariants: list                    # of Poly
     weyl_type: CartanType | None        # W's type; A_{n-1} for gl_n, None for gl1
-
-    @property
-    def rank(self) -> int:
-        return len(self.invariants)
 
 
 def _normalize_token(t) -> str:

@@ -50,9 +50,6 @@ class IntegralLieAlgebra(NamedTuple):
     def h_index(self, i: int) -> int:
         return len(self.rs.roots) + i
 
-    def z_index(self, j: int) -> int:
-        return len(self.rs.roots) + self.rs.rank + j
-
 
 def coroot_coords(rs: RootSystem, a: Vector) -> tuple[int, ...]:
     """Integer coordinates c_t (s_t,s_t)/(a,a) of the coroot 2a/(a,a) over the

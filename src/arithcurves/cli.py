@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 
 from .errors import (MAX_CENTER_RANK, MAX_FIBER_BOUND, ArithCurvesError, MalformedInput,
                      UnsupportedType)
-from .jsonutil import _bounded_int, _json, _json_object
+from .jsonutil import _bounded_int, _decimal, _json, _json_object
 
 
 def verify_payload(doc: dict) -> dict:
@@ -141,6 +141,9 @@ class _VerbParser(argparse.ArgumentParser):
 
     def __init__(self, *, flags: tuple = (), **kwargs):
         super().__init__(**kwargs)
+        # a flag of type int reads an optional sign and ASCII digits alone, as the
+        # document readers do; argparse names the type "int" in its messages
+        self.register("type", int, _decimal)
         self.pending_flags = flags
 
     def parse_known_args(self, args=None, namespace=None):

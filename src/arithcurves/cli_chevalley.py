@@ -12,7 +12,7 @@ def read_chevalley(doc: dict) -> tuple:
 
 
 def chevalley_payload(type_token: str, center: int, with_verify: bool) -> dict:
-    rs = rootsys.build_root_system(rootsys.CartanType.parse(type_token))
+    rs = rootsys.build_root_system(type_token)
     type_token = str(rs.cartan_type)
     L = chevalley.build_chevalley_basis(rs, center_rank=center)
     records = []

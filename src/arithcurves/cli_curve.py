@@ -39,7 +39,7 @@ def curve_payload(K: arakelov.NumberField, entries: list, twist, cameral: bool,
                 payload["rational_points"] = [[rat_str(x) for x in p] for p in pts]
     if fiber_bound is not None:
         payload["fiber_bound"] = fiber_bound
-        primes = curve.ramified_primes(C._replace(kind="spectral"), fiber_bound)
+        primes = curve.ramified_primes(C, fiber_bound)
         payload["ramified"] = [{"p": p, "pattern": [list(fe) for fe in pat]}
                                for p, pat in primes if pat is not None]
         skipped = [{"p": p, "reason": "divides a coefficient denominator: the characteristic "

@@ -12,7 +12,7 @@ def read_rootsys(doc: dict) -> tuple:
 
 
 def rootsys_payload(type_token: str, include_weyl: bool) -> dict:
-    rs = rootsys.build_root_system(rootsys.CartanType.parse(type_token))
+    rs = rootsys.build_root_system(type_token)
     w = rootsys.weyl_group(rs)
     payload = {"kind": "rootsys", **rootsys.root_system_json(rs),
                "count": len(rs.roots), "weyl_order": len(w)}

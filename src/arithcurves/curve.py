@@ -78,11 +78,6 @@ class CharPointCertificate(NamedTuple):
     power_coords: tuple[tuple[int, ...], ...]   # coords of c_k over a basis of L^k
 
 
-def characteristic_point(phi: HiggsField) -> CharPointCertificate:
-    """chi(phi) with the exact certificate that c_k lies in twist^k."""
-    return _certify(phi, descale(*integral_char_poly(phi.matrix, phi.field), phi.field))
-
-
 def _certify(phi: HiggsField, coeffs) -> CharPointCertificate:
     """The certificate for the coefficients of det(l I - phi), c_k = (-1)^k coeffs[k-1]."""
     values = tuple(-a if k % 2 == 1 else a for k, a in enumerate(coeffs, start=1))
@@ -215,7 +210,7 @@ def fiber(C: CharacteristicCurve, p: int) -> list[tuple[int, int]]:
 
 def ramified_primes(C: CharacteristicCurve,
                     bound: int) -> list[tuple[int, list[tuple[int, int]] | None]]:
-    """Primes below the bound of bad reduction, with fiber shapes.
+    """Primes below the bound of bad reduction, with the factor shapes of p_phi.
 
     A prime dividing a coefficient denominator is listed with shape None: p_phi
     has no reduction there, so its fiber is not defined on this presentation.
@@ -227,7 +222,7 @@ def ramified_primes(C: CharacteristicCurve,
         raise ArithCurvesError(f"fiber bound {bound} exceeds the limit {MAX_FIBER_BOUND}")
     if bound < 0:
         raise ArithCurvesError(f"fiber bound {bound} is negative")
-    den, _, rest = _integral_model(C)
+    den, g, rest = _integral_model(C)
     bad, root = [], math.isqrt(rest)
     for p in primes(bound):
         if p > root:
@@ -240,7 +235,7 @@ def ramified_primes(C: CharacteristicCurve,
     # every prime below the bound and up to sqrt(rest) is stripped, so 1 < rest < bound is prime
     if 1 < rest < bound:
         bad.append(rest)
-    return [(p, None) if den % p == 0 else (p, fiber(C, p)) for p in bad]
+    return [(p, None) if den % p == 0 else (p, factor_pattern(g, p)) for p in bad]
 
 
 def smallest_split_prime(C: CharacteristicCurve) -> int:

@@ -16,11 +16,11 @@ MAX_FIBER_BOUND = 10 ** 7
 
 # Largest accepted size n of a `curve` matrix.  The covering check over Q scans
 # primes until the characteristic polynomial splits completely, about n! of
-# them for a generic matrix, with one x^p = x (mod f) test each; the worst of
-# 120 random 6 x 6 matrices with entries in [-15, 15] splits first at
-# p = 47653, and `curve` on it takes 2.4-3.0 s cold on one 2-vCPU Intel Xeon
-# core, while the scan alone takes 2.6 s and 9.4 s for two random 7 x 7
-# matrices (p = 41453 and 138569).
+# them for a generic matrix, with one x^p = x (mod f) test each.  On one 2-vCPU
+# Intel Xeon core, the worst of 120 random 6 x 6 matrices with entries in
+# [-15, 15] splits first at p = 63463, and `curve` on it takes 1.9-2.4 s cold
+# (`LATE_SPLIT_6X6` in tests/test_curve.py, p = 12653: 0.35-0.51 s); of three
+# random 7 x 7 matrices, one splits first at p = 120977 after a 4.4 s scan.
 MAX_CURVE_N = 6
 
 # Largest accepted size n of a `chi --matrix`.  The characteristic polynomial

@@ -19,23 +19,9 @@ class Poly:
         self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
 
     @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, c) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
-
-    @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         e = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {e: Fraction(1)})
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms

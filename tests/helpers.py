@@ -11,7 +11,8 @@ from arithcurves.charmorph import realization
 from arithcurves.chevalley import build_chevalley_basis
 from arithcurves.errors import DimensionMismatch
 from arithcurves.poly import Poly
-from arithcurves.rootsys import CartanType, build_root_system, reflect
+from arithcurves.cartan import CartanType
+from arithcurves.rootsys import build_root_system, reflect
 
 
 def ideal_power(ideal, k):
@@ -64,9 +65,9 @@ def substitute_linear(p: Poly, matrix) -> Poly:
     forms = [Poly(n, {tuple(1 if k == j else 0 for k in range(n)): Fraction(matrix[i][j])
                       for j in range(n) if matrix[i][j] != 0})
              for i in range(n)]
-    out = Poly.zero(n)
+    out = Poly(n)
     for e, c in p.terms.items():
-        term = Poly.constant(n, c)
+        term = Poly(n, {(0,) * n: c})
         for i, k in enumerate(e):
             for _ in range(k):
                 term = term * forms[i]
@@ -84,7 +85,7 @@ def simple_reflections(real) -> list:
         half = Fraction(1, 2)
         return [[[-1, 0], [0, 1]], [[-half, -3 * half], [-half, half]]]
     rs = build_root_system(t)
-    n = rs.ambient_dim
+    n = len(rs.simple[0])
     # an orthogonal reflection is a symmetric matrix: row j is the image of e_j
     return [[reflect(rs, tuple(int(i == j) for i in range(n)), a) for j in range(n)]
             for a in rs.simple]
@@ -114,7 +115,7 @@ def reynolds_symmetrize(t, exponents) -> Poly:
                   if key(q) not in orbit}
         orbit.update(images)
         frontier = list(images.values())
-    total = Poly.zero(real.nvars)
+    total = Poly(real.nvars)
     for p in orbit.values():
         total = total + p
     return total.scale(Fraction(1, len(orbit)))

@@ -19,12 +19,12 @@ from arithcurves.arakelov import (FractionalIdeal, MetrizedLineBundle, NumberFie
                                   arithmetic_degree)
 from arithcurves.chevalley import build_chevalley_basis, verify_chevalley
 from arithcurves.charmorph import chi_torus
-from arithcurves.curve import (cameral_curve, characteristic_point,
-                               covering_degree_check, fiber, higgs_field,
+from arithcurves.curve import (cameral_curve, covering_degree_check, fiber, higgs_field,
                                ramified_primes, spectral_curve)
 from arithcurves.finitefield import is_prime
 from arithcurves.linalg import chi_gl
-from arithcurves.rootsys import ROOT_COUNT, build_root_system, root_string, vadd
+from arithcurves.cartan import ROOT_COUNT
+from arithcurves.rootsys import build_root_system, root_string, vadd
 from arithcurves.torsor import (act, canonical_form, verify_compatibility,
                                 witnessed_metric)
 from helpers import ideal_power
@@ -224,7 +224,7 @@ def test_09_twisted_integrality():
             for _ in range(100):
                 n = rng.choice((2, 3))
                 mat = [[m * rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-                cert = characteristic_point(higgs_field(QQ, mat, twist=twist))
+                cert = spectral_curve(higgs_field(QQ, mat, twist=twist)).certificate
                 for k, v in enumerate(cert.values, start=1):
                     assert ideal_power(twist, k).contains(v)
                     assert cert.power_coords[k - 1] is not None

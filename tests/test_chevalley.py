@@ -71,7 +71,7 @@ def test_a2_simple_bracket_is_unit():
 
 def test_center_is_central():
     L = algebra("A1", center=1)
-    z = basis_element(L, L.z_index(0))
+    z = basis_element(L, L.dim - L.center_rank)
     for i in range(L.dim):
         assert all(c == 0 for c in bracket(L, z, basis_element(L, i)))
 
@@ -246,7 +246,7 @@ def corrupt(table, i, j, k, c):
 def ambient_weight(L, i):
     """x_a has weight a; h_k and z_j have weight 0."""
     b = L.basis[i]
-    return L.rs.roots[b.index] if b.kind == "x" else (0,) * L.rs.ambient_dim
+    return L.rs.roots[b.index] if b.kind == "x" else (0,) * len(L.rs.simple[0])
 
 
 def test_grading_catches_a_bracket_in_the_wrong_weight_space():
@@ -315,7 +315,7 @@ def test_jacobi_catches_a_non_central_center():
     L = algebra("A2", center=2)
     rep = verify_chevalley(L)
     assert rep.jacobi_ok and rep.jacobi_triples == 8 * 7 * 6 // 6    # [g,g] triples only
-    z = L.z_index(1)
+    z = L.dim - L.center_rank + 1
     table = dict(L.table)
     table[(z, 0)], table[(0, z)] = ((0, 1),), ((0, -1),)
     rep = verify_chevalley(L._replace(table=table))

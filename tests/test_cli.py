@@ -162,11 +162,11 @@ def test_closed_stdout_ends_quietly():
 
 TORSOR = {"field": "Q(sqrt(-5))", "rank": 2, "ideals": [["1"], ["2", "1+w"]],
           "metrics": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
-COMPUTATIONAL = ("rootsys", "chevalley", "charmorph", "poly", "arakelov", "finitefield",
-                 "curve", "torsor")
+COMPUTATIONAL = ("cartan", "rootsys", "chevalley", "charmorph", "poly", "arakelov",
+                 "finitefield", "curve", "torsor")
 
 
-LIE = ("charmorph", "rootsys", "poly")
+LIE = ("charmorph", "cartan", "rootsys", "poly")
 VERB_MODULES = tuple(f"cli_{name}" for name in cli.VERBS if name != "verify")
 
 
@@ -192,7 +192,7 @@ def documents(tmp_path):
     (["degree", "--field", "Q(i)", "--ideal", '["1+i"]', "--metrics", '["2.0"]'], 0,
      ("rootsys", "chevalley", "numpy", "dataclasses", "finitefield"), ("arakelov", "cli_degree")),
     (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0,
-     ("arakelov", "numpy", "dataclasses", "linalg"), ("charmorph", "cli_chi")),
+     ("rootsys", "arakelov", "numpy", "dataclasses", "linalg"), ("charmorph", "cartan", "cli_chi")),
     (["chi", "--matrix", '[["1/2", 3], [4, 5]]'], 0,
      LIE + ("arakelov", "numpy", "dataclasses"), ("linalg", "cli_chi")),
     (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0,
@@ -355,14 +355,16 @@ def test_negative_fiber_bound_is_refused(tmp_path, capsys):
         curve.ramified_primes(C, -1)
 
 
-@pytest.mark.parametrize("flag", ["--fibers", "--center"])
+@pytest.mark.parametrize("flag", ["--fibers", "--center", "--char"])
 @pytest.mark.parametrize("text", ["1_0", "\u0663", "1e1", "0x1", "1.0", ""])
 def test_integer_flags_take_only_ascii_decimal_digits(capsys, flag, text):
-    """int() would read "1_0" as 10 and the Arabic-Indic digit three as 3."""
-    argv = (["curve", "--matrix", '[["1","2"],["3","4"]]'] if flag == "--fibers"
-            else ["chevalley", "--type", "A1"])
+    """int() would read "1_0" as 10 and the Arabic-Indic digit three as 3.  argparse
+    calls --char's type "int" in its message, the bounded flags' "integer"."""
+    argv = {"--fibers": ["curve", "--matrix", '[["1","2"],["3","4"]]'],
+            "--center": ["chevalley", "--type", "A1"], "--char": ["slope"]}[flag]
     err = invoke_usage(capsys, *argv, flag, text)
-    assert err.endswith(f"argument {flag}: invalid integer value: {text!r}\n")
+    what = "int" if flag == "--char" else "integer"
+    assert err.endswith(f"argument {flag}: invalid {what} value: {text!r}\n")
 
 
 def test_integer_flags_allow_a_sign_and_surrounding_whitespace():
@@ -553,7 +555,7 @@ def test_parser_is_built_once_per_process():
 def test_chevalley_records_list_every_nonzero_bracket():
     doc = invoke_json("chevalley", "--type", "B2", "--center", "2")
     L = chevalley.build_chevalley_basis(
-        rootsys.build_root_system(rootsys.CartanType.parse("B2")), center_rank=2)
+        rootsys.build_root_system("B2"), center_rank=2)
     pairs = [(L.label(i), L.label(j)) for i in range(L.dim) for j in range(i + 1, L.dim)
              if L.table.get((i, j))]
     assert [(r["x"], r["y"]) for r in doc["bracket"]] == pairs

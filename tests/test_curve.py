@@ -9,10 +9,9 @@ import pytest
 from arithcurves import curve, finitefield
 from arithcurves.arakelov import FractionalIdeal, NumberField
 from arithcurves.curve import (MAX_CURVE_N, MAX_FIBER_BOUND, cameral_curve,
-                               cameral_fiber_rational, characteristic_point,
-                               covering_degree_check, fiber, higgs_field,
-                               poly_discriminant, ramified_primes, smallest_split_prime,
-                               spectral_curve)
+                               cameral_fiber_rational, covering_degree_check, fiber,
+                               higgs_field, poly_discriminant, ramified_primes,
+                               smallest_split_prime, spectral_curve)
 from arithcurves.errors import (ArithCurvesError, DegenerateCurve, MembershipFailure,
                                 UnsupportedBase)
 from arithcurves.finitefield import factor_pattern, is_prime, roots_mod_p, splits_completely
@@ -26,21 +25,21 @@ def q_higgs(entries, twist=None):
 
 
 def test_characteristic_point_examples():
-    cert = characteristic_point(q_higgs([[0, 1], [2, 0]]))
+    cert = spectral_curve(q_higgs([[0, 1], [2, 0]])).certificate
     assert [v.a for v in cert.values] == [0, -2]
-    zero = characteristic_point(q_higgs([[0, 0], [0, 0]]))
+    zero = spectral_curve(q_higgs([[0, 0], [0, 0]])).certificate
     assert all(v.a == 0 for v in zero.values)
 
 
 def test_twisted_membership_certificates():
     two = FractionalIdeal.from_elements(QQ, [QQ.element(2)])
     phi = q_higgs([[2, 2], [2, 2]], twist=two)
-    cert = characteristic_point(phi)
+    cert = spectral_curve(phi).certificate
     assert [v.a for v in cert.values] == [4, 0]
     # coordinates over the basis of (2)^k reconstruct the coefficient
     for k, (v, coords) in enumerate(zip(cert.values, cert.power_coords), start=1):
         basis = ideal_power(phi.twist, k).basis_elements()
-        assert sum((b * c for b, c in zip(basis, coords)), QQ.zero) == v
+        assert sum((b * c for b, c in zip(basis, coords)), QQ.element(0)) == v
     with pytest.raises(MembershipFailure):
         q_higgs([[1, 0], [0, 0]], twist=two)
 
@@ -209,12 +208,13 @@ def test_ramified_primes_match_discriminant():
 def test_ramified_primes_test_only_reported_primes(monkeypatch, entries, twist, bound, want):
     ideal = FractionalIdeal.from_elements(QQ, [QQ.element(twist)]) if twist else None
     C = spectral_curve(q_higgs(entries, ideal))
-    calls = []
+    calls, models, integral_model = [], [], curve._integral_model
     monkeypatch.setattr(curve, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    monkeypatch.setattr(curve, "_integral_model", lambda C: models.append(C) or integral_model(C))
     out = ramified_primes(C, bound)
     assert [p for p, _ in out] == want
-    # fiber() checks each non-skipped prime once; the scan itself tests none
-    assert calls == [p for p, shape in out if shape is not None]
+    # one integral model per call, and no prime tested: the shapes come from factor_pattern
+    assert calls == [] and models == [C]
 
 
 def test_fiber_bound_limit_raises_before_scanning(monkeypatch):
@@ -447,7 +447,7 @@ def test_discriminant_is_the_product_of_squared_root_differences(d):
                 roots[-1] = roots[0]                    # a repeated root
             poly = [K.one]
             for r in roots:
-                poly = [a - r * b for a, b in zip(poly + [K.zero], [K.zero] + poly)]
+                poly = [a - r * b for a, b in zip(poly + [K.element(0)], [K.element(0)] + poly)]
             want = functools.reduce(lambda acc, ij: acc * (ij[0] - ij[1]) * (ij[0] - ij[1]),
                                     itertools.combinations(roots, 2), K.one)
             assert poly_discriminant(*integral_pairs(poly), K) == want
@@ -468,12 +468,12 @@ def test_power_sums_of_known_roots():
             roots = [r * den for r in roots]                # the roots D l_i of g
             poly = [K.one]
             for r in roots:
-                poly = [a - r * b for a, b in zip(poly + [K.zero], [K.zero] + poly)]
+                poly = [a - r * b for a, b in zip(poly + [K.element(0)], [K.element(0)] + poly)]
             g, one = integral_pairs(poly)
             assert one == 1
             powers, want = [K.one] * n, []
             for _ in range(2 * n + 2):
-                want.append(sum(powers, K.zero))
+                want.append(sum(powers, K.element(0)))
                 powers = [x * r for x, r in zip(powers, roots)]
             assert curve._power_sums(g, 2 * n + 2, s, t) == [(x.a, x.b) for x in want]
     # roots 1, 2, 3: e = (6, 11, 6) and S_0 .. S_3 = (3, 6, 14, 36)
@@ -521,7 +521,7 @@ def test_cameral_examples():
     K2 = NumberField(2)
     r = K2.omega
     for tup in [(r, -r), (-r, r)]:
-        assert tup[0] + tup[1] == K2.zero                    # e1 = c1 = 0
+        assert tup[0] + tup[1] == K2.element(0)              # e1 = c1 = 0
         assert tup[0] * tup[1] == K2.element(-2)             # e2 = c2 = -2
 
 
@@ -539,8 +539,7 @@ def test_quadratic_base_construction_works():
     phi = higgs_field(K, [[K.element(0), K.element(1)], [K.omega, K.element(0)]])
     C = spectral_curve(phi)
     assert str(C.disc) == "0 + 4*w"
-    cert = characteristic_point(phi)
-    assert all(coords is not None for coords in cert.power_coords)
+    assert all(coords is not None for coords in C.certificate.power_coords)
 
 
 def test_twisted_powers_certificates():
@@ -549,7 +548,7 @@ def test_twisted_powers_certificates():
         twist = FractionalIdeal.from_elements(QQ, [QQ.element(m)])
         for _ in range(10):
             mat = [[m * rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
-            cert = characteristic_point(q_higgs(mat, twist=twist))
+            cert = spectral_curve(q_higgs(mat, twist=twist)).certificate
             for k, v in enumerate(cert.values, start=1):
                 assert v.a % (m ** k) == 0
 

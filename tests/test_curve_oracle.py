@@ -1,5 +1,5 @@
-"""Curve arithmetic against sympy: rational cameral points, ramified primes, F_p shapes,
-discriminants, and the norms of fractional ideals."""
+"""Curve arithmetic against sympy: rational cameral points, ramified primes, F_p shapes
+and their parity, discriminants, and the norms of fractional ideals."""
 
 import functools
 import itertools
@@ -15,9 +15,9 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from arithcurves.arakelov import FractionalIdeal, NumberField  # noqa: E402
-from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E402
-                               characteristic_point, fiber, higgs_field, poly_discriminant,
-                               ramified_primes, smallest_split_prime, spectral_curve)
+from arithcurves.curve import (cameral_curve, cameral_fiber_rational, fiber,  # noqa: E402
+                               higgs_field, poly_discriminant, ramified_primes,
+                               smallest_split_prime, spectral_curve)
 from arithcurves.errors import DegenerateCurve  # noqa: E402
 from arithcurves.finitefield import factor_pattern  # noqa: E402
 from helpers import ideal_power, integral_pairs, ramified_by_odd_division  # noqa: E402
@@ -124,6 +124,25 @@ def test_ramified_primes_match_odd_trial_division(coeffs, bound):
     assert ramified_primes(C, bound) == ramified_by_odd_division(C, bound)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6), q=st.sampled_from([1, 2, 3, 6]), data=st.data())
+def test_fiber_factor_count_has_the_parity_of_the_discriminant(n, q, data):
+    """Stickelberger: at an odd prime p of good reduction, a squarefree monic p_phi of
+    degree n with r irreducible factors mod p has (-1)^(n - r) = (disc / p), the
+    Legendre symbol.  factor_pattern gives r and the Hankel determinant gives disc."""
+    entry = st.integers(-20, 20).map(lambda a: Fraction(a, q))
+    mat = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    C = spectral_curve(higgs_field(QQ, mat, twist=FractionalIdeal.from_elements(
+        QQ, [QQ.element(Fraction(1, q))])))
+    assume(not C.degenerate)
+    d = C.disc.a
+    bad = d.numerator * d.denominator * math.lcm(*(c.a.denominator for c in C.poly))
+    for p in sympy.primerange(3, 300):
+        if bad % p:
+            r = len(fiber(C, p))
+            assert (-1) ** (n - r) == sympy.legendre_symbol(d.numerator * d.denominator % p, p)
+
+
 def _sympy_shape(poly, p):
     """sympy's factor shape of a monic poly over Q (highest degree first) reduced mod p."""
     reduced = [c.numerator * pow(c.denominator, -1, p) % p for c in poly]
@@ -163,7 +182,7 @@ def test_poly_discriminant_matches_sympy(data, d, n):
     poly = [K.one] + data.draw(st.lists(_elements(K), min_size=n, max_size=n))
     if n >= 2 and data.draw(st.booleans()):     # a repeated root: disc = 0
         r = data.draw(_elements(K))
-        poly = [K.one, -r - r, r * r] + [K.zero] * (n - 2)
+        poly = [K.one, -r - r, r * r] + [K.element(0)] * (n - 2)
     dom, w = _domain(d)
     want = sympy.Poly([dom.convert(_rational(c.a)) + dom.convert(_rational(c.b)) * w
                        for c in poly], X, domain=dom).discriminant()
@@ -218,7 +237,7 @@ def test_ideal_norms_are_multiplicative(data, d):
     norm = _sympy_element(K, x)
     if K.degree == 2:                           # times the Galois conjugate a + b w'
         norm = sympy.expand(norm * _sympy_element(K, x.conj()))
-    assert FractionalIdeal.principal(x).norm() == abs(norm)
+    assert FractionalIdeal.from_elements(K, [x]).norm() == abs(norm)
 
 
 @settings(max_examples=60, deadline=None)
@@ -229,7 +248,7 @@ def test_certificates_are_coordinates_over_the_twist_powers(data, d, n):
     u, v = twist.basis_elements()
     entry = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).map(lambda c: c[0] * u + c[1] * v)
     rows = st.lists(entry, min_size=n, max_size=n)
-    cert = characteristic_point(higgs_field(K, data.draw(st.lists(rows, min_size=n, max_size=n)),
-                                            twist=twist))
+    phi = higgs_field(K, data.draw(st.lists(rows, min_size=n, max_size=n)), twist=twist)
+    cert = spectral_curve(phi).certificate
     for k, (c, coords) in enumerate(zip(cert.values, cert.power_coords), start=1):
         assert coords == ideal_power(twist, k).membership_coords(c)

@@ -96,7 +96,7 @@ def _special_matrices(rng, d, n):
         a = Fraction(rng.randint(-num, num), rng.randint(1, den))
         return K.element(a, Fraction(rng.randint(-num, num), rng.randint(1, den))) if d else a
 
-    zero = K.zero if d else Fraction(0)
+    zero = K.element(0) if d else Fraction(0)
     small = [[elem(5, 3) for _ in range(n)] for _ in range(n)]
     nilpotent = [[elem(5, 3) if j > i else zero for j in range(n)] for i in range(n)]
     singular = [list(row) for row in small]

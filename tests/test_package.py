@@ -315,6 +315,11 @@ arithcurves degree: error: the following arguments are required: --ideal, --metr
 usage: arithcurves slope [-h] --torsor FILE [--char CHAR_POWER]
 arithcurves slope: error: argument --char: invalid int value: 'x'
 """),
+    (["slope", "--char", "1_0"],
+     """\
+usage: arithcurves slope [-h] --torsor FILE [--char CHAR_POWER]
+arithcurves slope: error: argument --char: invalid int value: '1_0'
+"""),
     (["curve", "--matrix", "[[1]]", "--fibers", "x"],
      """\
 usage: arithcurves curve [-h] --matrix JSON [--field FIELD] [--twist JSON]

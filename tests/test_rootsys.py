@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from arithcurves.cartan import ROOT_COUNT, CartanType
 from arithcurves.charmorph import realization
 from arithcurves.errors import NotARoot, ProportionalRoots, UnsupportedType
-from arithcurves.rootsys import (CartanType, ROOT_COUNT, WEYL_ORDER, build_root_system,
-                                 cartan_integer, compose, inner, reflect, root_string,
-                                 root_system_json, vadd, vneg, vscale, weyl_group)
+from arithcurves.rootsys import (WEYL_ORDER, build_root_system, cartan_integer, compose, inner,
+                                 reflect, root_string, root_system_json, vadd, vneg, vscale,
+                                 weyl_group)
 from helpers import simple_reflections
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
@@ -229,7 +230,7 @@ def test_weyl_matrices_match_sympy_reflection_products(token):
     """
     sympy = pytest.importorskip("sympy")
     rs = build_root_system(token)
-    n = rs.ambient_dim
+    n = len(rs.simple[0])
     refl = []
     for a in rs.simple:
         col = sympy.Matrix(a)
@@ -259,7 +260,7 @@ def test_poset_walk_coordinates(token):
     rs = build_root_system(token)
     assert set(rs.coeffs) == set(rs.roots)
     for a in rs.roots:
-        total = (0,) * rs.ambient_dim
+        total = (0,) * len(rs.simple[0])
         for c, s in zip(rs.coeffs[a], rs.simple):
             total = vadd(total, vscale(c, s))
         assert total == a
