@@ -36,11 +36,12 @@ MAX_CHI_N = 64
 # against 11.7 s for 16 x 16 with 4000-digit entries (D > 64000).
 MAX_CHI_WORK = 150_000_000
 
-# Largest accepted torsor rank.  A place's Lie-algebra forms are dense
-# n^2 x n^2 matrices (2n^2 x 2n^2 at a complex place), decomposed by every
-# compatibility check; at rank 16 over Q(sqrt(-5)), `slope --torsor` and
-# `verify` on a dense metric take about 0.8 s cold on one 2-vCPU Intel Xeon
-# core (70 MB peak RSS), against 4.5 s and 215 MB at rank 24 over Q(i).
+# Largest accepted torsor rank.  `verify` on a raw torsor decomposes each
+# place's Lie-algebra form, a dense n^2 x n^2 matrix (2n^2 x 2n^2 at a complex
+# place); at rank 16 over Q(sqrt(-5)) with a dense metric it takes 0.55-0.8 s
+# cold on one 2-vCPU Intel Xeon core (71 MB peak RSS), against 4.5 s and
+# 215 MB at rank 24 over Q(i).  `slope --torsor` forms no such matrix and takes
+# 0.2-0.3 s (45 MB) on the same torsor.
 MAX_TORSOR_RANK = 16
 
 # Largest accepted |d| of a field Q(sqrt(d)).  Checking that d is squarefree

@@ -6,14 +6,11 @@ that basis the Cartan involution is X -> -X^T (resp. X -> -conj(X)^T), the
 trace form <X,Y> = Tr XY (resp. Re Tr XY) plays the role of H_K, and the
 canonical positive form -<X, theta_K Y> becomes exactly the identity matrix.
 
-A compatible metric is stored together with the Gram matrix it induces on the
-standard representation; that n x n block is what the determinant line bundle
-sees, via the square root of its Gram determinant.  Compatibility of the Lie
-algebra block is checked by the four involution/definiteness clauses with
-residuals measured in max norm relative to the operand scale, at 1e-9.
-
-The records are NamedTuples; ArithmeticTorsor validates its place metrics in
-`__new__` on a NamedTuple base.
+A compatible metric is stored as its witness g, an invertible n x n matrix: the
+pullback H = Ad(g)^T H_can Ad(g) of the canonical form, compatible by
+construction, and the Gram matrix g^H g that the determinant line bundle sees
+are formed when read.  `verify_compatibility` checks any form by the four
+involution/definiteness clauses, residuals relative to the operand scale, at 1e-9.
 """
 
 from __future__ import annotations
@@ -71,15 +68,20 @@ def canonical_form(n: int, place: str = "real") -> CartanData:
     return CartanData(n=n, place=place, theta_K=theta, H_K=hk, H_can=hcan)
 
 
-def ad_matrix(cd: CartanData, g: np.ndarray) -> np.ndarray:
-    """Matrix of X -> g X g^{-1} on the flattened coordinates."""
+def _group_element(cd: CartanData, g) -> tuple[np.ndarray, np.ndarray]:
+    """(g, g^{-1}) for an n x n matrix over the place's field; exactly singular g is refused."""
     g = np.asarray(g, dtype=complex if cd.place == "complex" else float)
     if g.shape != (cd.n, cd.n):
         raise DimensionMismatch(f"expected {cd.n} x {cd.n} group element")
-    det = np.linalg.det(g)
-    if abs(det) < 1e-12:
-        raise SingularMatrix("group element is not invertible")
-    h = np.linalg.inv(g)
+    try:
+        return g, np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("group element is not invertible") from None
+
+
+def ad_matrix(cd: CartanData, g: np.ndarray) -> np.ndarray:
+    """Matrix of X -> g X g^{-1} on the flattened coordinates."""
+    g, h = _group_element(cd, g)
     m = np.kron(g, h.T)
     if cd.place == "real":
         return m.real
@@ -100,12 +102,16 @@ def center_basis(cd: CartanData) -> np.ndarray:
     return np.stack([np.concatenate([u, z]), np.concatenate([z, u])], axis=1)
 
 
+def _range_basis(projector: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of a projector's range (its nonzero singular values are >= 1)."""
+    vecs, vals, _ = np.linalg.svd(projector)
+    return vecs[:, vals > 0.5]
+
+
 def semisimple_basis(cd: CartanData) -> np.ndarray:
     """Orthonormal basis of the trace-zero block (complement of the center)."""
     u = center_basis(cd)
-    proj = np.eye(cd.dim) - u @ u.T
-    vecs, vals, _ = np.linalg.svd(proj)
-    return vecs[:, vals > 0.5]
+    return _range_basis(np.eye(cd.dim) - u @ u.T)
 
 
 class CompatibilityReport(NamedTuple):
@@ -172,6 +178,8 @@ def verify_compatibility(cd: CartanData, H: np.ndarray, tol: float = TOL) -> Com
     H = np.asarray(H, dtype=float)
     if H.shape != (cd.dim, cd.dim):
         raise DimensionMismatch(f"form must be {cd.dim} x {cd.dim}")
+    if not np.isfinite(H).all():
+        raise ArithCurvesError("the Lie-algebra form is beyond the floating-point range")
     u = center_basis(cd)
     vs = semisimple_basis(cd)
     hz = u.T @ H @ u
@@ -183,19 +191,18 @@ def verify_compatibility(cd: CartanData, H: np.ndarray, tol: float = TOL) -> Com
 
     hss = vs.T @ H @ vs
     hkss = vs.T @ cd.H_K @ vs
-    dim_ss = hss.shape[0]
     theta = -np.linalg.solve(hkss, hss)
-    eye = np.eye(dim_ss)
+    try:
+        hinv_hk = np.linalg.solve(hss, hkss)
+    except np.linalg.LinAlgError:
+        raise ArithCurvesError("the Lie-algebra form is singular in floating point") from None
+    eye = np.eye(hss.shape[0])
     r_inv = _rel(theta @ theta - eye, eye)
-    r_refl = _rel(hkss @ np.linalg.solve(hss, hkss) - hss, hss)
-    r_iso = _rel(hkss.T @ np.linalg.solve(hss, hkss) - hss, hss)
+    r_refl = _rel(hkss @ hinv_hk - hss, hss)
+    r_iso = _rel(hkss.T @ hinv_hk - hss, hss)
 
-    def basis(projector: np.ndarray) -> np.ndarray:
-        vecs, vals, _ = np.linalg.svd(projector)
-        return vecs[:, vals > 0.5]
-
-    vp = basis((eye + theta) / 2.0)
-    vm = basis((eye - theta) / 2.0)
+    vp = _range_basis((eye + theta) / 2.0)
+    vm = _range_basis((eye - theta) / 2.0)
     bp = vp.T @ hkss @ vp
     bm = vm.T @ hkss @ vm
     plus_max = float(np.linalg.eigvalsh((bp + bp.T) / 2).max()) if vp.size else -math.inf
@@ -210,12 +217,19 @@ def verify_compatibility(cd: CartanData, H: np.ndarray, tol: float = TOL) -> Com
 
 
 class CompatibleMetric(NamedTuple):
-    """A compatible form on gl_n plus the Gram matrix on the standard rep."""
+    """The pullback of the canonical metric along an invertible witness g."""
 
     cd: CartanData
-    H: np.ndarray
-    std: np.ndarray                  # n x n SPD (real) or Hermitian PD (complex)
-    witness: np.ndarray | None = None
+    witness: np.ndarray
+
+    @property
+    def std(self) -> np.ndarray:             # the Gram matrix g^H g on the standard rep
+        return self.witness.conj().T @ self.witness
+
+    @property
+    def H(self) -> np.ndarray:               # Ad(g)^T H_can Ad(g) on the Lie algebra
+        ad = ad_matrix(self.cd, self.witness)
+        return ad.T @ self.cd.H_can @ ad
 
     def verify(self, tol: float = TOL) -> CompatibilityReport:
         return verify_compatibility(self.cd, self.H, tol)
@@ -223,23 +237,15 @@ class CompatibleMetric(NamedTuple):
 
 def witnessed_metric(cd: CartanData, g: np.ndarray) -> CompatibleMetric:
     """Pullback of the canonical metric along g (orbit of Prop-8 type actions)."""
-    g = np.asarray(g, dtype=complex if cd.place == "complex" else float)
-    ad = ad_matrix(cd, g)
-    h = ad.T @ cd.H_can @ ad
-    std = g.conj().T @ g if cd.place == "complex" else g.T @ g
-    return CompatibleMetric(cd=cd, H=h, std=std, witness=g)
+    return CompatibleMetric(cd=cd, witness=_group_element(cd, g)[0])
 
 
 def act(cd: CartanData, g: np.ndarray, metric):
-    """Right action (H, g) -> Ad(g)^T H Ad(g); acts on std and witness too."""
-    ad = ad_matrix(cd, g)
+    """Right action (H, g) -> Ad(g)^T H Ad(g); a metric's witness W moves to W g."""
     if isinstance(metric, CompatibleMetric):
-        g = np.asarray(g, dtype=complex if cd.place == "complex" else float)
-        std = g.conj().T @ metric.std @ g if cd.place == "complex" else g.T @ metric.std @ g
-        wit = None if metric.witness is None else metric.witness @ g
-        return CompatibleMetric(cd=cd, H=ad.T @ metric.H @ ad, std=std, witness=wit)
-    H = np.asarray(metric, dtype=float)
-    return ad.T @ H @ ad
+        return witnessed_metric(cd, metric.witness @ _group_element(cd, g)[0])
+    ad = ad_matrix(cd, g)
+    return ad.T @ np.asarray(metric, dtype=float) @ ad
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +273,6 @@ class ArithmeticTorsor(_ArithmeticTorsor):
         for kind, m in zip(kinds, metrics):
             if m.cd.place != kind or m.cd.n != rank:
                 raise ArithCurvesError("metric place data does not match the field")
-            report = m.verify()
-            if not report.ok:
-                raise ArithCurvesError(f"incompatible metric at a {kind} place: "
-                                       f"{report.as_dict()}")
         return super().__new__(cls, field, rank, ideals, metrics)
 
 
@@ -281,8 +283,9 @@ def determinant_bundle(T: ArithmeticTorsor) -> MetrizedLineBundle:
         ideal = ideal * i
     rhos = []
     for m in T.metrics:
-        d = np.linalg.det(np.asarray(m.std))
-        d = float(abs(d.real)) if np.iscomplexobj(m.std) else float(d)
+        d = float(np.linalg.det(m.std).real)
+        if not 0 < d < math.inf:        # det(g^H g) overflows, or rounds to <= 0 near singular g
+            raise ArithCurvesError("a metric's Gram determinant is not a positive finite float")
         rhos.append(math.sqrt(d))
     return MetrizedLineBundle(ideal, tuple(rhos))
 

@@ -624,6 +624,54 @@ def test_torsor_rank_limit(tmp_path, verb, flag):
         "message": f"torsor rank {MAX_TORSOR_RANK + 1} exceeds the limit {MAX_TORSOR_RANK}"}
 
 
+# Gram matrices that Cholesky factors, whose Lie-algebra form is far from the
+# canonical one; `slope` reads only the Gram determinant, and `verify` reports
+# the clauses or refuses a form that overflows or is singular in floating point
+OVERFLOW = "the Lie-algebra form is beyond the floating-point range"
+SINGULAR = "the Lie-algebra form is singular in floating point"
+
+
+@pytest.mark.parametrize("gram, slope, verdict", [
+    ([["1e6", "0"], ["0", "1e-6"]], "0", "report"),
+    ([["1e300", "0"], ["0", "1e-300"]], "0", OVERFLOW),
+    ([["1e-13", "0"], ["0", "1e-13"]], -math.log(1e-13), "ok"),
+    ([["1", "0.999999"], ["0.999999", "1"]], -0.5 * math.log(1 - 0.999999 ** 2), "report"),
+    ([["1", "1"], ["1", "1.000000000001"]], -0.5 * math.log(1.000000000001 - 1), SINGULAR),
+], ids=["1e6", "1e300", "1e-13", "near-singular", "singular-form"])
+def test_ill_conditioned_gram_matrix(tmp_path, gram, slope, verdict):
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps({"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
+                             "metrics": [gram]}))
+    value = invoke_json("slope", "--torsor", str(f))["slope"]
+    if isinstance(slope, str):
+        assert value == slope
+    else:
+        assert float(value) == pytest.approx(slope, rel=1e-9)
+    code, text = invoke("verify", "--input", str(f))
+    doc = json.loads(text)
+    if verdict in ("ok", "report"):
+        assert code == (0 if verdict == "ok" else 1) and doc["ok"] == (verdict == "ok")
+        assert doc["input_kind"] == "torsor"
+    else:
+        assert code == 1 and doc["error"] == {"type": "ArithCurvesError", "message": verdict}
+
+
+# Cholesky factors these Gram matrices, but det(g^T g) of the factor g rounds to
+# -2.8e-17, or overflows to inf
+@pytest.mark.parametrize("gram", [
+    [["0.5088271749698059", "0.4725947406479267"], ["0.4725947406479267", "0.4389423361701046"]],
+    [["1e300", "0"], ["0", "1e300"]],
+], ids=["below-zero", "overflow"])
+def test_gram_determinant_out_of_float_range_is_a_domain_error(tmp_path, gram):
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps({"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
+                             "metrics": [gram]}))
+    code, text = invoke("slope", "--torsor", str(f))
+    assert code == 1 and json.loads(text)["error"] == {
+        "type": "ArithCurvesError",
+        "message": "a metric's Gram determinant is not a positive finite float"}
+
+
 def test_verify_round_trip_all_verbs(tmp_path):
     spec = {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
             "metrics": [[["2", "0"], ["0", "1"]]]}

@@ -72,13 +72,21 @@ def argvs(draw):
 
 KEYS = ["type", "center", "matrix", "point", "field", "ideal_hnf", "metrics", "rank", "ideals",
         "char_power", "twist_hnf", "fiber_bound", "weyl_words", "verification"]
-torsors = st.fixed_dictionaries({
+random_torsors = st.fixed_dictionaries({
     "field": st.sampled_from(FIELDS[:5]), "rank": st.integers(0, 3),
     "ideals": st.one_of(st.lists(st.sampled_from([["1"], ["2", "1+w"], [["1", "0"]], []]),
                                  max_size=3), values),
     "metrics": st.one_of(st.lists(st.one_of(square, st.just([["1", "0"], ["0", "1"]]),
                                             st.just([[[1, 0], [0, 0]], [[0, 0], [1, 0]]])),
                                   max_size=2), values)})
+# well-formed torsors over Q whose diagonal Gram matrices span extreme scales: their
+# Lie-algebra forms overflow, or their Cholesky factors have tiny determinants
+SCALES = ["1e300", "1e-300", "1e-13", "1e6", "1e-6", "1"]
+scaled_torsors = st.lists(st.sampled_from(SCALES), min_size=1, max_size=3).map(
+    lambda d: {"field": "Q", "rank": len(d), "ideals": [["1"]] * len(d),
+               "metrics": [[[x if i == j else "0" for j in range(len(d))]
+                            for i, x in enumerate(d)]]})
+torsors = st.one_of(random_torsors, scaled_torsors)
 documents = st.one_of(
     st.dictionaries(st.sampled_from(KEYS), values, max_size=5).flatmap(
         lambda d: st.sampled_from(["rootsys", "chevalley", "chi", "degree", "slope", "spectral",

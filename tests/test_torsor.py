@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from arithcurves import torsor
 from arithcurves.arakelov import FractionalIdeal, NumberField
 from arithcurves.errors import (MAX_TORSOR_RANK, ArithCurvesError, DimensionMismatch,
                                SingularMatrix)
@@ -107,6 +108,8 @@ def test_fine_involution_examples():
 def test_fine_involution_shape_check():
     with pytest.raises(DimensionMismatch):
         verify_compatibility(canonical_form(2), np.eye(3))
+    with pytest.raises(ArithCurvesError, match="beyond the floating-point range"):
+        verify_compatibility(canonical_form(2), np.diag([1.0, np.inf, 1.0, 1.0]))
 
 
 def test_witnessed_metrics_pass_all_clauses():
@@ -174,8 +177,10 @@ def test_act_is_right_action_and_keeps_compatibility():
         h12 = act(cd, g2, act(cd, g1, cd.H_can.copy()))
         h = act(cd, g1 @ g2, cd.H_can.copy())
         assert np.abs(h12 - h).max() < 1e-6 * max(1.0, np.abs(h).max())
-        m = act(cd, g1, canonical_metric(cd))
+        m = act(cd, g2, act(cd, g1, canonical_metric(cd)))
         assert isinstance(m, CompatibleMetric)
+        assert np.abs(m.witness - g1 @ g2).max() < 1e-12 * max(1.0, np.abs(g1 @ g2).max())
+        assert np.abs(m.H - h).max() < 1e-6 * max(1.0, np.abs(h).max())
         assert m.verify().ok
 
 
@@ -185,6 +190,11 @@ def test_act_rejects_singular():
         act(cd, np.zeros((2, 2)), cd.H_can.copy())
     with pytest.raises(SingularMatrix):
         ad_matrix(cd, np.array([[1.0, 0.0], [2.0, 0.0]]))
+    with pytest.raises(SingularMatrix):
+        witnessed_metric(cd, np.array([[1.0, 0.0], [2.0, 0.0]]))
+    tiny = 1e-7 * np.eye(2)                       # det 1e-14: small, but invertible
+    assert np.abs(ad_matrix(cd, tiny) - np.eye(4)).max() < 1e-12
+    assert np.abs(witnessed_metric(cd, tiny).std - 1e-14 * np.eye(2)).max() < 1e-28
 
 
 def test_complex_place_witnessed():
@@ -205,7 +215,8 @@ def test_gl1_metric_slope():
     K = NumberField(0)
     cd = canonical_form(1)
     for t in (0.5, 2.0, 3.0):
-        m = CompatibleMetric(cd=cd, H=np.array([[t * t]]), std=np.array([[t * t]]))
+        m = witnessed_metric(cd, np.array([[t]]))
+        assert m.std[0, 0] == t * t and m.H[0, 0] == 1.0
         T = ArithmeticTorsor(field=K, rank=1,
                              ideals=(FractionalIdeal.ring_of_integers(K),),
                              metrics=(m,))
@@ -235,15 +246,27 @@ def test_slope_additive_in_character_power():
     assert slope(T, 1) == pytest.approx(-math.log(6), abs=1e-9)
 
 
-def test_torsor_validation():
-    K = NumberField(0)
-    cd = canonical_form(2)
-    a = RNG.standard_normal((4, 4))
-    bad = CompatibleMetric(cd=cd, H=a.T @ a + 0.2 * np.eye(4), std=np.eye(2))
-    with pytest.raises(ArithCurvesError):
-        ArithmeticTorsor(field=K, rank=2,
-                         ideals=(FractionalIdeal.ring_of_integers(K),) * 2,
-                         metrics=(bad,))
+def test_rank_limit_torsor_is_not_rechecked(monkeypatch):
+    """A witnessed metric is compatible by construction: building a torsor and
+    taking its slope runs no clause check, even at the rank limit."""
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return verify_compatibility(*args, **kw)
+
+    monkeypatch.setattr(torsor, "verify_compatibility", counted)
+    K = NumberField(-5)
+    n = MAX_TORSOR_RANK
+    rng = np.random.default_rng(16)
+    g = np.eye(n) + 0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    m = witnessed_metric(canonical_form(n, "complex"), g)
+    T = ArithmeticTorsor(field=K, rank=n, ideals=(FractionalIdeal.ring_of_integers(K),) * n,
+                         metrics=(m,))
+    expected = -math.log(abs(np.linalg.det(g)) ** 2)     # place weight 2 times -log sqrt det
+    assert slope(T, 1) == pytest.approx(expected, rel=1e-9)
+    assert calls == []
+    assert m.verify().ok and len(calls) == 1
 
 
 def test_slope_pairs_det_with_the_central_cocharacter():
@@ -278,7 +301,7 @@ def test_torsor_records_raise_as_before_and_are_immutable():
         ArithCurvesError, "metric place data does not match the field")
     T = ArithmeticTorsor(K, 2, (unit, unit), (cplx,))
     report = cplx.verify()
-    for record, name in ((T, "rank"), (cplx, "H"), (cplx.cd, "n"), (report, "tol")):
+    for record, name in ((T, "rank"), (cplx, "witness"), (cplx.cd, "n"), (report, "tol")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert hash(report) == hash(verify_compatibility(cplx.cd, cplx.H))
