@@ -139,6 +139,9 @@ def parse_field(name: str) -> NumberField:
     return NumberField(int(sign + digits))
 
 
+_ZERO = Fraction(0)
+
+
 class _FieldElement(NamedTuple):
     field: NumberField
     a: Fraction
@@ -150,7 +153,7 @@ class FieldElement(_FieldElement):
 
     __slots__ = ()
 
-    def __new__(cls, field: NumberField, a: Fraction, b: Fraction = Fraction(0)):
+    def __new__(cls, field: NumberField, a: Fraction, b: Fraction = _ZERO):
         if field.d == 0 and b != 0:
             raise ArithCurvesError("Q has no w component")
         return super().__new__(cls, field, a, b)
@@ -238,19 +241,16 @@ def parse_element(field: NumberField, s: str) -> FieldElement:
     terms = re.findall(r"([+-]?)([+-]?(?:[eE][+-]?|[^+\-eE])+)", text)
     if not text or "".join(sign + term for sign, term in terms) != text:
         raise MalformedInput(f"cannot parse field element {s!r}")
-    a = b = Fraction(0)
+    parts: tuple[list, list] = ([], [])          # the values of the 1 and the w terms
     for sign, term in terms:
-        literal = term[:-1].rstrip("*") if term.endswith("w") else term
+        is_w = term.endswith("w")
+        literal = term[:-1].rstrip("*") if is_w else term
         try:
             value = parse_rational(literal + "1" if literal in ("", "+", "-") else literal)
         except MalformedInput as exc:
             raise MalformedInput(f"cannot parse field element {s!r}: {exc}") from None
-        value = -value if sign == "-" else value
-        if term.endswith("w"):
-            b += value
-        else:
-            a += value
-    return FieldElement(field, a, b)
+        parts[is_w].append(-value if sign == "-" else value)
+    return FieldElement(field, *(sum(p[1:], p[0]) if p else _ZERO for p in parts))
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +349,19 @@ class FractionalIdeal(NamedTuple):
         """Integer coordinates of x over the HNF basis, or None if x not in it."""
         if self.field.degree == 1:
             q = self.rows[0][0]
-            if x.b != 0:
+            if x.b:
                 return None
-            m = x.a / q
-            return (int(m),) if m.denominator == 1 else None
+            m, r = divmod(x.a.numerator * q.denominator, x.a.denominator * q.numerator)
+            return None if r else (m,)
         (a, b), (_, c) = self.rows
-        m = x.a / a
-        if m.denominator != 1:
+        m, r = divmod(x.a.numerator * a.denominator, x.a.denominator * a.numerator)
+        if r:
             return None
-        n = (x.b - m * b) / c
-        if n.denominator != 1:
-            return None
-        return (int(m), int(n))
+        # n = (x.b - m b) / c over the denominator x.b.denominator * b.denominator
+        bd = b.denominator
+        n, r = divmod((x.b.numerator * bd - m * b.numerator * x.b.denominator) * c.denominator,
+                      x.b.denominator * bd * c.numerator)
+        return None if r else (m, n)
 
     def contains(self, x: FieldElement) -> bool:
         return self.membership_coords(x) is not None

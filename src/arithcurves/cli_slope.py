@@ -28,7 +28,10 @@ def _place_metrics(grams, key: str, K: arakelov.NumberField, n: int) -> tuple:
         if not np.isfinite(gram).all():
             raise ArithCurvesError("metric Gram matrix must be finite")
         # Cholesky reads only the lower triangle: refuse the rest rather than drop it
-        if np.abs(gram - gram.conj().T).max() > torsor.TOL * np.abs(gram).max():
+        # (a difference that overflows is an asymmetry too)
+        with np.errstate(over="ignore"):
+            asymmetry = np.abs(gram - gram.conj().T).max()
+        if asymmetry > torsor.TOL * np.abs(gram).max():
             raise MalformedInput("metric Gram matrix must be "
                                  + ("symmetric" if kind == "real" else "Hermitian"))
         try:

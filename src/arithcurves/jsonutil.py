@@ -16,29 +16,33 @@ from .errors import ArithCurvesError, MalformedInput
 # one accepted literal still prints back.
 MAX_LITERAL_DIGITS = 4300
 
-_RATIONAL = re.compile(r"\s*[+-]?(?=\.?[0-9])([0-9]*)"
-                       r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE][+-]?0*([0-9]+))?)\s*")
+_RATIONAL = re.compile(r"\s*([+-]?)(?=\.?[0-9])([0-9]*)"
+                       r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?)0*([0-9]+))?)\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """A literal "p", "p/q" or "-1.5e-3", its size checked before any integer is built."""
+    """A literal "p", "p/q" or "-1.5e-3", its size checked before any integer is built;
+    the value is built from the integers of the groups the pattern matched."""
     m = _RATIONAL.fullmatch(text)
     if m is None:
         raise MalformedInput(f"{text!r} is not a rational literal")
-    *digits, exp = m.groups("")
+    sign, digits, den, frac, exp_sign, exp = m.groups("")
     if (len(exp) > len(str(MAX_LITERAL_DIGITS))
-            or sum(map(len, digits)) + int(exp or 0) > MAX_LITERAL_DIGITS):
+            or len(digits) + len(den) + len(frac) + int(exp or 0) > MAX_LITERAL_DIGITS):
         raise MalformedInput(f"a rational literal has more than MAX_LITERAL_DIGITS = "
                              f"{MAX_LITERAL_DIGITS} digits, counting |exponent|")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInput(f"{text!r} is not a rational literal: {exc}") from None
+    num = int(sign + (digits + frac or "0"))
+    if den:
+        try:
+            return Fraction(num, int(den))
+        except ZeroDivisionError as exc:
+            raise MalformedInput(f"{text!r} is not a rational literal: {exc}") from None
+    scale = len(frac) - (int(exp_sign + exp) if exp else 0)      # value = num / 10^scale
+    return Fraction(num, 10 ** scale) if scale > 0 else Fraction(num * 10 ** -scale)
 
 
 def rat_str(q: Fraction | int) -> str:
     """Canonical "p" / "p/q" form of an exact rational."""
-    q = Fraction(q)
     try:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
     except ValueError:

@@ -114,6 +114,11 @@ def semisimple_basis(cd: CartanData) -> np.ndarray:
     return _range_basis(np.eye(cd.dim) - u @ u.T)
 
 
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) for the infinite extreme eigenvalue of an empty eigenspace."""
+    return float(x) if math.isfinite(x) else None
+
+
 class CompatibilityReport(NamedTuple):
     """Lemma-7 clauses on the trace-zero block plus the center-splitting checks.
 
@@ -163,8 +168,8 @@ class CompatibilityReport(NamedTuple):
         return {
             "involution": {"ok": self.involution_ok, "residual": float(self.involution_residual)},
             "reflection": {"ok": self.reflection_ok, "residual": float(self.reflection_residual)},
-            "eigenspaces": {"ok": self.eigenspace_ok, "plus_max_eig": float(self.plus_max_eig),
-                            "minus_min_eig": float(self.minus_min_eig),
+            "eigenspaces": {"ok": self.eigenspace_ok, "plus_max_eig": _finite(self.plus_max_eig),
+                            "minus_min_eig": _finite(self.minus_min_eig),
                             "cross_residual": float(self.cross_residual)},
             "isometry": {"ok": self.isometry_ok, "residual": float(self.isometry_residual)},
             "splitting": {"ok": self.splitting_ok, "block_residual": float(self.block_residual),
@@ -173,13 +178,24 @@ class CompatibilityReport(NamedTuple):
         }
 
 
+_BEYOND_RANGE = "the Lie-algebra form is beyond the floating-point range"
+
+
 def verify_compatibility(cd: CartanData, H: np.ndarray, tol: float = TOL) -> CompatibilityReport:
     """Clause-by-clause compatibility check of an SPD form on the Lie algebra."""
     H = np.asarray(H, dtype=float)
     if H.shape != (cd.dim, cd.dim):
         raise DimensionMismatch(f"form must be {cd.dim} x {cd.dim}")
     if not np.isfinite(H).all():
-        raise ArithCurvesError("the Lie-algebra form is beyond the floating-point range")
+        raise ArithCurvesError(_BEYOND_RANGE)
+    try:
+        with np.errstate(over="raise"):
+            return _clauses(cd, H, tol)
+    except FloatingPointError:              # a product of the form's blocks overflows
+        raise ArithCurvesError(_BEYOND_RANGE) from None
+
+
+def _clauses(cd: CartanData, H: np.ndarray, tol: float) -> CompatibilityReport:
     u = center_basis(cd)
     vs = semisimple_basis(cd)
     hz = u.T @ H @ u
@@ -228,8 +244,9 @@ class CompatibleMetric(NamedTuple):
 
     @property
     def H(self) -> np.ndarray:               # Ad(g)^T H_can Ad(g) on the Lie algebra
-        ad = ad_matrix(self.cd, self.witness)
-        return ad.T @ self.cd.H_can @ ad
+        with np.errstate(all="ignore"):      # verify_compatibility refuses a non-finite form
+            ad = ad_matrix(self.cd, self.witness)
+            return ad.T @ self.cd.H_can @ ad
 
     def verify(self, tol: float = TOL) -> CompatibilityReport:
         return verify_compatibility(self.cd, self.H, tol)
@@ -283,7 +300,8 @@ def determinant_bundle(T: ArithmeticTorsor) -> MetrizedLineBundle:
         ideal = ideal * i
     rhos = []
     for m in T.metrics:
-        d = float(np.linalg.det(m.std).real)
+        with np.errstate(all="ignore"):     # an overflow or a NaN is refused below
+            d = float(np.linalg.det(m.std).real)
         if not 0 < d < math.inf:        # det(g^H g) overflows, or rounds to <= 0 near singular g
             raise ArithCurvesError("a metric's Gram determinant is not a positive finite float")
         rhos.append(math.sqrt(d))

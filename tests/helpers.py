@@ -1,15 +1,18 @@
-"""Test-side references shared by several test modules: ideal powers, integral
-characteristic polynomials, ramified primes by odd trial division, W-invariance and Reynolds symmetrization from W's
-simple reflections, and Chevalley brackets with the gl_n realization."""
+"""Test-side references shared by several test modules: ideal powers, the
+term-by-term reader of field elements, integral characteristic polynomials,
+ramified primes by odd trial division, W-invariance and Reynolds symmetrization
+from W's simple reflections, and Chevalley brackets with the gl_n realization."""
 
 import math
+import re
 from fractions import Fraction
 
 from arithcurves import curve
-from arithcurves.arakelov import FractionalIdeal
+from arithcurves.arakelov import FieldElement, FractionalIdeal
 from arithcurves.charmorph import realization
 from arithcurves.chevalley import build_chevalley_basis
-from arithcurves.errors import DimensionMismatch
+from arithcurves.errors import DimensionMismatch, MalformedInput
+from arithcurves.jsonutil import parse_rational
 from arithcurves.poly import Poly
 from arithcurves.cartan import CartanType
 from arithcurves.rootsys import build_root_system, reflect
@@ -22,6 +25,30 @@ def ideal_power(ideal, k):
     for _ in range(k):
         out = out * ideal
     return out
+
+
+def parse_element_termwise(field, s: str) -> FieldElement:
+    """`arakelov.parse_element` one term at a time: each term's value is added to
+    a Fraction(0) seed for its coordinate."""
+    text = s.strip().replace(" ", "")
+    if field.d == -1:
+        text = text.replace("i", "w")
+    terms = re.findall(r"([+-]?)([+-]?(?:[eE][+-]?|[^+\-eE])+)", text)
+    if not text or "".join(sign + term for sign, term in terms) != text:
+        raise MalformedInput(f"cannot parse field element {s!r}")
+    a = b = Fraction(0)
+    for sign, term in terms:
+        literal = term[:-1].rstrip("*") if term.endswith("w") else term
+        try:
+            value = parse_rational(literal + "1" if literal in ("", "+", "-") else literal)
+        except MalformedInput as exc:
+            raise MalformedInput(f"cannot parse field element {s!r}: {exc}") from None
+        value = -value if sign == "-" else value
+        if term.endswith("w"):
+            b += value
+        else:
+            a += value
+    return FieldElement(field, a, b)
 
 
 def integral_pairs(poly):

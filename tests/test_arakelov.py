@@ -11,6 +11,12 @@ from arithcurves.errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, Ze
 from arithcurves.finitefield import factor_pattern
 from helpers import ideal_power
 
+try:
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    st = None
+
 QQ = NumberField(0)
 Q2 = NumberField(2)
 QI = NumberField(-1)
@@ -139,6 +145,56 @@ def test_hnf_canonical_and_membership():
     assert not i1.contains(Q5M.element(1))
     with pytest.raises(ZeroIdeal):
         FractionalIdeal.from_elements(QQ, [QQ.element(0)])
+
+
+def membership_by_quotients(ideal, x):
+    """`membership_coords` by its definition: each coordinate a Fraction quotient."""
+    if ideal.field.degree == 1:
+        if x.b != 0:
+            return None
+        m = x.a / ideal.rows[0][0]
+        return (int(m),) if m.denominator == 1 else None
+    (a, b), (_, c) = ideal.rows
+    m = x.a / a
+    if m.denominator != 1:
+        return None
+    n = (x.b - m * b) / c
+    return (int(m), int(n)) if n.denominator == 1 else None
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_membership_coords_matches_fraction_quotients():
+    """Over Q, Q(i), Q(sqrt(-5)), Q(sqrt(2)) and Q(sqrt(13)), on ideals generated by
+    elements with fractional coordinates: an element of the ideal has its integer
+    coordinates, moving one coordinate off the integers reaches the None branch of
+    that coordinate, and any element agrees with the quotients."""
+    coord = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+    proper = st.integers(2, 7).flatmap(lambda d: st.integers(1, d - 1).map(
+        lambda k: Fraction(k, d)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def check(data):
+        K = data.draw(st.sampled_from([QQ, QI, Q5M, Q2, NumberField(13)]))
+
+        def element():
+            return K.element(data.draw(coord), data.draw(coord) if K.degree == 2 else 0)
+
+        gens = [element() for _ in range(data.draw(st.integers(1, 3)))]
+        assume(any(gens))
+        ideal = FractionalIdeal.from_elements(K, gens)
+        basis = ideal.basis_elements()
+        coords = tuple(data.draw(st.integers(-30, 30)) for _ in basis)
+        inside = sum((e * m for e, m in zip(basis, coords)), K.element(0))
+        assert ideal.membership_coords(inside) == coords
+        assert membership_by_quotients(ideal, inside) == coords
+        for e in basis:
+            outside = inside + e * data.draw(proper)
+            assert ideal.membership_coords(outside) is None
+            assert membership_by_quotients(ideal, outside) is None
+        x = element()
+        assert ideal.membership_coords(x) == membership_by_quotients(ideal, x)
+    check()
 
 
 def test_ideal_power():

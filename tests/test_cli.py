@@ -672,6 +672,47 @@ def test_gram_determinant_out_of_float_range_is_a_domain_error(tmp_path, gram):
         "message": "a metric's Gram determinant is not a positive finite float"}
 
 
+def _strict_json(text: str):
+    """One JSON document as a strict parser reads it: NaN and the infinities refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+# diag(1e300, 1e300) overflows det(g^T g); diag(1e300, 1e-6, 1) overflows theta @ theta
+# in the involution clause, past the finite Lie-algebra form; the symmetry check of
+# [[1, 1e308], [-1e308, 1]] overflows its difference
+@pytest.mark.parametrize("verb, flag, gram, error", [
+    ("slope", "--torsor", [["1e300", "0"], ["0", "1e300"]],
+     ("ArithCurvesError", "a metric's Gram determinant is not a positive finite float")),
+    ("verify", "--input", [["1e300", "0", "0"], ["0", "1e-6", "0"], ["0", "0", "1"]],
+     ("ArithCurvesError", OVERFLOW)),
+    ("slope", "--torsor", [["1", "1e308"], ["-1e308", "1"]],
+     ("MalformedInput", "metric Gram matrix must be symmetric")),
+], ids=["slope-det", "verify-involution", "slope-symmetry"])
+def test_torsor_overflow_is_a_json_error_and_nothing_on_stderr(tmp_path, verb, flag, gram,
+                                                               error):
+    n = len(gram)
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps({"field": "Q", "rank": n, "ideals": [["1"]] * n,
+                             "metrics": [gram], "char_power": 1}))
+    proc = subprocess.run(CLI + [verb, flag, str(f)], capture_output=True, text=True)
+    assert proc.returncode == 1 and proc.stderr == ""
+    assert _strict_json(proc.stdout)["error"] == dict(zip(("type", "message"), error))
+
+
+def test_rank_one_verify_report_is_strict_json(tmp_path):
+    """At rank 1 the trace-zero block is empty: its eigenspaces have no extreme
+    eigenvalue, which the report gives as null."""
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps({"field": "Q(i)", "rank": 1, "ideals": [["1"]],
+                             "metrics": [[[[2, 0]]]]}))
+    code, text = invoke("verify", "--input", str(f))
+    eigenspaces = _strict_json(text)["reports"][0]["eigenspaces"]
+    assert code == 0 and eigenspaces == {"ok": True, "plus_max_eig": None,
+                                         "minus_min_eig": None, "cross_residual": 0.0}
+
+
 def test_verify_round_trip_all_verbs(tmp_path):
     spec = {"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
             "metrics": [[["2", "0"], ["0", "1"]]]}

@@ -1,19 +1,20 @@
 """Fuzzed argv lists and `verify` documents: the CLI contract holds on every input.
 
-Exit 0, 1 or 2 and never a traceback; on exit 2 nothing on stdout, otherwise
-stdout is exactly one JSON document.  Inputs stay small (n <= 3, --fibers <= 100,
---center <= 3) so that every example is cheap; shapes and literals are drawn
-both well formed and malformed.
+Exit 0, 1 or 2 and never a traceback or a warning; on exit 2 nothing on stdout,
+otherwise stdout is exactly one strict JSON document (no NaN or infinities).
+Inputs stay small (n <= 3, --fibers <= 100, --center <= 3) so that every example
+is cheap; shapes and literals are drawn both well formed and malformed.
 """
 
 import contextlib
 import io
 import json
+import warnings
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
 
 from arithcurves.cli import run  # noqa: E402
 
@@ -96,9 +97,14 @@ documents = st.one_of(
         lambda k: {"kind": "slope", **t, "char_power": k})))
 
 
+def refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def check_contract(argv):
     out = io.StringIO()
-    with contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("error")                # a warning would reach stderr
         try:
             code = run(argv, out=out)
         except SystemExit as exc:
@@ -106,8 +112,8 @@ def check_contract(argv):
     assert code in (0, 1, 2), argv
     if code == 2:
         assert out.getvalue() == "", argv
-    else:
-        json.loads(out.getvalue())                    # exactly one JSON document
+    else:                                             # exactly one strict JSON document
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
 
 
 @settings(max_examples=300, deadline=None)
@@ -119,6 +125,9 @@ def test_fuzzed_argv_keeps_the_contract(argv):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=documents, verb=st.sampled_from(["verify", "slope"]))
+@example(doc={"field": "Q", "rank": 3, "ideals": [["1"]] * 3,
+              "metrics": [[["1e300", "0", "0"], ["0", "1e-6", "0"], ["0", "0", "1"]]]},
+         verb="verify")
 def test_fuzzed_documents_keep_the_contract(tmp_path, doc, verb):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
