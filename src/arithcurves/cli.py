@@ -15,10 +15,10 @@ from a document file (``verify --input``, ``slope --torsor``).
 
 A process compiles this dispatcher and the one verb module it runs, which
 imports only the library layers that verb uses: a usage error that argparse
-catches loads none of them, and numpy loads only for `slope` and `verify` on a
-torsor.  argparse likewise takes the flags of the invoked verb alone.  No verb
-module imports this one: run as ``python -m arithcurves.cli`` it is
-``__main__``, and an import would compile it a second time.
+catches loads none of them, and no verb loads numpy.  argparse likewise takes
+the flags of the invoked verb alone.  No verb module imports this one: run as
+``python -m arithcurves.cli`` it is ``__main__``, and an import would compile it
+a second time.
 """
 
 from __future__ import annotations
@@ -41,10 +41,8 @@ def verify_payload(doc: dict) -> dict:
     if kind == "verify":
         return {"kind": "verify", "input_kind": "verify", "ok": True, "mismatches": []}
     if kind is None and {"field", "rank", "ideals", "metrics"} <= set(doc):
-        from .cli_slope import read_torsor
-        reports = [m.verify().as_dict() for m in read_torsor(doc)[3]]
-        return {"kind": "verify", "input_kind": "torsor",
-                "ok": all(r["ok"] for r in reports), "reports": reports}
+        from .cli_slope import torsor_report
+        return torsor_report(doc)
     name = next((n for n, v in VERBS.items() if kind in v.kinds), None)
     if name is None:
         raise ArithCurvesError(f"nothing to verify for kind {kind!r}")

@@ -36,12 +36,13 @@ MAX_CHI_N = 64
 # against 11.7 s for 16 x 16 with 4000-digit entries (D > 64000).
 MAX_CHI_WORK = 150_000_000
 
-# Largest accepted torsor rank.  `verify` on a raw torsor decomposes each
-# place's Lie-algebra form, a dense n^2 x n^2 matrix (2n^2 x 2n^2 at a complex
-# place); at rank 16 over Q(sqrt(-5)) with a dense metric it takes 0.55-0.8 s
-# cold on one 2-vCPU Intel Xeon core (71 MB peak RSS), against 4.5 s and
-# 215 MB at rank 24 over Q(i).  `slope --torsor` forms no such matrix and takes
-# 0.2-0.3 s (45 MB) on the same torsor.
+# Largest accepted torsor rank, checked as soon as the rank is read.  Each place's
+# Gram matrix costs one Berkowitz run, which MAX_CHI_WORK bounds as it bounds `chi`.
+# On one 2-vCPU Intel Xeon core, `slope` and `verify` on a rank-16 torsor with a
+# dense metric of 1- and 2-digit entries take 0.09-0.16 s cold (16 MB peak RSS),
+# about what `degree` takes; at the entry size MAX_CHI_WORK still admits at rank 16
+# (2281 digits) they take 5.0-7.0 s over Q and 16.5-20.4 s over Q(i), whose entries
+# are pairs, and the 36000-digit determinant then fails the output digit limit.
 MAX_TORSOR_RANK = 16
 
 # Largest accepted |d| of a field Q(sqrt(d)).  Checking that d is squarefree
@@ -81,10 +82,6 @@ class NonSquare(ArithCurvesError):
 
 class ZeroIdeal(ArithCurvesError):
     """The zero module is not a fractional ideal."""
-
-
-class SingularMatrix(ArithCurvesError):
-    """A group element must be invertible."""
 
 
 class MembershipFailure(ArithCurvesError):

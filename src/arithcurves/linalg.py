@@ -8,9 +8,9 @@ denominator D of its entries: that multiplies the k-th coefficient by D^k.
 
 chi on gl_n, the characteristic morphism on all n x n matrices, is the
 coefficient tuple of that polynomial.  Its cost grows with n and with the
-digits of the scaled entries, so `chi_gl` refuses, before Berkowitz, a matrix
-whose cost estimate n^3 * D passes MAX_CHI_WORK, where D is Hadamard's bound
-on the digits of the coefficients.
+digits of the scaled entries, so `chi_gl` and `torsor.gram_det` refuse, before
+Berkowitz, a matrix whose cost estimate n^3 * D passes MAX_CHI_WORK, where D is
+Hadamard's bound on the digits of the coefficients.
 """
 
 from __future__ import annotations
@@ -54,13 +54,19 @@ def _berkowitz(m, s: int, t: int) -> list[tuple[int, int]]:
     return p
 
 
+def _scaled(matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, D M): D the common denominator of the entries (ints, Fractions or
+    FieldElements a + b w), D M as rows of integer pairs (a, b)."""
+    pairs = [[(x.a, x.b) if hasattr(x, "field") else (x, 0) for x in row] for row in matrix]
+    den = math.lcm(*(c.denominator for row in pairs for x in row for c in x))
+    return den, [[(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+                  for a, b in row] for row in pairs]
+
+
 def integral_char_poly(matrix, field) -> tuple[int, list[tuple[int, int]]]:
     """(D, g): D the common denominator of the entries (ints, Fractions or
     FieldElements of `field`), g = det(y I - D M) on integer pairs, highest first."""
-    pairs = [[(x.a, x.b) if hasattr(x, "field") else (x, 0) for x in row] for row in matrix]
-    den = math.lcm(*(c.denominator for row in pairs for x in row for c in x))
-    scaled = [[(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-               for a, b in row] for row in pairs]
+    den, scaled = _scaled(matrix)
     return den, _berkowitz(scaled, *(field.omega_poly if field else (0, 0)))
 
 
@@ -96,12 +102,11 @@ def coefficient_digits(n: int, entry_bound: int) -> int:
 
 
 def check_chi_work(matrix) -> None:
-    """Refuse a square rational matrix whose characteristic polynomial would cost
-    more than MAX_CHI_WORK: n^3 times the digit bound of its scaled coefficients."""
+    """Refuse a square matrix, of what `integral_char_poly` takes, whose characteristic
+    polynomial would cost more than MAX_CHI_WORK: n^3 times the digit bound of its
+    scaled coefficients, with each scaled entry a + b w bounded by |a| + |b|."""
     n = len(matrix)
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    bound = max((abs(x.numerator) * (den // x.denominator) for row in matrix for x in row),
-                default=0)
+    bound = max((abs(a) + abs(b) for row in _scaled(matrix)[1] for a, b in row), default=0)
     digits = coefficient_digits(n, bound) if n else 0
     if n ** 3 * digits > MAX_CHI_WORK:
         raise MalformedInput(f"characteristic polynomial work n^3 * D = {n ** 3 * digits} "

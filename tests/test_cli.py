@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -197,10 +198,10 @@ def documents(tmp_path):
      LIE + ("arakelov", "numpy", "dataclasses"), ("linalg", "cli_chi")),
     (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0,
      LIE + ("torsor", "numpy", "dataclasses"), ("curve", "cli_curve")),
-    (["slope", "--torsor", "TORSOR", "--char", "2"], 0, ("rootsys", "curve", "dataclasses"),
-     ("numpy", "cli_slope")),
-    (["verify", "--input", "TORSOR"], 0, ("rootsys", "curve", "dataclasses"),
-     ("numpy", "cli_slope")),
+    (["slope", "--torsor", "TORSOR", "--char", "2"], 0,
+     ("rootsys", "curve", "numpy", "dataclasses"), ("torsor", "linalg", "cli_slope")),
+    (["verify", "--input", "TORSOR"], 0, ("rootsys", "curve", "numpy", "dataclasses"),
+     ("torsor", "linalg", "cli_slope")),
     (["verify", "--input", "CURVE"], 0, LIE + ("torsor", "numpy", "dataclasses"),
      ("curve", "cli_curve")),
 ], ids=["import", "usage-error", "rootsys", "chevalley", "degree", "chi", "chi-matrix", "curve",
@@ -624,52 +625,46 @@ def test_torsor_rank_limit(tmp_path, verb, flag):
         "message": f"torsor rank {MAX_TORSOR_RANK + 1} exceeds the limit {MAX_TORSOR_RANK}"}
 
 
-# Gram matrices that Cholesky factors, whose Lie-algebra form is far from the
-# canonical one; `slope` reads only the Gram determinant, and `verify` reports
-# the clauses or refuses a form that overflows or is singular in floating point
-OVERFLOW = "the Lie-algebra form is beyond the floating-point range"
-SINGULAR = "the Lie-algebra form is singular in floating point"
-
-
-@pytest.mark.parametrize("gram, slope, verdict", [
-    ([["1e6", "0"], ["0", "1e-6"]], "0", "report"),
-    ([["1e300", "0"], ["0", "1e-300"]], "0", OVERFLOW),
-    ([["1e-13", "0"], ["0", "1e-13"]], -math.log(1e-13), "ok"),
-    ([["1", "0.999999"], ["0.999999", "1"]], -0.5 * math.log(1 - 0.999999 ** 2), "report"),
-    ([["1", "1"], ["1", "1.000000000001"]], -0.5 * math.log(1.000000000001 - 1), SINGULAR),
-], ids=["1e6", "1e300", "1e-13", "near-singular", "singular-form"])
-def test_ill_conditioned_gram_matrix(tmp_path, gram, slope, verdict):
+# Gram matrices far from the canonical one, read exactly: each is positive definite,
+# and `verify` reports its exact determinant
+@pytest.mark.parametrize("gram, slope, det", [
+    ([["1e6", "0"], ["0", "1e-6"]], "0", "1"),
+    ([["1e300", "0"], ["0", "1e-300"]], "0", "1"),
+    ([["1e-13", "0"], ["0", "1e-13"]], -math.log(1e-13), f"1/{10 ** 26}"),
+    ([["1", "0.999999"], ["0.999999", "1"]], -0.5 * math.log(1999999e-12),
+     "1999999/1000000000000"),
+    ([["1", "1"], ["1", "1.000000000001"]], -0.5 * math.log(1e-12), f"1/{10 ** 12}"),
+    ([["1e-200", "0"], ["0", "1e-200"]], 460.51701859880910, f"1/{10 ** 400}"),
+], ids=["1e6", "1e300", "1e-13", "near-singular", "singular-form", "1e-200"])
+def test_ill_conditioned_gram_matrix(tmp_path, gram, slope, det):
     f = tmp_path / "torsor.json"
     f.write_text(json.dumps({"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
                              "metrics": [gram]}))
-    value = invoke_json("slope", "--torsor", str(f))["slope"]
+    doc = invoke_json("slope", "--torsor", str(f))
     if isinstance(slope, str):
-        assert value == slope
+        assert doc["slope"] == slope
     else:
-        assert float(value) == pytest.approx(slope, rel=1e-9)
-    code, text = invoke("verify", "--input", str(f))
-    doc = json.loads(text)
-    if verdict in ("ok", "report"):
-        assert code == (0 if verdict == "ok" else 1) and doc["ok"] == (verdict == "ok")
-        assert doc["input_kind"] == "torsor"
-    else:
-        assert code == 1 and doc["error"] == {"type": "ArithCurvesError", "message": verdict}
+        assert float(doc["slope"]) == pytest.approx(slope, rel=1e-12)
+    assert doc["gram_dets"] == [det]
+    assert invoke_json("verify", "--input", str(f)) == {
+        "kind": "verify", "input_kind": "torsor", "ok": True,
+        "reports": [{"place": "real", "gram_det": det}]}
 
 
-# Cholesky factors these Gram matrices, but det(g^T g) of the factor g rounds to
-# -2.8e-17, or overflows to inf
-@pytest.mark.parametrize("gram", [
-    [["0.5088271749698059", "0.4725947406479267"], ["0.4725947406479267", "0.4389423361701046"]],
-    [["1e300", "0"], ["0", "1e300"]],
+# Gram determinants that a double does not hold: one that cancels to 1e-16 of its
+# entries, one past the float range
+@pytest.mark.parametrize("gram, det, slope", [
+    ([["0.5088271749698059", "0.4725947406479267"], ["0.4725947406479267", "0.4389423361701046"]],
+     f"292836104944497/{4 * 10 ** 30}", 18.5766064756454),
+    ([["1e300", "0"], ["0", "1e300"]], str(10 ** 600), -690.775527898214),
 ], ids=["below-zero", "overflow"])
-def test_gram_determinant_out_of_float_range_is_a_domain_error(tmp_path, gram):
+def test_gram_determinant_out_of_float_range_is_a_domain_error(tmp_path, gram, det, slope):
     f = tmp_path / "torsor.json"
     f.write_text(json.dumps({"field": "Q", "rank": 2, "ideals": [["1"], ["1"]],
                              "metrics": [gram]}))
-    code, text = invoke("slope", "--torsor", str(f))
-    assert code == 1 and json.loads(text)["error"] == {
-        "type": "ArithCurvesError",
-        "message": "a metric's Gram determinant is not a positive finite float"}
+    doc = invoke_json("slope", "--torsor", str(f))
+    assert doc["gram_dets"] == [det]
+    assert float(doc["slope"]) == pytest.approx(slope, rel=1e-12)
 
 
 def _strict_json(text: str):
@@ -679,14 +674,10 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=refuse)
 
 
-# diag(1e300, 1e300) overflows det(g^T g); diag(1e300, 1e-6, 1) overflows theta @ theta
-# in the involution clause, past the finite Lie-algebra form; the symmetry check of
-# [[1, 1e308], [-1e308, 1]] overflows its difference
+# determinants and Lie-algebra forms past the float range, and an asymmetry past it
 @pytest.mark.parametrize("verb, flag, gram, error", [
-    ("slope", "--torsor", [["1e300", "0"], ["0", "1e300"]],
-     ("ArithCurvesError", "a metric's Gram determinant is not a positive finite float")),
-    ("verify", "--input", [["1e300", "0", "0"], ["0", "1e-6", "0"], ["0", "0", "1"]],
-     ("ArithCurvesError", OVERFLOW)),
+    ("slope", "--torsor", [["1e300", "0"], ["0", "1e300"]], None),
+    ("verify", "--input", [["1e300", "0", "0"], ["0", "1e-6", "0"], ["0", "0", "1"]], None),
     ("slope", "--torsor", [["1", "1e308"], ["-1e308", "1"]],
      ("MalformedInput", "metric Gram matrix must be symmetric")),
 ], ids=["slope-det", "verify-involution", "slope-symmetry"])
@@ -697,20 +688,22 @@ def test_torsor_overflow_is_a_json_error_and_nothing_on_stderr(tmp_path, verb, f
     f.write_text(json.dumps({"field": "Q", "rank": n, "ideals": [["1"]] * n,
                              "metrics": [gram], "char_power": 1}))
     proc = subprocess.run(CLI + [verb, flag, str(f)], capture_output=True, text=True)
-    assert proc.returncode == 1 and proc.stderr == ""
-    assert _strict_json(proc.stdout)["error"] == dict(zip(("type", "message"), error))
+    assert proc.returncode == (0 if error is None else 1) and proc.stderr == ""
+    doc = _strict_json(proc.stdout)
+    if error is None:
+        assert doc["kind"] == verb
+    else:
+        assert doc["error"] == dict(zip(("type", "message"), error))
 
 
 def test_rank_one_verify_report_is_strict_json(tmp_path):
-    """At rank 1 the trace-zero block is empty: its eigenspaces have no extreme
-    eigenvalue, which the report gives as null."""
+    """At a complex place of rank 1 the report is the exact Gram determinant."""
     f = tmp_path / "torsor.json"
     f.write_text(json.dumps({"field": "Q(i)", "rank": 1, "ideals": [["1"]],
                              "metrics": [[[[2, 0]]]]}))
     code, text = invoke("verify", "--input", str(f))
-    eigenspaces = _strict_json(text)["reports"][0]["eigenspaces"]
-    assert code == 0 and eigenspaces == {"ok": True, "plus_max_eig": None,
-                                         "minus_min_eig": None, "cross_residual": 0.0}
+    assert code == 0 and _strict_json(text)["reports"] == [{"place": "complex",
+                                                            "gram_det": "2"}]
 
 
 def test_verify_round_trip_all_verbs(tmp_path):
@@ -758,10 +751,91 @@ def test_verify_torsor_file_reports_clauses(tmp_path):
     f = tmp_path / "torsor.json"
     f.write_text(json.dumps(spec))
     doc = invoke_json("verify", "--input", str(f))
-    assert doc["input_kind"] == "torsor" and doc["ok"]
-    report = doc["reports"][0]
-    for clause in ("involution", "reflection", "eigenspaces", "isometry", "splitting"):
-        assert clause in report and report[clause]["ok"]
+    assert doc == {"kind": "verify", "input_kind": "torsor", "ok": True,
+                   "reports": [{"place": "real", "gram_det": "2"}]}
+
+
+def _torsor_file(tmp_path, gram, field="Q", ideals=None) -> str:
+    n = len(gram)
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps({"field": field, "rank": n, "ideals": ideals or [["1"]] * n,
+                             "metrics": [gram]}))
+    return str(f)
+
+
+def test_slope_prints_gram_entries_as_given(tmp_path):
+    """Entries print as the rationals they are: a string as its literal, a JSON float
+    as its exact dyadic value."""
+    doc = invoke_json("slope", "--torsor", _torsor_file(tmp_path, [["5", "2"], ["2", "3"]]))
+    assert doc["metrics"] == [[["5", "2"], ["2", "3"]]] and doc["gram_dets"] == ["11"]
+    assert float(doc["slope"]) == pytest.approx(-0.5 * math.log(11), rel=1e-15)
+    doc = invoke_json("slope", "--torsor", _torsor_file(tmp_path, [[0.5, 0.1], [0.1, 1.5]]))
+    tenth = f"3602879701896397/{2 ** 55}"             # the double nearest 0.1
+    assert doc["metrics"] == [[["1/2", tenth], [tenth, "3/2"]]]
+    assert doc["gram_dets"] == [str(Fraction(3, 4) - Fraction(0.1) ** 2)]
+
+
+@pytest.mark.parametrize("gram, error", [
+    ([["1", "2"], ["2", "1"]], ("ArithCurvesError", "metric Gram matrix must be positive definite")),
+    ([["1", "0"], ["0", "0"]], ("ArithCurvesError", "metric Gram matrix must be positive definite")),
+    # once within the relative tolerance 1e-9 of a floating-point reader
+    ([["1", "1"], ["1.000000000001", "2"]], ("MalformedInput", "metric Gram matrix must be symmetric")),
+], ids=["indefinite", "singular", "asymmetric-1e-12"])
+def test_gram_matrix_must_be_exactly_symmetric_and_positive_definite(tmp_path, gram, error):
+    f = _torsor_file(tmp_path, gram)
+    for verb, flag in (("slope", "--torsor"), ("verify", "--input")):
+        code, text = invoke(verb, flag, f)
+        assert code == 1 and json.loads(text)["error"] == dict(zip(("type", "message"), error))
+
+
+@pytest.mark.parametrize("field, rank, places", [("Q", 3, 1), ("Q(sqrt(2))", 3, 2),
+                                                 ("Q(sqrt(-5))", 2, 1)])
+def test_slope_computes_the_determinant_bundle_once(tmp_path, monkeypatch, field, rank, places):
+    """One Berkowitz run per place and rank - 1 ideal products per `slope` call."""
+    from arithcurves import arakelov, linalg
+    calls = {"berkowitz": 0, "product": 0}
+    berkowitz, product = linalg.integral_char_poly, arakelov.FractionalIdeal.__mul__
+
+    def counted_berkowitz(*args):
+        calls["berkowitz"] += 1
+        return berkowitz(*args)
+
+    def counted_product(*args):
+        calls["product"] += 1
+        return product(*args)
+
+    monkeypatch.setattr(linalg, "integral_char_poly", counted_berkowitz)
+    monkeypatch.setattr(arakelov.FractionalIdeal, "__mul__", counted_product)
+    entry = [1, 0] if field == "Q(sqrt(-5))" else "1"
+    zero = [0, 0] if field == "Q(sqrt(-5))" else "0"
+    gram = [[entry if i == j else zero for j in range(rank)] for i in range(rank)]
+    f = tmp_path / "torsor.json"
+    f.write_text(json.dumps({"field": field, "rank": rank, "ideals": [["2"]] * rank,
+                             "metrics": [gram] * places}))
+    doc = invoke_json("slope", "--torsor", str(f), "--char", "2")
+    assert calls == {"berkowitz": places, "product": rank - 1}
+    assert float(doc["slope"]) == pytest.approx(-2 * rank * math.log(2) * (
+        1 if field == "Q" else 2), rel=1e-12)
+
+
+def test_gram_matrix_past_the_work_limit_is_refused_before_berkowitz(tmp_path, monkeypatch):
+    """A rank-16 Gram matrix of 4000-digit entries is refused with chi's work limit
+    before any Berkowitz step (about 12 s of work if it ran)."""
+    from arithcurves import errors, linalg
+
+    def refused(*args):
+        raise AssertionError("Berkowitz ran")
+
+    monkeypatch.setattr(linalg, "_berkowitz", refused)
+    n, big = MAX_TORSOR_RANK, 10 ** 3999 + 7
+    gram = [[str(big) if i == j else str(big // 2) for j in range(n)] for i in range(n)]
+    digits = linalg.coefficient_digits(n, big)
+    message = (f"characteristic polynomial work n^3 * D = {n ** 3 * digits} exceeds the limit "
+               f"{errors.MAX_CHI_WORK} (n = {n}, and D = {digits} digits bound the coefficients)")
+    for verb, flag in (("slope", "--torsor"), ("verify", "--input")):
+        code, text = invoke(verb, flag, _torsor_file(tmp_path, gram))
+        assert code == 1
+        assert json.loads(text) == {"error": {"type": "MalformedInput", "message": message}}
 
 
 def test_verify_flags_tampering(tmp_path):

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import io
 import json
+import pathlib
 import re
 from fractions import Fraction
 
@@ -39,6 +41,25 @@ def test_star_import():
     namespace = {}
     exec("from arithcurves import *", namespace)
     assert all(namespace[name] is getattr(arithcurves, name) for name in PUBLIC)
+
+
+SRC = pathlib.Path(arithcurves.__file__).parent
+
+
+def test_the_library_does_not_import_numpy():
+    """No module imports numpy, at the top or inside a function, and the package
+    declares no numpy dependency (the tests' floating-point oracle uses it)."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not any(n.split(".")[0] == "numpy" for n in names), path.name
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parents[1] / "pyproject.toml"
+    if not pyproject.exists():                          # an installed copy, not the checkout
+        pytest.skip("no pyproject.toml next to the package")
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert not any(re.match(r"numpy\b", dep) for dep in project["dependencies"])
 
 
 @pytest.mark.parametrize("verb, flag, limit", [
