@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from .errors import (MAX_CENTER_RANK, MAX_FIBER_BOUND, ArithCurvesError, MalformedInput,
                      UnsupportedType)
-from .jsonutil import _bounded_int, _decimal, _json, _json_object
+from .jsonutil import _bounded_int, _decimal, _json, _json_object, parse_rational
 
 
 def verify_payload(doc: dict) -> dict:
@@ -48,22 +49,27 @@ def verify_payload(doc: dict) -> dict:
         raise ArithCurvesError(f"nothing to verify for kind {kind!r}")
     read, build = handlers(name)
     rebuilt = build(*read(doc))
+    reals = VERBS[name].reals
     mismatches = [{"key": key, "status": "differs" if key in doc else "missing"}
-                  for key in rebuilt if key not in doc or _differs(doc[key], rebuilt[key])]
+                  for key in rebuilt if key not in doc
+                  or _differs(doc[key], rebuilt[key], key in reals)]
     return {"kind": "verify", "input_kind": kind, "ok": not mismatches,
             "mismatches": mismatches}
 
 
-def _differs(a, b) -> bool:
-    if isinstance(a, str) and isinstance(b, str):
+def _differs(a, b, real: bool) -> bool:
+    """Whether a document's value a differs from the rebuilt b.  An archimedean real (a
+    key of the verb's `reals`) is a decimal literal within 1e-9 of b, relative or,
+    below 1, absolute, so "nan" and "inf" differ; any other value must be the same
+    JSON value, types included: 2.0 is not 2, nor 0 false, and an exact rational
+    string must match digit for digit."""
+    if real and isinstance(a, str):
         try:
-            fa, fb = float(a), float(b)
-        except ValueError:
-            return a != b
-        if fa == fb:
-            return False
+            fa, fb = float(parse_rational(a)), float(b)
+        except (MalformedInput, OverflowError):
+            return True
         return abs(fa - fb) > 1e-9 * max(1.0, abs(fa), abs(fb))
-    return a != b
+    return json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
 
 
 class Verb(NamedTuple):
@@ -72,6 +78,7 @@ class Verb(NamedTuple):
     help: str
     flags: tuple        # (option, document key, argparse keywords)
     kinds: tuple = ()   # output kinds that `verify` rebuilds through this verb
+    reals: tuple = ()   # output keys of archimedean reals, which `verify` reads within 1e-9
 
 
 def handlers(name: str) -> tuple[Callable, Callable]:
@@ -110,13 +117,13 @@ VERBS = {
         ("--field", "field", REQUIRED),
         ("--ideal", "ideal_hnf", {**REQUIRED, **JSON, "help": "JSON list of generators"}),
         ("--metrics", "metrics", {**REQUIRED, **JSON, "help": "JSON list of positive reals"}),
-    ), ("degree",)),
+    ), ("degree",), ("degree",)),
     "slope": Verb("slope of an arithmetic torsor", (
         ("--torsor", "document", {**REQUIRED, "type": _json_object, "metavar": "FILE",
                                   "help": "JSON file describing the torsor"}),
         ("--char", "char_power", {"type": int, "default": 1,
                                   "help": "power of the determinant character"}),
-    ), ("slope",)),
+    ), ("slope",), ("slope",)),
     "curve": Verb("spectral or cameral characteristic curve", (
         ("--matrix", "matrix", {**REQUIRED, **JSON, "help": "JSON matrix of field elements"}),
         ("--field", "field", {"default": "Q"}),
@@ -193,6 +200,7 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
+    """Run one verb on the command line and end the process with its exit code."""
     try:
         code = run()
         sys.stdout.flush()
@@ -202,6 +210,11 @@ def main() -> None:
         # the interpreter's final flush does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    finally:
+        # The process ends next (argparse's usage exit passes here too): move every
+        # object to the permanent generation, which the interpreter's shutdown
+        # collections skip, so the module graph is not freed cycle by cycle.
+        gc.freeze()
     sys.exit(code)
 
 

@@ -28,21 +28,25 @@ MAX_CURVE_N = 6
 # takes about 1.4 s cold on one 2-vCPU Intel Xeon core, against 2.6 s at 80.
 MAX_CHI_N = 64
 
-# Largest accepted work estimate n^3 * D of a `chi --matrix`, where D is
-# Hadamard's bound on the decimal digits of the coefficients of the scaled
-# matrix's characteristic polynomial (linalg.coefficient_digits).  Berkowitz
-# takes about 1e-8 s per unit on one 2-vCPU Intel Xeon core: `chi` on 64 x 64
-# with 8-digit entries (D = 570, just under the limit) takes 1.5-1.7 s cold,
-# against 11.7 s for 16 x 16 with 4000-digit entries (D > 64000).
-MAX_CHI_WORK = 150_000_000
+# Largest accepted work estimate n^3 * D^log2(3) of a `chi --matrix`: n^3 products of
+# D-digit integers, where D is Hadamard's bound on the decimal digits of the
+# coefficients of the scaled matrix's characteristic polynomial
+# (linalg.coefficient_digits).  A product's cost grows faster than its digits, so
+# each is priced as CPython's Karatsuba multiplication, which it uses past about 600
+# digits.  On one 2-vCPU Intel Xeon core the slowest admitted dense matrices, with
+# random entries at the largest size admitted, take: 64 x 64 of 9-digit entries
+# (D = 574) 1.6-1.7 s cold; 48 x 48 of 20 digits 0.7-1.0 s; 32 x 32 of 66 digits
+# 0.5-0.7 s; 16 x 16 of 495 digits (D = 7928) 0.4-0.7 s; 8 x 8 of 3680 digits
+# 0.5 s.  From 16 rows down the determinant is then too long to print.
+MAX_CHI_WORK = 6_200_000_000
 
 # Largest accepted torsor rank, checked as soon as the rank is read.  Each place's
 # Gram matrix costs one Berkowitz run, which MAX_CHI_WORK bounds as it bounds `chi`.
 # On one 2-vCPU Intel Xeon core, `slope` and `verify` on a rank-16 torsor with a
 # dense metric of 1- and 2-digit entries take 0.09-0.16 s cold (16 MB peak RSS),
 # about what `degree` takes; at the entry size MAX_CHI_WORK still admits at rank 16
-# (2281 digits) they take 5.0-7.0 s over Q and 16.5-20.4 s over Q(i), whose entries
-# are pairs, and the 36000-digit determinant then fails the output digit limit.
+# (495 digits) `slope` takes 0.7 s over Q and 2.3 s over Q(i), whose entries are
+# pairs, and the determinant then fails the output digit limit.
 MAX_TORSOR_RANK = 16
 
 # Largest accepted |d| of a field Q(sqrt(d)).  Checking that d is squarefree

@@ -9,8 +9,8 @@ denominator D of its entries: that multiplies the k-th coefficient by D^k.
 chi on gl_n, the characteristic morphism on all n x n matrices, is the
 coefficient tuple of that polynomial.  Its cost grows with n and with the
 digits of the scaled entries, so `chi_gl` and `torsor.gram_det` refuse, before
-Berkowitz, a matrix whose cost estimate n^3 * D passes MAX_CHI_WORK, where D is
-Hadamard's bound on the digits of the coefficients.
+Berkowitz, a matrix whose cost estimate n^3 * D^log2(3) passes MAX_CHI_WORK, where D
+is Hadamard's bound on the digits of the coefficients.
 """
 
 from __future__ import annotations
@@ -103,13 +103,15 @@ def coefficient_digits(n: int, entry_bound: int) -> int:
 
 def check_chi_work(matrix) -> None:
     """Refuse a square matrix, of what `integral_char_poly` takes, whose characteristic
-    polynomial would cost more than MAX_CHI_WORK: n^3 times the digit bound of its
-    scaled coefficients, with each scaled entry a + b w bounded by |a| + |b|."""
+    polynomial would cost more than MAX_CHI_WORK: n^3 products of D-digit integers, D
+    the digit bound of its scaled coefficients (each scaled entry a + b w bounded by
+    |a| + |b|), each priced D^log2(3), as CPython's Karatsuba multiplication costs."""
     n = len(matrix)
     bound = max((abs(a) + abs(b) for row in _scaled(matrix)[1] for a, b in row), default=0)
     digits = coefficient_digits(n, bound) if n else 0
-    if n ** 3 * digits > MAX_CHI_WORK:
-        raise MalformedInput(f"characteristic polynomial work n^3 * D = {n ** 3 * digits} "
+    work = n ** 3 * round(digits ** math.log2(3))
+    if work > MAX_CHI_WORK:
+        raise MalformedInput(f"characteristic polynomial work n^3 * D^1.585 = {work} "
                              f"exceeds the limit {MAX_CHI_WORK} (n = {n}, and D = {digits} "
                              f"digits bound the coefficients)")
 

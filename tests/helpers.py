@@ -1,13 +1,14 @@
 """Test-side references shared by several test modules: ideal powers, the
 term-by-term reader of field elements, integral characteristic polynomials,
 ramified primes by odd trial division, W-invariance and Reynolds symmetrization
-from W's simple reflections, and Chevalley brackets with the gl_n realization."""
+from W's simple reflections, Chevalley brackets with the gl_n realization, and the
+characteristic polynomial's work price."""
 
 import math
 import re
 from fractions import Fraction
 
-from arithcurves import curve
+from arithcurves import curve, errors, linalg
 from arithcurves.arakelov import FieldElement, FractionalIdeal
 from arithcurves.charmorph import realization
 from arithcurves.chevalley import build_chevalley_basis
@@ -224,3 +225,29 @@ def gl_realization(n: int) -> tuple:
                 m[i][i] = Fraction(1)
         mats.append(tuple(tuple(row) for row in m))
     return L, mats
+
+
+def chi_work(n: int, entry_bound: int) -> tuple[int, int]:
+    """(work, D) of an n x n matrix with entries at most entry_bound: n^3 products of
+    D-digit integers, each priced D^log2(3)."""
+    digits = linalg.coefficient_digits(n, entry_bound)
+    return n ** 3 * round(digits ** math.log2(3)), digits
+
+
+def chi_work_message(n: int, entry_bound: int) -> str:
+    work, digits = chi_work(n, entry_bound)
+    return (f"characteristic polynomial work n^3 * D^1.585 = {work} exceeds the limit "
+            f"{errors.MAX_CHI_WORK} (n = {n}, and D = {digits} digits bound the coefficients)")
+
+
+def largest_admitted_entry(n: int) -> int:
+    """The largest B for which an n x n matrix with entries at most B passes MAX_CHI_WORK."""
+    def admitted(b: int) -> bool:
+        return chi_work(n, b)[0] <= errors.MAX_CHI_WORK
+    lo, hi = 1, 2
+    while admitted(hi):
+        lo, hi = hi, hi * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+    return lo

@@ -16,6 +16,7 @@ from arithcurves.arakelov import NumberField
 from arithcurves.cli import run
 from arithcurves.errors import MAX_TORSOR_RANK, ArithCurvesError
 from arithcurves.jsonutil import MAX_LITERAL_DIGITS
+from helpers import chi_work, chi_work_message, largest_admitted_entry
 
 CLI = [sys.executable, "-m", "arithcurves.cli"]
 
@@ -232,36 +233,74 @@ def test_each_verb_loads_only_its_modules(documents, argv, code, absent, present
     assert set(VERB_MODULES) & set(loaded) == set(present) & set(VERB_MODULES)
 
 
-@pytest.mark.parametrize("argv", [
-    ["rootsys", "--type", "A2"],
-    ["chevalley", "--type", "A1", "--verify"],
-    ["chi", "--torus-point", "[1,2]", "--type", "B2"],
-    ["chi", "--matrix", "5"],
-    ["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", '["1"]'],
-    ["slope", "--torsor", "TORSOR"],
-    ["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"],
-    ["verify", "--input", "CURVE"],
-    ["verify", "--input", "TORSOR"],
-], ids=["rootsys", "chevalley", "chi", "usage-error", "degree", "slope", "curve", "verify-curve",
-        "verify-torsor"])
-def test_module_run_compiles_the_cli_once(tmp_path, documents, argv):
+@pytest.mark.parametrize("argv, code", [
+    (["rootsys", "--type", "A2"], 0),
+    (["chevalley", "--type", "A1", "--verify"], 0),
+    (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0),
+    (["chi", "--matrix", "5"], 2),
+    (["curve", "--matrix", "[[1,0],[0,1]]", "--fibers", "10"], 1),
+    (["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", '["1"]'], 0),
+    (["slope", "--torsor", "TORSOR"], 0),
+    (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0),
+    (["verify", "--input", "CURVE"], 0),
+    (["verify", "--input", "TORSOR"], 0),
+], ids=["rootsys", "chevalley", "chi", "usage-error", "domain-error", "degree", "slope", "curve",
+        "verify-curve", "verify-torsor"])
+def test_module_run_compiles_the_cli_once(tmp_path, documents, argv, code):
     """Under `python -m arithcurves.cli` the dispatcher runs as __main__: a verb module
-    that imported `arithcurves.cli` would compile and run it a second time."""
+    that imported `arithcurves.cli` would compile and run it a second time.  The exit is
+    a normal one, after `main` froze the collector: atexit hooks still run."""
     report = tmp_path / "modules.json"
     # site imports sitecustomize from the path at start-up, before the -m module runs
     (tmp_path / "sitecustomize.py").write_text(textwrap.dedent(f"""
-        import atexit, json, sys
+        import atexit, gc, json, sys
         atexit.register(lambda: open({str(report)!r}, "w").write(json.dumps(
             [sys.modules["__main__"].__file__, sorted(m for m in sys.modules
-                                                      if m.startswith("arithcurves"))])))
+                                                      if m.startswith("arithcurves")),
+             gc.get_freeze_count() > 0])))
     """))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path]))
     proc = subprocess.run(CLI + documents(argv), capture_output=True, text=True, env=env)
-    assert proc.returncode in (0, 2), proc.stderr
-    main, loaded = json.loads(report.read_text())
+    assert proc.returncode == code, proc.stderr
+    main, loaded, frozen = json.loads(report.read_text())
     assert main.endswith(os.path.join("arithcurves", "cli.py"))
     assert "arithcurves.cli" not in loaded
     assert any(m.startswith("arithcurves.cli_") for m in loaded)
+    assert frozen
+
+
+def test_run_leaves_the_collector_as_it_was():
+    """Only `main`, which ends the process, freezes the collector: callers of `run` in a
+    long-lived process keep normal collection."""
+    import gc
+
+    before = gc.get_freeze_count()
+    invoke_json("rootsys", "--type", "A2")
+    assert invoke("curve", "--matrix", "[[1,0],[0,1]]", "--fibers", "10")[0] == 1
+    with pytest.raises(SystemExit):
+        run(["chi", "--matrix", "5"], out=io.StringIO())
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["rootsys", "--type", "A2"], 0),
+    (["curve", "--matrix", "[[1,0],[0,1]]", "--fibers", "10"], 1),
+    (["chi", "--matrix", "5"], 2),
+], ids=["ok", "domain-error", "usage-error"])
+def test_console_script_entry_matches_the_module_run(argv, code):
+    """The console script calls `cli.main` as `-m` does: same stdout, stderr and exit
+    code, and the collector is frozen by the time atexit hooks run."""
+    script = textwrap.dedent("""
+        import atexit, gc, sys
+        atexit.register(lambda: print(f"frozen: {gc.get_freeze_count() > 0}", file=sys.stderr))
+        from arithcurves.cli import main
+        main()
+    """)
+    entry = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    module = subprocess.run(CLI + argv, capture_output=True, text=True)
+    assert entry.returncode == module.returncode == code
+    assert entry.stdout == module.stdout
+    assert entry.stderr == module.stderr + "frozen: True\n"
 
 
 def test_degree_verb():
@@ -818,24 +857,84 @@ def test_slope_computes_the_determinant_bundle_once(tmp_path, monkeypatch, field
         1 if field == "Q" else 2), rel=1e-12)
 
 
-def test_gram_matrix_past_the_work_limit_is_refused_before_berkowitz(tmp_path, monkeypatch):
-    """A rank-16 Gram matrix of 4000-digit entries is refused with chi's work limit
-    before any Berkowitz step (about 12 s of work if it ran)."""
-    from arithcurves import errors, linalg
+def test_gram_matrix_past_the_work_limit_is_refused_before_berkowitz(tmp_path, monkeypatch,
+                                                                     capsys):
+    """A dense 16 x 16 matrix of 2281-digit entries (5-20 s of big-integer products for a
+    determinant too long to print) is refused by `chi`, `slope` and `verify` before any
+    Berkowitz step."""
+    from arithcurves import linalg
 
     def refused(*args):
         raise AssertionError("Berkowitz ran")
 
     monkeypatch.setattr(linalg, "_berkowitz", refused)
-    n, big = MAX_TORSOR_RANK, 10 ** 3999 + 7
+    n, big = MAX_TORSOR_RANK, 10 ** 2280 + 7
     gram = [[str(big) if i == j else str(big // 2) for j in range(n)] for i in range(n)]
-    digits = linalg.coefficient_digits(n, big)
-    message = (f"characteristic polynomial work n^3 * D = {n ** 3 * digits} exceeds the limit "
-               f"{errors.MAX_CHI_WORK} (n = {n}, and D = {digits} digits bound the coefficients)")
+    message = chi_work_message(n, big)
+    assert f"argument --matrix: {message}" in invoke_usage(capsys, "chi", "--matrix",
+                                                           json.dumps(gram))
     for verb, flag in (("slope", "--torsor"), ("verify", "--input")):
         code, text = invoke(verb, flag, _torsor_file(tmp_path, gram))
         assert code == 1
         assert json.loads(text) == {"error": {"type": "MalformedInput", "message": message}}
+
+
+def test_gram_matrix_at_the_work_limit(tmp_path, monkeypatch):
+    """A Gram entry at the work budget gives its slope; one more is refused before
+    Berkowitz.  diag(B, 1, ..., 1) keeps the admitted run itself cheap."""
+    from arithcurves import errors, linalg
+
+    n = 8
+    b = largest_admitted_entry(n)
+    assert chi_work(n, b)[0] <= errors.MAX_CHI_WORK < chi_work(n, b + 1)[0]
+    at, past = ([[str(x if i == j == 0 else int(i == j)) for j in range(n)] for i in range(n)]
+                for x in (b, b + 1))
+    doc = invoke_json("slope", "--torsor", _torsor_file(tmp_path, at))
+    assert doc["gram_dets"] == [str(b)]
+    assert float(doc["slope"]) == pytest.approx(-math.log(b) / 2, rel=1e-12)
+    monkeypatch.setattr(linalg, "_berkowitz", lambda *args: pytest.fail("Berkowitz ran"))
+    code, text = invoke("slope", "--torsor", _torsor_file(tmp_path, past))
+    assert code == 1
+    assert json.loads(text) == {"error": {"type": "MalformedInput",
+                                          "message": chi_work_message(n, b + 1)}}
+
+
+BIG_CURVE = ["curve", "--matrix", '[["123456789","2"],["3","987654321"]]']
+Q_DEGREE = ["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", '["1"]']
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (BIG_CURVE, "disc", "746837374314891049"),
+    (BIG_CURVE, "disc", "nan"),
+    (BIG_CURVE, "disc", "inf"),
+    (Q_DEGREE, "ideal_norm", "2.000000001"),
+    (Q_DEGREE, "degree", "nan"),
+    (Q_DEGREE, "degree", "-0.693_14718055994529"),
+    (BIG_CURVE, "n", 2.0),
+    (BIG_CURVE, "degenerate", 0),
+    (BIG_CURVE, "covering_ok", 1),
+], ids=["disc-last-digit", "disc-nan", "disc-inf", "norm-near", "degree-nan",
+        "degree-underscore", "n-float", "degenerate-int", "covering-int"])
+def test_verify_compares_exact_values_exactly(tmp_path, argv, key, value):
+    """Only an archimedean real (`degree`'s degree, `slope`'s slope) is read within a
+    relative tolerance, and it must be finite; every other value must be the same JSON
+    value: an exact integer to the last digit, and 2.0, 0 and 1 are not 2, false, true."""
+    doc = invoke_json(*argv)
+    assert json.dumps(doc[key]) != json.dumps(value)
+    doc[key] = value
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    code, text = invoke("verify", "--input", str(f))
+    assert code == 1
+    assert json.loads(text)["mismatches"] == [{"key": key, "status": "differs"}]
+
+
+def test_verify_reads_an_archimedean_real_within_tolerance(tmp_path):
+    doc = invoke_json(*Q_DEGREE)
+    doc["degree"] = repr(float(doc["degree"]) * (1 + 1e-12))
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert invoke_json("verify", "--input", str(f))["ok"]
 
 
 def test_verify_flags_tampering(tmp_path):

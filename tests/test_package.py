@@ -13,6 +13,7 @@ from arithcurves import arakelov, chevalley, curve, errors, linalg
 from arithcurves.arakelov import NumberField
 from arithcurves.cli import run
 from arithcurves.cli_chi import read_chi
+from helpers import chi_work, chi_work_message, largest_admitted_entry
 
 PUBLIC = [
     "CartanType", "RootSystem", "build_root_system", "weyl_group",
@@ -122,28 +123,14 @@ def test_chi_size_limit(capsys, tmp_path):
     assert exc.value.key == "matrix"
 
 
-def _largest_admitted_entry(n: int) -> int:
-    """The largest B for which an n x n matrix with entries at most B passes MAX_CHI_WORK."""
-    def admitted(b: int) -> bool:
-        return n ** 3 * linalg.coefficient_digits(n, b) <= errors.MAX_CHI_WORK
-    lo, hi = 1, 2
-    while admitted(hi):
-        lo, hi = hi, hi * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
-    return lo
-
-
 def test_chi_work_limit(capsys, tmp_path):
     """An entry at the work budget runs and verifies; one more is refused before
     Berkowitz: a usage error from --matrix, a domain error from a document and the
     library.  One large entry among zeros keeps the admitted call itself cheap."""
-    n = 14
-    b = _largest_admitted_entry(n)
+    n = 8
+    b = largest_admitted_entry(n)
     assert 3000 < len(str(b)) < 4300                   # within the literal limit
-    assert n ** 3 * linalg.coefficient_digits(n, b) <= errors.MAX_CHI_WORK
-    assert n ** 3 * linalg.coefficient_digits(n, b + 1) > errors.MAX_CHI_WORK
+    assert chi_work(n, b)[0] <= errors.MAX_CHI_WORK < chi_work(n, b + 1)[0]
     at, past = ([[str(x if i == j == 0 else 0) for j in range(n)] for i in range(n)]
                 for x in (b, b + 1))
     out = io.StringIO()
@@ -154,9 +141,7 @@ def test_chi_work_limit(capsys, tmp_path):
     assert _outcome(["verify", "--input", str(doc)])[1]["ok"]
     assert linalg.chi_gl(at)[0] == b
 
-    digits = linalg.coefficient_digits(n, b + 1)
-    message = (f"characteristic polynomial work n^3 * D = {n ** 3 * digits} exceeds the limit "
-               f"{errors.MAX_CHI_WORK} (n = {n}, and D = {digits} digits bound the coefficients)")
+    message = chi_work_message(n, b + 1)
     out = io.StringIO()
     with pytest.raises(SystemExit) as exc:
         run(["chi", "--matrix", json.dumps(past)], out=out)
@@ -172,7 +157,7 @@ def test_chi_work_limit(capsys, tmp_path):
 def test_chi_work_reads_the_scaled_matrix():
     """The bound reads the integer matrix Berkowitz runs on, after clearing the common
     denominator, so entries below 1 in absolute value can pass the budget."""
-    assert 64 ** 3 * linalg.coefficient_digits(64, 1) <= errors.MAX_CHI_WORK
+    assert chi_work(64, 1)[0] <= errors.MAX_CHI_WORK
     wide = [[Fraction(1, 10 ** 40 + 2 * k + 1) for k in range(64)] for _ in range(64)]
     with pytest.raises(errors.MalformedInput, match="exceeds the limit"):
         linalg.check_chi_work(wide)

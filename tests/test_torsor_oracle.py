@@ -55,17 +55,44 @@ def _sympy(gram):
                          for row in gram])
 
 
-@settings(max_examples=80, deadline=None)
-@given(data=st.data(), field=st.sampled_from([None, GAUSSIAN]))
-def test_positive_definite_test_and_det_match_sympy(data, field):
-    gram = data.draw(hermitian(field))
+def _positive_definite(m) -> bool:
+    """Sylvester's criterion on sympy's exact minors: a Hermitian matrix is positive
+    definite exactly when its leading principal minors are positive.  (sympy's own
+    `is_positive_definite` reads MISREAD below as not positive definite.)"""
+    return all(sympy.expand(m[:k, :k].det()) > 0 for k in range(1, m.rows + 1))
+
+
+def _check_against_sympy(gram, field):
     want = _sympy(gram)
-    if want.is_positive_definite:
+    if _positive_definite(want):
         det = sympy.expand(want.det())
         assert gram_det(gram, field) == Fraction(int(det.p), int(det.q))
     else:
         with pytest.raises(ArithCurvesError, match="must be positive definite"):
             gram_det(gram, field)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), field=st.sampled_from([None, GAUSSIAN]))
+def test_positive_definite_test_and_det_match_sympy(data, field):
+    _check_against_sympy(data.draw(hermitian(field)), field)
+
+
+# positive definite (leading minors 513/4, 1855493/144, 27043661/72, 2098237/8)
+MISREAD = [[(Fraction(513, 4), 0), (Fraction(16, 3), Fraction(173, 4)),
+            (Fraction(49, 2), Fraction(-119, 2)), (-3, Fraction(15, 2))],
+           [(Fraction(16, 3), Fraction(-173, 4)), (Fraction(2075, 18), 0),
+            (0, Fraction(-296, 3)), (6, Fraction(33, 4))],
+           [(Fraction(49, 2), Fraction(119, 2)), (0, Fraction(296, 3)), (142, 0),
+            (Fraction(-15, 2), Fraction(15, 2))],
+           [(-3, Fraction(-15, 2)), (6, Fraction(-33, 4)), (Fraction(-15, 2), Fraction(-15, 2)),
+            (Fraction(9, 4), 0)]]
+
+
+def test_a_hermitian_matrix_sympy_misreads():
+    gram = [[_entry(GAUSSIAN, Fraction(a), Fraction(b)) for a, b in row] for row in MISREAD]
+    assert gram_det(gram, GAUSSIAN) == Fraction(2098237, 8)
+    _check_against_sympy(gram, GAUSSIAN)
 
 
 integers = st.integers(-3, 3)
