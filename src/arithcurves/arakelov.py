@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
-from .jsonutil import _rational, _text, parse_rational, rat_str
+from .jsonutil import MAX_LITERAL_DIGITS, _rational, _text, parse_rational, rat_str
 
 
 def _is_squarefree(n: int) -> bool:
@@ -376,19 +376,32 @@ def read_field(value, key: str) -> NumberField:
     return parse_field(_text(value, key))
 
 
+# Each generator's denominator divides the lcm of the denominators of the (at most
+# three) HNF entries, so past 3 * MAX_LITERAL_DIGITS digits one of them cannot print.
+_IDEAL_DEN_LIMIT = 10 ** (3 * MAX_LITERAL_DIGITS)
+
+
 def read_ideal(spec, key: str, K: NumberField) -> FractionalIdeal:
-    """Generator strings, or HNF rows (lists) emitted by the CLI."""
+    """Generator strings, or HNF rows (lists) emitted by the CLI.  The generators'
+    common denominator is taken one generator at a time and refused, before any HNF
+    work, once it passes 3 * MAX_LITERAL_DIGITS digits."""
     if not isinstance(spec, list):
         raise MalformedInput(f"an ideal must be a JSON list of generators, got {json.dumps(spec)}")
-    elements = []
+    elements, den = [], 1
     for item in spec:
         if isinstance(item, list):
             if len(item) != K.degree:
                 raise MalformedInput(f"HNF rows over {K.name} must have length {K.degree}, "
                                      f"got {json.dumps(item)}")
-            elements.append(K.element(*(_rational(x, key) for x in item)))
+            e = K.element(*(_rational(x, key) for x in item))
         else:
-            elements.append(parse_element(K, str(item)))
+            e = parse_element(K, str(item))
+        den = math.lcm(den, e.a.denominator, e.b.denominator)
+        if den >= _IDEAL_DEN_LIMIT:
+            raise MalformedInput(f"the generators' common denominator has more than "
+                                 f"3 * MAX_LITERAL_DIGITS = {3 * MAX_LITERAL_DIGITS} digits, "
+                                 f"so the ideal's HNF could not be printed")
+        elements.append(e)
     return FractionalIdeal.from_elements(K, elements)
 
 

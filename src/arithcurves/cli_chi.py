@@ -7,20 +7,11 @@ from .errors import MAX_CHI_N, MalformedInput
 from .jsonutil import _get, _list, _matrix, _rational, _text, rat_str
 
 
-def _chi_matrix(value, key: str) -> list[list]:
-    """A rational matrix of at most MAX_CHI_N rows, refused past MAX_CHI_WORK before
-    Berkowitz runs (linalg.chi_gl checks the same work bound for library callers)."""
-    matrix = _matrix(value, key, _rational, None, MAX_CHI_N)
-    from . import linalg
-    linalg.check_chi_work(matrix)
-    return matrix
-
-
 def read_chi(doc: dict) -> tuple:
     if ("matrix" in doc) == ("point" in doc):
         raise MalformedInput("chi takes exactly one of a matrix and a torus point")
     if "matrix" in doc:
-        return _get(doc, "matrix", _chi_matrix), None, None
+        return _get(doc, "matrix", _matrix, _rational, None, MAX_CHI_N), None, None
     return None, _get(doc, "type", _text), _get(doc, "point", _list, _rational)
 
 

@@ -38,7 +38,8 @@ from typing import NamedTuple
 from .arakelov import FieldElement, FractionalIdeal, NumberField
 from .errors import (MAX_CURVE_N, MAX_FIBER_BOUND, ArithCurvesError, DegenerateCurve,
                      MembershipFailure, UnsupportedBase)
-from .finitefield import factor_pattern, is_prime, primes, roots_mod_p, splits_completely
+from .finitefield import factor_pattern, primes, roots_mod_p, splits_completely
+from .finitefield import is_prime  # noqa: F401  (not called here; perfbench's tracer patches it)
 from .linalg import _berkowitz, _dot, descale, integral_char_poly
 
 
@@ -190,22 +191,6 @@ def _integral_model(C: CharacteristicCurve) -> tuple[int, list[int], int]:
 def _good_primes(N: int):
     """The primes not dividing N, in increasing order, from the sieve."""
     return (p for p in primes() if N % p)
-
-
-def fiber(C: CharacteristicCurve, p: int) -> list[tuple[int, int]]:
-    """(residue degree, multiplicity) shape of p_phi mod p; sum e f = n."""
-    if C.kind != "spectral":
-        raise ArithCurvesError("prime fibers are computed on the spectral presentation")
-    if C.degenerate:
-        raise DegenerateCurve("discriminant vanishes identically")
-    if not is_prime(p):
-        raise ArithCurvesError(f"{p} is not prime")
-    den, g, _ = _integral_model(C)
-    if den % p == 0:
-        raise ArithCurvesError(f"coefficients have denominator divisible by {p}")
-    shape = factor_pattern(g, p)
-    assert sum(d * e for d, e in shape) == C.n
-    return shape
 
 
 def ramified_primes(C: CharacteristicCurve,

@@ -21,6 +21,7 @@ MAX_FIBER_BOUND = 10 ** 7
 # [-15, 15] splits first at p = 63463, and `curve` on it takes 1.9-2.4 s cold
 # (`LATE_SPLIT_6X6` in tests/test_curve.py, p = 12653: 0.35-0.51 s); of three
 # random 7 x 7 matrices, one splits first at p = 120977 after a 4.4 s scan.
+# The entries' size is bounded by MAX_CHI_WORK, which prices the one Berkowitz run.
 MAX_CURVE_N = 6
 
 # Largest accepted size n of a `chi --matrix`.  The characteristic polynomial
@@ -28,16 +29,20 @@ MAX_CURVE_N = 6
 # takes about 1.4 s cold on one 2-vCPU Intel Xeon core, against 2.6 s at 80.
 MAX_CHI_N = 64
 
-# Largest accepted work estimate n^3 * D^log2(3) of a `chi --matrix`: n^3 products of
-# D-digit integers, where D is Hadamard's bound on the decimal digits of the
-# coefficients of the scaled matrix's characteristic polynomial
+# Largest accepted work estimate n^3 * D^log2(3) of a characteristic polynomial: n^3
+# products of D-digit integers, where D is Hadamard's bound on the decimal digits of
+# the coefficients of the scaled matrix's characteristic polynomial
 # (linalg.coefficient_digits).  A product's cost grows faster than its digits, so
 # each is priced as CPython's Karatsuba multiplication, which it uses past about 600
-# digits.  On one 2-vCPU Intel Xeon core the slowest admitted dense matrices, with
-# random entries at the largest size admitted, take: 64 x 64 of 9-digit entries
-# (D = 574) 1.6-1.7 s cold; 48 x 48 of 20 digits 0.7-1.0 s; 32 x 32 of 66 digits
-# 0.5-0.7 s; 16 x 16 of 495 digits (D = 7928) 0.4-0.7 s; 8 x 8 of 3680 digits
-# 0.5 s.  From 16 rows down the determinant is then too long to print.
+# digits, and a pair product a + b w, four integer products, counts four times when
+# an entry has a w-part.  linalg.integral_char_poly, the one entry to Berkowitz,
+# checks it for `chi`, each place of `slope` and `curve`.  On one 2-vCPU Intel Xeon
+# core the slowest admitted dense matrices, with random entries at the largest size
+# admitted, take: `chi` on 64 x 64 of 9-digit entries (D = 574) 1.5-1.7 s cold; 48 x
+# 48 of 20 digits 0.7-1.0 s; 32 x 32 of 66 digits 0.5-0.7 s; 16 x 16 of 495 digits
+# (D = 7928) 0.4-0.7 s; 8 x 8 of 3680 digits 0.5 s; `curve` on 6 x 6 over Q (scaled
+# entries of 8458 digits) 0.65 s and over Q(sqrt(-5)) (3527 digits) 0.5 s.  From 16
+# rows down the determinant is then too long to print.
 MAX_CHI_WORK = 6_200_000_000
 
 # Largest accepted torsor rank, checked as soon as the rank is read.  Each place's
@@ -45,8 +50,9 @@ MAX_CHI_WORK = 6_200_000_000
 # On one 2-vCPU Intel Xeon core, `slope` and `verify` on a rank-16 torsor with a
 # dense metric of 1- and 2-digit entries take 0.09-0.16 s cold (16 MB peak RSS),
 # about what `degree` takes; at the entry size MAX_CHI_WORK still admits at rank 16
-# (495 digits) `slope` takes 0.7 s over Q and 2.3 s over Q(i), whose entries are
-# pairs, and the determinant then fails the output digit limit.
+# `slope` takes 0.6 s over Q (495 digits, where the determinant then fails the output
+# digit limit) and 0.3-0.5 s over Q(i), whose pair entries are priced four times
+# (207 digits).
 MAX_TORSOR_RANK = 16
 
 # Largest accepted |d| of a field Q(sqrt(d)).  Checking that d is squarefree

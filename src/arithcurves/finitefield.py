@@ -17,7 +17,8 @@ from the simple roots.
 
 Primes come from one odd-only sieve of Eratosthenes, a module-level bytearray
 that `primes` grows, a segment at a time, only as far as an iteration goes.
-`is_prime` (Miller-Rabin) checks a single given number.
+`is_prime` (Miller-Rabin) checks a single given number; no library path calls it,
+and the tests read it as the sieve's oracle.
 """
 
 from __future__ import annotations

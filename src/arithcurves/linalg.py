@@ -8,9 +8,11 @@ denominator D of its entries: that multiplies the k-th coefficient by D^k.
 
 chi on gl_n, the characteristic morphism on all n x n matrices, is the
 coefficient tuple of that polynomial.  Its cost grows with n and with the
-digits of the scaled entries, so `chi_gl` and `torsor.gram_det` refuse, before
-Berkowitz, a matrix whose cost estimate n^3 * D^log2(3) passes MAX_CHI_WORK, where D
-is Hadamard's bound on the digits of the coefficients.
+digits of the scaled entries, so `integral_char_poly`, the one entry to
+Berkowitz for `chi`, each place of `slope` and `curve`, refuses a matrix whose
+cost estimate n^3 * D^log2(3) passes MAX_CHI_WORK, D Hadamard's bound on the
+digits of the coefficients; the estimate is four times that when an entry has a
+w-part, since `_dot` then spends four integer products on a pair product.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import MAX_CHI_WORK, ArithCurvesError, MalformedInput, NonSquare
+from .errors import MAX_CHI_WORK, MalformedInput, NonSquare
 
 
 def _dot(xs, ys, s: int, t: int) -> tuple[int, int]:
@@ -54,19 +56,46 @@ def _berkowitz(m, s: int, t: int) -> list[tuple[int, int]]:
     return p
 
 
-def _scaled(matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """(D, D M): D the common denominator of the entries (ints, Fractions or
-    FieldElements a + b w), D M as rows of integer pairs (a, b)."""
-    pairs = [[(x.a, x.b) if hasattr(x, "field") else (x, 0) for x in row] for row in matrix]
-    den = math.lcm(*(c.denominator for row in pairs for x in row for c in x))
-    return den, [[(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
-                  for a, b in row] for row in pairs]
+def _scaled(pairs, den: int) -> list[list[tuple[int, int]]]:
+    """D M as rows of integer pairs, for M given as rows of pairs of rationals (a, b)
+    and D = den a common denominator of their coordinates."""
+    return [[(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+             for a, b in row] for row in pairs]
 
 
 def integral_char_poly(matrix, field) -> tuple[int, list[tuple[int, int]]]:
     """(D, g): D the common denominator of the entries (ints, Fractions or
-    FieldElements of `field`), g = det(y I - D M) on integer pairs, highest first."""
-    den, scaled = _scaled(matrix)
+    FieldElements of `field`), g = det(y I - D M) on integer pairs, highest first.
+
+    Refused before Berkowitz when its price passes MAX_CHI_WORK: n^3 products of
+    integers with the digits `coefficient_digits` gives g's coefficients from the
+    largest |a| + |b| of the scaled entries a + b w, each priced digits^log2(3), as
+    CPython's Karatsuba multiplication costs, and four per product when an entry has
+    a nonzero w-part.  D is built one denominator at a time: a nonzero coordinate of
+    denominator q scales to at least D / q, so the matrix is refused as soon as D
+    over the least such q prices past the limit, before D grows further."""
+    pairs = [[(x.a, x.b) if hasattr(x, "field") else (x, 0) for x in row] for row in matrix]
+    n, w_part = len(pairs), any(b for row in pairs for _, b in row)
+
+    def work(bound: int) -> tuple[int, int]:
+        digits = coefficient_digits(n, bound) if n else 0
+        return (4 if w_part else 1) * n ** 3 * round(digits ** math.log2(3)), digits
+
+    dens = [c.denominator for row in pairs for x in row for c in x if c]
+    least, den = min(dens, default=1), 1
+    for q in dens:
+        if den % q:
+            den = math.lcm(den, q)
+            if work(den // least)[0] > MAX_CHI_WORK:
+                raise MalformedInput(f"characteristic polynomial work exceeds the limit "
+                                     f"{MAX_CHI_WORK} on the common denominator of the "
+                                     f"matrix entries alone")
+    scaled = _scaled(pairs, den)
+    cost, digits = work(max((abs(a) + abs(b) for row in scaled for a, b in row), default=0))
+    if cost > MAX_CHI_WORK:
+        raise MalformedInput(f"characteristic polynomial work {'4 ' if w_part else ''}"
+                             f"n^3 * D^1.585 = {cost} exceeds the limit {MAX_CHI_WORK} "
+                             f"(n = {n}, and D = {digits} digits bound the coefficients)")
     return den, _berkowitz(scaled, *(field.omega_poly if field else (0, 0)))
 
 
@@ -74,19 +103,6 @@ def descale(den: int, g, field) -> list:
     """[g_1 / D, ..., g_n / D^n]: FieldElements of `field`, or Fractions for None."""
     return [field.element(Fraction(a, den ** k), Fraction(b, den ** k)) if field
             else Fraction(a, den ** k) for k, (a, b) in enumerate(g[1:], start=1)]
-
-
-def char_poly(matrix) -> list:
-    """[c_1, ..., c_n] with det(l I - M) = l^n + c_1 l^{n-1} + ... + c_n.
-
-    Entries are ints, Fractions or FieldElements of one quadratic field; the
-    coefficients are FieldElements if any entry is one, else Fractions.
-    """
-    fields = {x.field for row in matrix for x in row if hasattr(x, "field")}
-    if len(fields) > 1:
-        raise ArithCurvesError("field elements from different fields")
-    field = fields.pop() if fields else None
-    return descale(*integral_char_poly(matrix, field), field)
 
 
 def coefficient_digits(n: int, entry_bound: int) -> int:
@@ -101,21 +117,6 @@ def coefficient_digits(n: int, entry_bound: int) -> int:
                        for k in range(1, n + 1)))
 
 
-def check_chi_work(matrix) -> None:
-    """Refuse a square matrix, of what `integral_char_poly` takes, whose characteristic
-    polynomial would cost more than MAX_CHI_WORK: n^3 products of D-digit integers, D
-    the digit bound of its scaled coefficients (each scaled entry a + b w bounded by
-    |a| + |b|), each priced D^log2(3), as CPython's Karatsuba multiplication costs."""
-    n = len(matrix)
-    bound = max((abs(a) + abs(b) for row in _scaled(matrix)[1] for a, b in row), default=0)
-    digits = coefficient_digits(n, bound) if n else 0
-    work = n ** 3 * round(digits ** math.log2(3))
-    if work > MAX_CHI_WORK:
-        raise MalformedInput(f"characteristic polynomial work n^3 * D^1.585 = {work} "
-                             f"exceeds the limit {MAX_CHI_WORK} (n = {n}, and D = {digits} "
-                             f"digits bound the coefficients)")
-
-
 def chi_gl(a) -> tuple[Fraction, ...]:
     """chi of a rational matrix: (c_1, ..., c_n) with c_k = e_k(eigenvalues).
 
@@ -125,5 +126,5 @@ def chi_gl(a) -> tuple[Fraction, ...]:
     mat = [[Fraction(x) for x in row] for row in a]
     if any(len(row) != len(mat) for row in mat):
         raise NonSquare("matrix is not square")
-    check_chi_work(mat)
-    return tuple(-c if k % 2 else c for k, c in enumerate(char_poly(mat), start=1))
+    coeffs = descale(*integral_char_poly(mat, None), None)
+    return tuple(-c if k % 2 else c for k, c in enumerate(coeffs, start=1))

@@ -36,12 +36,12 @@ GAUSSIAN = NumberField(-1)      # Q(i): the entries of a complex place's Gram ma
 def gram_det(gram, field: NumberField | None = None) -> Fraction:
     """det G of an n x n Gram matrix of Fractions (field None, a real place) or of
     FieldElements of Q(i) (a complex place), refused unless it is symmetric
-    (Hermitian) and positive definite; past MAX_CHI_WORK it is refused before Berkowitz."""
+    (Hermitian) and positive definite; past MAX_CHI_WORK `linalg.integral_char_poly`
+    refuses it before Berkowitz."""
     conj = (lambda x: x.conj()) if field else (lambda x: x)
     if any(row[j] != conj(gram[j][i]) for i, row in enumerate(gram) for j in range(i + 1)):
         raise MalformedInput("metric Gram matrix must be "
                              + ("Hermitian" if field else "symmetric"))
-    linalg.check_chi_work(gram)
     den, g = linalg.integral_char_poly(gram, field)
     # the coefficients are real (b = 0), since G is Hermitian
     if any((-1) ** k * a <= 0 for k, (a, _) in enumerate(g)):

@@ -1,8 +1,9 @@
 """Test-side references shared by several test modules: ideal powers, the
 term-by-term reader of field elements, integral characteristic polynomials,
-ramified primes by odd trial division, W-invariance and Reynolds symmetrization
-from W's simple reflections, Chevalley brackets with the gl_n realization, and the
-characteristic polynomial's work price."""
+characteristic polynomials of field-element matrices, factor shapes of a curve mod
+a prime, ramified primes by odd trial division, W-invariance and Reynolds
+symmetrization from W's simple reflections, Chevalley brackets with the gl_n
+realization, and the characteristic polynomial's work price."""
 
 import math
 import re
@@ -13,6 +14,7 @@ from arithcurves.arakelov import FieldElement, FractionalIdeal
 from arithcurves.charmorph import realization
 from arithcurves.chevalley import build_chevalley_basis
 from arithcurves.errors import DimensionMismatch, MalformedInput
+from arithcurves.finitefield import factor_pattern
 from arithcurves.jsonutil import parse_rational
 from arithcurves.poly import Poly
 from arithcurves.cartan import CartanType
@@ -60,6 +62,19 @@ def integral_pairs(poly):
     return [(int(x.a * den ** k), int(x.b * den ** k)) for k, x in enumerate(poly)], den
 
 
+def char_poly(matrix) -> list:
+    """[c_1, ..., c_n] with det(l I - M) = l^n + c_1 l^{n-1} + ... + c_n: FieldElements
+    of the field of the matrix's FieldElements, Fractions when it holds none."""
+    field = next((x.field for row in matrix for x in row if hasattr(x, "field")), None)
+    return linalg.descale(*linalg.integral_char_poly(matrix, field), field)
+
+
+def fiber_shape(C, p: int) -> list[tuple[int, int]]:
+    """(residue degree, multiplicity) shape of a curve over Q at a prime p that does
+    not divide a coefficient denominator, from its integral model."""
+    return factor_pattern(curve._integral_model(C)[1], p)
+
+
 def ramified_by_odd_division(C, bound):
     """`curve.ramified_primes` by trial division of N by 2 and every odd number
     while it is below the bound and its square is at most what is left of N."""
@@ -73,7 +88,7 @@ def ramified_by_odd_division(C, bound):
         p += 1 if p == 2 else 2
     if 1 < rest < bound:
         found.append(rest)
-    return [(p, None) if den % p == 0 else (p, curve.fiber(C, p)) for p in found]
+    return [(p, None) if den % p == 0 else (p, fiber_shape(C, p)) for p in found]
 
 
 # ---------------------------------------------------------------------------
@@ -227,23 +242,25 @@ def gl_realization(n: int) -> tuple:
     return L, mats
 
 
-def chi_work(n: int, entry_bound: int) -> tuple[int, int]:
+def chi_work(n: int, entry_bound: int, w_part: bool = False) -> tuple[int, int]:
     """(work, D) of an n x n matrix with entries at most entry_bound: n^3 products of
-    D-digit integers, each priced D^log2(3)."""
+    D-digit integers, each priced D^log2(3), and four of them per product when an
+    entry has a w-part."""
     digits = linalg.coefficient_digits(n, entry_bound)
-    return n ** 3 * round(digits ** math.log2(3)), digits
+    return (4 if w_part else 1) * n ** 3 * round(digits ** math.log2(3)), digits
 
 
-def chi_work_message(n: int, entry_bound: int) -> str:
-    work, digits = chi_work(n, entry_bound)
-    return (f"characteristic polynomial work n^3 * D^1.585 = {work} exceeds the limit "
-            f"{errors.MAX_CHI_WORK} (n = {n}, and D = {digits} digits bound the coefficients)")
+def chi_work_message(n: int, entry_bound: int, w_part: bool = False) -> str:
+    work, digits = chi_work(n, entry_bound, w_part)
+    return (f"characteristic polynomial work {'4 ' if w_part else ''}n^3 * D^1.585 = {work} "
+            f"exceeds the limit {errors.MAX_CHI_WORK} (n = {n}, and D = {digits} digits "
+            f"bound the coefficients)")
 
 
-def largest_admitted_entry(n: int) -> int:
+def largest_admitted_entry(n: int, w_part: bool = False) -> int:
     """The largest B for which an n x n matrix with entries at most B passes MAX_CHI_WORK."""
     def admitted(b: int) -> bool:
-        return chi_work(n, b)[0] <= errors.MAX_CHI_WORK
+        return chi_work(n, b, w_part)[0] <= errors.MAX_CHI_WORK
     lo, hi = 1, 2
     while admitted(hi):
         lo, hi = hi, hi * hi

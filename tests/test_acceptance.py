@@ -19,13 +19,13 @@ from arithcurves.arakelov import (FractionalIdeal, MetrizedLineBundle, NumberFie
                                   arithmetic_degree)
 from arithcurves.chevalley import build_chevalley_basis, verify_chevalley
 from arithcurves.charmorph import chi_torus
-from arithcurves.curve import (cameral_curve, covering_degree_check, fiber, higgs_field,
+from arithcurves.curve import (cameral_curve, covering_degree_check, higgs_field,
                                ramified_primes, spectral_curve)
-from arithcurves.finitefield import is_prime
+from arithcurves.finitefield import primes
 from arithcurves.linalg import chi_gl
 from arithcurves.cartan import ROOT_COUNT
 from arithcurves.rootsys import build_root_system, root_string, vadd
-from helpers import ideal_power
+from helpers import fiber_shape, ideal_power
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 QQ = NumberField(0)
@@ -209,11 +209,10 @@ def test_08_ramification_equivalence():
         for phi in fixtures:
             C = spectral_curve(phi)
             disc = C.disc.a
-            from_disc = {p for p in range(2, 100)
-                         if is_prime(p) and (disc.numerator % p == 0
-                                             or disc.denominator % p == 0)}
-            from_fibers = {p for p in range(2, 100)
-                           if is_prime(p) and any(e > 1 for _, e in fiber(C, p))}
+            from_disc = {p for p in primes(100)
+                         if disc.numerator % p == 0 or disc.denominator % p == 0}
+            from_fibers = {p for p in primes(100)
+                           if any(e > 1 for _, e in fiber_shape(C, p))}
             assert from_disc == from_fibers
             assert [p for p, _ in ramified_primes(C, 100)] == sorted(from_disc)
 

@@ -871,8 +871,8 @@ def test_gram_matrix_past_the_work_limit_is_refused_before_berkowitz(tmp_path, m
     n, big = MAX_TORSOR_RANK, 10 ** 2280 + 7
     gram = [[str(big) if i == j else str(big // 2) for j in range(n)] for i in range(n)]
     message = chi_work_message(n, big)
-    assert f"argument --matrix: {message}" in invoke_usage(capsys, "chi", "--matrix",
-                                                           json.dumps(gram))
+    assert invoke_usage(capsys, "chi", "--matrix", json.dumps(gram)).endswith(
+        f"\narithcurves: error: {message}\n")
     for verb, flag in (("slope", "--torsor"), ("verify", "--input")):
         code, text = invoke(verb, flag, _torsor_file(tmp_path, gram))
         assert code == 1
@@ -897,6 +897,37 @@ def test_gram_matrix_at_the_work_limit(tmp_path, monkeypatch):
     assert code == 1
     assert json.loads(text) == {"error": {"type": "MalformedInput",
                                           "message": chi_work_message(n, b + 1)}}
+
+
+def test_gaussian_gram_matrix_at_the_work_limit(tmp_path, monkeypatch):
+    """A complex place's Gram matrix with an imaginary entry is priced at four integer
+    products per pair product: at its bound it gives its slope, one more is refused
+    before Berkowitz, and the same entry with no imaginary part is admitted."""
+    from arithcurves import errors, linalg
+
+    n = 8
+    b = largest_admitted_entry(n, w_part=True)
+    assert chi_work(n, b, True)[0] <= errors.MAX_CHI_WORK < chi_work(n, b + 1, True)[0]
+    assert chi_work(n, b + 1)[0] <= errors.MAX_CHI_WORK
+
+    def gram(x, imaginary):
+        # [[x, i], [-i, 2]] on the first two coordinates, the identity on the rest
+        g = [[["1" if i == j else "0", "0"] for j in range(n)] for i in range(n)]
+        g[0][0], g[1][1] = [str(x), "0"], ["2", "0"]
+        if imaginary:
+            g[0][1], g[1][0] = ["0", "1"], ["0", "-1"]
+        return g
+
+    field = "Q(sqrt(-5))"
+    doc = invoke_json("slope", "--torsor", _torsor_file(tmp_path, gram(b, True), field))
+    assert doc["gram_dets"] == [str(2 * b - 1)]
+    doc = invoke_json("slope", "--torsor", _torsor_file(tmp_path, gram(b + 1, False), field))
+    assert doc["gram_dets"] == [str(2 * b + 2)]
+    monkeypatch.setattr(linalg, "_berkowitz", lambda *args: pytest.fail("Berkowitz ran"))
+    code, text = invoke("slope", "--torsor", _torsor_file(tmp_path, gram(b + 1, True), field))
+    assert code == 1
+    assert json.loads(text) == {"error": {"type": "MalformedInput",
+                                          "message": chi_work_message(n, b + 1, True)}}
 
 
 BIG_CURVE = ["curve", "--matrix", '[["123456789","2"],["3","987654321"]]']

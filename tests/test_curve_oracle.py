@@ -15,12 +15,13 @@ from hypothesis import strategies as st  # noqa: E402
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from arithcurves.arakelov import FractionalIdeal, NumberField  # noqa: E402
-from arithcurves.curve import (cameral_curve, cameral_fiber_rational, fiber,  # noqa: E402
+from arithcurves.curve import (cameral_curve, cameral_fiber_rational,  # noqa: E402
                                higgs_field, poly_discriminant, ramified_primes,
                                smallest_split_prime, spectral_curve)
 from arithcurves.errors import DegenerateCurve  # noqa: E402
 from arithcurves.finitefield import factor_pattern  # noqa: E402
-from helpers import ideal_power, integral_pairs, ramified_by_odd_division  # noqa: E402
+from helpers import (fiber_shape, ideal_power, integral_pairs,  # noqa: E402
+                     ramified_by_odd_division)
 
 QQ = NumberField(0)
 X = sympy.Symbol("x")
@@ -105,8 +106,8 @@ def test_ramified_primes_match_sympy_factorization(coeffs, bound):
     # the good primes too: the curve reduces its integral model, the oracle the Fractions
     for p in sympy.primerange(50):
         if den % p:
-            assert fiber(C, p) == _sympy_shape(poly, p)
-    assert fiber(C, smallest_split_prime(C)) == [(1, 1)] * len(coeffs)
+            assert fiber_shape(C, p) == _sympy_shape(poly, p)
+    assert fiber_shape(C, smallest_split_prime(C)) == [(1, 1)] * len(coeffs)
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +140,7 @@ def test_fiber_factor_count_has_the_parity_of_the_discriminant(n, q, data):
     bad = d.numerator * d.denominator * math.lcm(*(c.a.denominator for c in C.poly))
     for p in sympy.primerange(3, 300):
         if bad % p:
-            r = len(fiber(C, p))
+            r = len(fiber_shape(C, p))
             assert (-1) ** (n - r) == sympy.legendre_symbol(d.numerator * d.denominator % p, p)
 
 

@@ -2,7 +2,9 @@ import ast
 import importlib
 import io
 import json
+import math
 import pathlib
+import random
 import re
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from arithcurves import arakelov, chevalley, curve, errors, linalg
 from arithcurves.arakelov import NumberField
 from arithcurves.cli import run
 from arithcurves.cli_chi import read_chi
+from arithcurves.jsonutil import MAX_LITERAL_DIGITS
 from helpers import chi_work, chi_work_message, largest_admitted_entry
 
 PUBLIC = [
@@ -146,7 +149,8 @@ def test_chi_work_limit(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["chi", "--matrix", json.dumps(past)], out=out)
     assert exc.value.code == 2 and out.getvalue() == ""
-    assert f"argument --matrix: {message}" in capsys.readouterr().err
+    # the refusal comes from the builder, so argparse's line names no argument
+    assert capsys.readouterr().err.endswith(f"\narithcurves: error: {message}\n")
     doc.write_text(json.dumps({"kind": "chi", "type": f"gl_{n}", "matrix": past}))
     assert _outcome(["verify", "--input", str(doc)]) == (
         1, {"error": {"type": "MalformedInput", "message": message}})
@@ -160,7 +164,180 @@ def test_chi_work_reads_the_scaled_matrix():
     assert chi_work(64, 1)[0] <= errors.MAX_CHI_WORK
     wide = [[Fraction(1, 10 ** 40 + 2 * k + 1) for k in range(64)] for _ in range(64)]
     with pytest.raises(errors.MalformedInput, match="exceeds the limit"):
-        linalg.check_chi_work(wide)
+        linalg.integral_char_poly(wide, None)
+
+
+def test_growing_common_denominator_is_refused_before_it_is_built(capsys, monkeypatch):
+    """1/d for 4096 distinct 4000-digit d: their common denominator has about 16
+    million digits, hours of lcm steps before the scaled matrix could be priced.  Every
+    scaled entry is at least D / q, so the run is refused at the second d."""
+    rng = random.Random(64)
+    wide = [[Fraction(1, rng.randrange(10 ** 3999, 10 ** 4000)) for _ in range(64)]
+            for _ in range(64)]
+    steps, lcm = [], math.lcm
+    monkeypatch.setattr(linalg.math, "lcm", lambda *args: steps.append(args) or lcm(*args))
+    message = (f"characteristic polynomial work exceeds the limit {errors.MAX_CHI_WORK} "
+               f"on the common denominator of the matrix entries alone")
+    with pytest.raises(errors.MalformedInput, match=message):
+        linalg.integral_char_poly(wide, None)
+    assert len(steps) == 2
+    with pytest.raises(SystemExit) as exc:
+        run(["chi", "--matrix", json.dumps([[f"1/{x.denominator}" for x in row[:16]]
+                                            for row in wide[:16]])], out=io.StringIO())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"\narithcurves: error: {message}\n")
+
+
+def test_ragged_chi_matrix_past_the_work_limit_is_not_square():
+    """chi_gl checks squareness before the price, so a ragged matrix is NonSquare."""
+    big = 10 ** 4000
+    assert chi_work(8, big)[0] > errors.MAX_CHI_WORK
+    big = str(big)
+    assert _outcome(["chi", "--matrix", json.dumps([[big] * 9] * 8)]) == (
+        1, {"error": {"type": "NonSquare", "message": "matrix is not square"}})
+
+
+def test_one_scaling_per_characteristic_polynomial(monkeypatch, tmp_path):
+    """`chi`, each place of `slope` and `curve` scale their matrix once, in
+    `linalg.integral_char_poly`, which also prices the run."""
+    calls, scaled = [], linalg._scaled
+    monkeypatch.setattr(linalg, "_scaled", lambda m, den: calls.append(len(m)) or scaled(m, den))
+    assert _outcome(["chi", "--matrix", '[["1", "2"], ["3", "4"]]'])[0] == 0
+    assert calls == [2]
+    calls.clear()
+    torsor = tmp_path / "torsor.json"
+    torsor.write_text(json.dumps({"field": "Q(sqrt(2))", "rank": 3, "ideals": [["1"]] * 3,
+                                  "metrics": [_diagonal(3), _diagonal(3)]}))
+    assert _outcome(["slope", "--torsor", str(torsor)])[0] == 0
+    assert calls == [3, 3]                                  # two real places
+    calls.clear()
+    assert _outcome(["curve", "--matrix", '[["1", "2"], ["3", "4"]]', "--cameral"])[0] == 0
+    assert calls == [2]
+
+
+def _nilpotent_curve(m: int, d: int) -> dict:
+    """A 6 x 6 `curve` document whose scaled matrix has m * d as its largest entry: m and
+    1/d above the diagonal, twisted by (1/d).  Its polynomial is y^6, so it prints."""
+    matrix = [["0"] * 6 for _ in range(6)]
+    matrix[0][1], matrix[0][2] = str(m), f"1/{d}"
+    return {"kind": "spectral", "field": "Q", "matrix": matrix, "twist_hnf": [f"1/{d}"]}
+
+
+def test_curve_work_limit(capsys, monkeypatch, tmp_path):
+    """A 6 x 6 `curve` at the price boundary runs; one step past it is refused before
+    Berkowitz from the command line (usage error), `verify` (domain error) and
+    `spectral_curve` (MalformedInput).  A 4200-digit denominator and an integer
+    entry of under 4300 digits reach the boundary within the literal limit."""
+    n, b = 6, largest_admitted_entry(6)
+    d = 10 ** 4199 + 1
+    m = b // d
+    assert len(str(m)) < MAX_LITERAL_DIGITS and m * d <= b < (m + 1) * d
+    at, past = _nilpotent_curve(m, d), _nilpotent_curve(m + 1, d)
+    argv = ["curve", "--matrix", json.dumps(at["matrix"]), "--twist", json.dumps(at["twist_hnf"])]
+    code, doc = _outcome(argv)
+    assert code == 0 and doc["poly"] == ["1"] + ["0"] * n and doc["degenerate"]
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    assert _outcome(["verify", "--input", str(f)])[1]["ok"]
+
+    monkeypatch.setattr(linalg, "_berkowitz", lambda *args: pytest.fail("Berkowitz ran"))
+    message = chi_work_message(n, (m + 1) * d)
+    with pytest.raises(SystemExit) as exc:
+        run(["curve", "--matrix", json.dumps(past["matrix"]),
+             "--twist", json.dumps(past["twist_hnf"])], out=io.StringIO())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"\narithcurves: error: {message}\n")
+    f.write_text(json.dumps(past))
+    assert _outcome(["verify", "--input", str(f)]) == (
+        1, {"error": {"type": "MalformedInput", "message": message}})
+    QQ = NumberField(0)
+    twist = arakelov.FractionalIdeal.from_elements(QQ, [Fraction(1, d)])
+    phi = curve.higgs_field(QQ, [[Fraction(x) for x in row] for row in past["matrix"]], twist)
+    with pytest.raises(errors.MalformedInput, match=re.escape(message)):
+        curve.spectral_curve(phi)
+
+
+@pytest.mark.parametrize("digits", [2000, 4200])
+def test_twist_of_36_large_denominators_is_refused(capsys, digits):
+    """A 6 x 6 matrix of 1/d for 36 distinct d, twisted by the ideal they generate: the
+    twist's common denominator passes 3 * MAX_LITERAL_DIGITS digits within a few
+    generators, and the reader refuses it before any HNF work (16 s and 70 s before)."""
+    rng = random.Random(digits)
+    dens = [rng.randrange(10 ** (digits - 1), 10 ** digits) for _ in range(36)]
+    generators = [f"1/{q}" for q in dens]
+    matrix = [generators[6 * i:6 * i + 6] for i in range(6)]
+    with pytest.raises(SystemExit) as exc:
+        run(["curve", "--matrix", json.dumps(matrix), "--twist", json.dumps(generators)],
+            out=io.StringIO())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"\narithcurves: error: argument --twist: "
+                                            f"{IDEAL_DENOMINATOR_MESSAGE}\n")
+
+
+IDEAL_DENOMINATOR_MESSAGE = (
+    f"the generators' common denominator has more than 3 * MAX_LITERAL_DIGITS = "
+    f"{3 * MAX_LITERAL_DIGITS} digits, so the ideal's HNF could not be printed")
+
+
+def _generators_at_the_denominator_bound() -> tuple[list[str], list[str]]:
+    """Generators 1/q of prime powers q of at most 4299 digits (a literal 1/q has at most
+    MAX_LITERAL_DIGITS digits) whose lcm has exactly 3 * MAX_LITERAL_DIGITS digits, and
+    the same with one more factor 7, past it."""
+    limit = 10 ** (3 * MAX_LITERAL_DIGITS)
+    powers = [p ** int((MAX_LITERAL_DIGITS - 1) / math.log10(p)) for p in (2, 3, 5)]
+    assert all(len(str(q)) < MAX_LITERAL_DIGITS for q in powers)
+    last = 1
+    while math.prod(powers) * last * 7 < limit:
+        last *= 7
+    assert limit // 10 <= math.prod(powers) * last < limit <= math.prod(powers) * last * 7
+    return ([f"1/{q}" for q in powers + [last]], [f"1/{q}" for q in powers + [last * 7]])
+
+
+@pytest.mark.parametrize("verb", ["degree", "curve", "slope"])
+def test_ideal_denominator_limit(capsys, monkeypatch, tmp_path, verb):
+    """Every ideal reader (`--ideal`, `--twist`, a torsor's `ideals`) takes the common
+    denominator one generator at a time.  At 3 * MAX_LITERAL_DIGITS digits the ideal is
+    read, and its HNF then fails the output digit limit; one factor more is refused
+    before `from_elements` runs: a usage error from the command line, a domain error
+    from a document."""
+    at, past = _generators_at_the_denominator_bound()
+    QQ = NumberField(0)
+    ideal = arakelov.read_ideal(at, "ideal_hnf", QQ)
+    assert ideal.rows[0][0].denominator == math.prod(Fraction(g).denominator for g in at)
+
+    def argv(gens):
+        return {"degree": ["degree", "--field", "Q", "--ideal", json.dumps(gens),
+                           "--metrics", '["1"]'],
+                "curve": ["curve", "--matrix", '[["0"]]', "--twist", json.dumps(gens)]}[verb]
+
+    def document(gens):
+        if verb == "slope":
+            return {"field": "Q", "rank": 1, "ideals": [gens], "metrics": [[["1"]]]}
+        key = "ideal_hnf" if verb == "degree" else "twist_hnf"
+        return {"kind": verb if verb == "degree" else "spectral", "field": "Q",
+                "matrix": [["0"]], "metrics": ["1"], key: gens}
+
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(document(at)))
+    code, doc = _outcome(["slope", "--torsor", str(f)] if verb == "slope" else argv(at))
+    assert code == 1 and doc["error"]["type"] == "ArithCurvesError"
+
+    monkeypatch.setattr(arakelov.FractionalIdeal, "from_elements",
+                        classmethod(lambda *args: pytest.fail("from_elements ran")))
+    refused = (1, {"error": {"type": "MalformedInput", "message": IDEAL_DENOMINATOR_MESSAGE}})
+    f.write_text(json.dumps(document(past)))
+    if verb == "slope":
+        assert _outcome(["slope", "--torsor", str(f)]) == refused
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run(argv(past), out=io.StringIO())
+        assert exc.value.code == 2
+        flag = "--ideal" if verb == "degree" else "--twist"
+        assert capsys.readouterr().err.endswith(
+            f"\narithcurves: error: argument {flag}: {IDEAL_DENOMINATOR_MESSAGE}\n")
+    assert _outcome(["verify", "--input", str(f)]) == refused
+    with pytest.raises(errors.MalformedInput, match=re.escape(IDEAL_DENOMINATOR_MESSAGE)):
+        arakelov.read_ideal(past, "ideal_hnf", QQ)
 
 
 def _outcome(argv) -> tuple[int, dict]:

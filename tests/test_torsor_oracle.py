@@ -10,9 +10,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from arithcurves import linalg  # noqa: E402
 from arithcurves.errors import ArithCurvesError  # noqa: E402
 from arithcurves.torsor import GAUSSIAN, gram_det  # noqa: E402
+from helpers import char_poly  # noqa: E402
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -108,7 +108,7 @@ def test_integer_witnesses_tie_the_exact_and_float_layers(data, field, n):
     cell = st.builds(lambda a, b: _entry(field, Fraction(a), Fraction(b)), integers,
                      integers) if field else integers.map(Fraction)
     g = [[data.draw(cell) for _ in range(n)] for _ in range(n)]
-    det_g = (-1) ** n * linalg.char_poly(g)[-1]
+    det_g = (-1) ** n * char_poly(g)[-1]
     assume(det_g)
     gram = [[sum((_conj(g[k][i]) * g[k][j] for k in range(n)), _entry(field, Fraction(0)))
              for j in range(n)] for i in range(n)]
