@@ -8,18 +8,16 @@ minimal decomposition of each non-simple positive root gets constant +(l+1),
 and every remaining constant is forced from those seeds through Jacobi-derived
 reduction rules.  With this ordering the type-A tables coincide with the
 elementary-matrix realization of gl_n (checked in the tests).  All of it runs
-on the integer root vectors of `rootsys`, and `verify_chevalley` brackets on
-ints.
+on root indices (`rootsys.RootIndex`) in ints: each quotient is an exact
+`divmod` that raises on a remainder, and `verify_chevalley` brackets on ints.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import MAX_CENTER_RANK, DimensionMismatch
-from .rootsys import RootSystem, Vector, cartan_integer, inner, root_string, vadd, vneg, vsub
+from .errors import MAX_CENTER_RANK, ArithCurvesError, DimensionMismatch
+from .rootsys import RootSystem, cartan_integer
 
 
 class BasisVector(NamedTuple):
@@ -51,75 +49,72 @@ class IntegralLieAlgebra(NamedTuple):
         return len(self.rs.roots) + i
 
 
-def coroot_coords(rs: RootSystem, a: Vector) -> tuple[int, ...]:
+def coroot_coords(rs: RootSystem, i: int) -> tuple[int, ...]:
     """Integer coordinates c_t (s_t,s_t)/(a,a) of the coroot 2a/(a,a) over the
-    simple coroots 2s_t/(s_t,s_t), where a = sum c_t s_t."""
-    a = tuple(a)
-    sol = [Fraction(c * inner(rs, s, s), inner(rs, a, a)) for c, s in zip(rs.coeffs[a], rs.simple)]
-    assert all(c.denominator == 1 for c in sol), f"non-integral coroot for {a}"
-    return tuple(c.numerator for c in sol)
+    simple coroots 2s_t/(s_t,s_t), where a = sum c_t s_t is root i."""
+    norm = rs.view.norm                                     # simple root t is root t
+    quot = [divmod(c * ns, norm[i]) for c, ns in zip(rs.coeffs[rs.roots[i]], norm)]
+    if any(r for _, r in quot):
+        raise ArithCurvesError(f"non-integral coroot for {rs.roots[i]}")
+    return tuple(q for q, _ in quot)
 
 
-def structure_constants(rs: RootSystem) -> dict[tuple[Vector, Vector], int]:
-    """N_{a,b} for every ordered pair of roots with a + b again a root."""
-    pos = list(rs.positive)
-    pos_set = set(pos)
-    order = {a: i for i, a in enumerate(pos)}
+def structure_constants(rs: RootSystem) -> dict[tuple[int, int], int]:
+    """N_{a,b} for every ordered pair of root indices (i, j) with a + b again a root."""
+    wt, at, norm = rs.view.weight, rs.view.at, rs.view.norm
+    n, npos = len(rs.roots), len(rs.positive)
 
-    table: dict[tuple[Vector, Vector], int] = {}
+    table: dict[tuple[int, int], int] = {}
 
-    def put(a: Vector, b: Vector, v: int) -> None:
-        table[(a, b)] = v
-        table[(b, a)] = -v
+    def put(i: int, j: int, v: int) -> None:
+        table[i, j], table[j, i] = v, -v
 
-    def get(a: Vector, b: Vector) -> int:
-        s = vadd(a, b)
-        if not rs.is_root(s):
+    def get(i: int, j: int) -> int:
+        s = at.get(wt[i] + wt[j])
+        if s is None:
             return 0
-        if (a, b) in table:
-            return table[(a, b)]
-        if a in pos_set and b in pos_set:
-            raise AssertionError("positive pair out of processing order")
-        if a not in pos_set and b in pos_set:
-            v = -get(vneg(a), vneg(b))
-        elif a in pos_set and s in pos_set:
+        if (i, j) in table:
+            return table[i, j]
+        if i < npos and j < npos:
+            raise ArithCurvesError("positive pair out of processing order")
+        if i >= npos and j < npos:
+            v = -get(i - npos, j + npos)
+        elif i < npos and s < npos:
             # triple (a, b, -s):  N_{a,b} = (s,s)/(a,a) N_{b,-s} = -(s,s)/(a,a) N_{-b,s}
-            v = -Fraction(inner(rs, s, s), inner(rs, a, a)) * get(vneg(b), s)
+            v, r = divmod(-norm[s] * get(j - npos, s), norm[i])
+            if r:
+                raise ArithCurvesError(f"N for {rs.roots[i]}+{rs.roots[j]} is not an integer")
         else:
-            v = get(vneg(b), vneg(a))
-        assert Fraction(v).denominator == 1
-        v = int(v)
-        table[(a, b)] = v
+            v = get((j + npos) % n, (i + npos) % n)
+        table[i, j] = v
         return v
 
-    for g in pos:
-        if rs.height(g) < 2:
-            continue
-        spairs = [(a, vsub(g, a)) for a in pos
-                  if vsub(g, a) in pos_set and order[a] < order[vsub(g, a)]]
-        spairs.sort(key=lambda p: order[p[0]])
+    for g in range(rs.rank, npos):              # the simple roots lead the positive ones
+        # (a, g - a) with a earlier than g - a: both are lower than g, so before it
+        spairs = [(a, b) for a in range(g) for b in (at.get(wt[g] - wt[a]),)
+                  if b is not None and a < b]
         al, be = spairs[0]
-        put(al, be, root_string(rs, al, be)[0] + 1)
+        put(al, be, rs.view.string(be, al, -1) + 1)
         for xi, eta in spairs[1:]:
             # Jacobi on (x_al, x_be, x_{-xi}) against the extraspecial seed:
             #   N_{al,be} (eta,eta)/(g,g) N_{xi,eta} = -(T2 + T3)
-            d1 = vsub(be, xi)
-            d2 = vsub(xi, al)
+            d1, d2 = at.get(wt[be] - wt[xi]), at.get(wt[xi] - wt[al])
             t = 0
-            if rs.is_root(d1):
-                t += get(be, vneg(xi)) * get(al, d1)
-            if rs.is_root(d2):
-                t += get(vneg(xi), al) * get(be, vneg(d2))
-            v = -t * Fraction(inner(rs, g, g), inner(rs, eta, eta)) / table[(al, be)]
-            assert v.denominator == 1 and abs(v) == root_string(rs, xi, eta)[0] + 1, \
-                f"structure constant {v} for {xi}+{eta} fails the string bound"
-            put(xi, eta, int(v))
+            if d1 is not None:
+                t += get(be, xi + npos) * get(al, d1)
+            if d2 is not None:
+                t += get(xi + npos, al) * get(be, (d2 + npos) % n)
+            v, r = divmod(-t * norm[g], norm[eta] * table[al, be])
+            if r or abs(v) != rs.view.string(eta, xi, -1) + 1:
+                raise ArithCurvesError(f"structure constant for {rs.roots[xi]}+{rs.roots[eta]} "
+                                       "fails the string bound")
+            put(xi, eta, v)
 
     # Materialize the remaining mixed/negative pairs.
-    for a in rs.roots:
-        for b in rs.roots:
-            if b != vneg(a) and rs.is_root(vadd(a, b)):
-                get(a, b)
+    for i in range(n):
+        for j in range(n):
+            if wt[i] + wt[j] in at:
+                get(i, j)
     return table
 
 
@@ -130,11 +125,12 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0) -> IntegralLieAl
     if center_rank > MAX_CENTER_RANK:
         raise DimensionMismatch(f"center rank {center_rank} exceeds the limit {MAX_CENTER_RANK}")
 
-    nroots, rank = len(rs.roots), rs.rank
+    nroots, npos, rank = len(rs.roots), len(rs.positive), rs.rank
     basis = tuple([BasisVector("x", i) for i in range(nroots)]
                   + [BasisVector("h", i) for i in range(rank)]
                   + [BasisVector("z", j) for j in range(center_rank)])
     consts = structure_constants(rs)
+    wt, at, cartan = rs.view.weight, rs.view.at, rs.view.cartan
 
     table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
@@ -144,23 +140,23 @@ def build_chevalley_basis(rs: RootSystem, center_rank: int = 0) -> IntegralLieAl
             table[(i, j)] = tuple(entries)
             table[(j, i)] = tuple((k, -c) for k, c in entries)
 
-    for i, a in enumerate(rs.roots):
+    for i in range(nroots):
         # [x_a, x_b] for b later in the list; (j, i) filled by antisymmetry
         for j in range(i + 1, nroots):
-            b = rs.roots[j]
-            if b == vneg(a):
-                put(i, j, [(nroots + k, c) for k, c in enumerate(coroot_coords(rs, a))])
-            elif rs.is_root(vadd(a, b)):
-                put(i, j, [(rs.index[vadd(a, b)], consts[(a, b)])])
+            if j == i + npos:
+                put(i, j, [(nroots + k, c) for k, c in enumerate(coroot_coords(rs, i))])
+            elif (s := at.get(wt[i] + wt[j])) is not None:
+                put(i, j, [(s, consts[i, j])])
         # [h_k, x_a]
         for k in range(rank):
-            put(nroots + k, i, [(i, cartan_integer(rs, a, rs.simple[k]))])
+            put(nroots + k, i, [(i, cartan[k][i])])
 
     # Verify the Chevalley theorem clauses that are cheap at build time:
     # [h,h] = 0 and centrality hold by omission;  magnitudes |N| = l+1 and the
-    # opposite-pair sign rule were asserted during construction of `consts`.
-    for (a, b), v in consts.items():
-        assert v == -consts[(vneg(a), vneg(b))]
+    # opposite-pair sign rule were checked during construction of `consts`.
+    if any(v != -consts[(i + npos) % nroots, (j + npos) % nroots]
+           for (i, j), v in consts.items()):
+        raise ArithCurvesError("a structure constant breaks N_{-a,-b} = -N_{a,b}")
 
     return IntegralLieAlgebra(rs=rs, center_rank=center_rank, basis=basis, table=table)
 
@@ -192,25 +188,30 @@ class ChevalleyReport(NamedTuple):
 def _jacobi_holds(L: IntegralLieAlgebra, n: int) -> bool:
     """The grading clause, then Jacobi on every triple of distinct basis vectors
     among the first n whose weights sum to a root or 0 (see verify_chevalley)."""
-    # A weight c is held as the int sum c_t 64^t.  That map is additive, and
-    # one-to-one on vectors with |c_t| < 32: every root coefficient is at most
-    # 3 (G2's highest root), so sums of up to three weights stay inside it.
+    # the weights of `rootsys.RootIndex`: a sum of three stays where they are one-to-one
     rs, table = L.rs, L.table
-    wt = [sum(c * 64 ** t for t, c in enumerate(rs.coeffs[a])) for a in rs.roots]
-    wt += [0] * (L.dim - len(wt))
+    wt = rs.view.weight + (0,) * (L.dim - len(rs.roots))
     if any(wt[k] != wt[i] + wt[j] for (i, j), entries in table.items() for k, _ in entries):
         return False
+    row: list[dict] = [{} for _ in range(L.dim)]     # row[i][j] = [b_i, b_j]
+    for (i, j), entries in table.items():
+        row[i][j] = entries
     live = set(wt)
-    for i, j, k in itertools.combinations(range(n), 3):
-        if wt[i] + wt[j] + wt[k] not in live:
-            continue
-        acc: dict[int, int] = {}
-        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, c in table.get((v, w), ()):
-                for p, d in table.get((u, m), ()):
-                    acc[p] = acc.get(p, 0) + c * d
-        if any(acc.values()):
-            return False
+    for i in range(n):
+        ri = row[i]
+        for j in range(i + 1, n):
+            rj, wij, ij = row[j], wt[i] + wt[j], ri.get(j, ())
+            for k in range(j + 1, n):
+                if wij + wt[k] not in live:
+                    continue
+                acc: dict[int, int] = {}
+                # [b_i, [b_j, b_k]] + [b_j, [b_k, b_i]] + [b_k, [b_i, b_j]]
+                for ru, vw in ((ri, rj.get(k, ())), (rj, row[k].get(i, ())), (row[k], ij)):
+                    for m, c in vw:
+                        for p, d in ru.get(m, ()):
+                            acc[p] = acc.get(p, 0) + c * d
+                if any(acc.values()):
+                    return False
     return True
 
 
@@ -227,69 +228,52 @@ def verify_chevalley(L: IntegralLieAlgebra) -> ChevalleyReport:
     Phi u {0} has all three double brackets zero: only the others are
     bracketed.  jacobi_triples is C(dim [g,g], 3), the triples certified.
     """
-    rs = L.rs
-    nroots = len(rs.roots)
+    rs, table = L.rs, L.table
+    wt, at, norm = rs.view.weight, rs.view.at, rs.view.norm
+    nroots, npos = len(rs.roots), len(rs.positive)
 
-    integral = all(isinstance(v, int) for entries in L.table.values() for _, v in entries)
+    integral = all(isinstance(v, int) for entries in table.values() for _, v in entries)
 
-    antisymmetric = True
-    for (i, j), entries in L.table.items():
-        back = dict(L.table.get((j, i), ()))
-        if {k: -v for k, v in entries} != back:
-            antisymmetric = False
+    antisymmetric = all({k: -v for k, v in entries} == dict(table.get((j, i), ()))
+                        for (i, j), entries in table.items())
 
-    magnitudes_ok = True
-    opposite_sign_ok = True
-    literal = 0
-    pairs = 0
+    magnitudes_ok = opposite_sign_ok = True
+    literal = pairs = 0
     string_failures = []
-    for i, a in enumerate(rs.roots):
-        for b in rs.roots[i + 1:]:
-            s = vadd(a, b)
-            if not rs.is_root(s):
+    for i in range(nroots):
+        for j in range(i + 1, nroots):
+            s = at.get(wt[i] + wt[j])
+            if s is None:
                 continue
             pairs += 1
-            entries = dict(L.table.get((rs.index[a], rs.index[b]), ()))
-            n_ab = entries.get(rs.index[s], 0)
-            lo, up = root_string(rs, a, b)
-            if abs(n_ab) != lo + 1:
-                magnitudes_ok = False
-            rev = dict(L.table.get((rs.index[vneg(a)], rs.index[vneg(b)]), ()))
-            n_opp = rev.get(rs.index[vneg(s)], 0)
-            if n_opp != -n_ab:
-                opposite_sign_ok = False
-            if n_opp == n_ab:
-                literal += 1
-            # Squared-constant identity through the same root string.
-            expect = Fraction(up * (lo + 1) * inner(rs, s, s), inner(rs, b, b))
-            if Fraction(n_ab) ** 2 != expect:
-                string_failures.append((a, b, n_ab, expect))
+            n_ab = dict(table.get((i, j), ())).get(s, 0)
+            lo, up = rs.view.string(j, i, -1), rs.view.string(j, i, 1)
+            magnitudes_ok &= abs(n_ab) == lo + 1
+            neg = (i + npos) % nroots, (j + npos) % nroots
+            n_opp = dict(table.get(neg, ())).get((s + npos) % nroots, 0)
+            opposite_sign_ok &= n_opp == -n_ab
+            literal += n_opp == n_ab
+            # the squared-constant identity, cross-multiplied: N^2 (b,b) = k (l+1) (s,s)
+            if n_ab * n_ab * norm[j] != up * (lo + 1) * norm[s]:
+                from fractions import Fraction       # a failure record only
+                string_failures.append((rs.roots[i], rs.roots[j], n_ab,
+                                        Fraction(up * (lo + 1) * norm[s], norm[j])))
 
-    cartan_action_ok = True
-    for k in range(rs.rank):
-        for i, a in enumerate(rs.roots):
-            entries = dict(L.table.get((L.h_index(k), i), ()))
-            want = cartan_integer(rs, a, rs.simple[k])
-            if entries.get(i, 0) != want or len(entries) > 1:
-                cartan_action_ok = False
+    cartan_action_ok = all(len(entries := dict(table.get((L.h_index(k), i), ()))) <= 1
+                           and entries.get(i, 0) == cartan_integer(rs, a, s)
+                           for k, s in enumerate(rs.simple) for i, a in enumerate(rs.roots))
 
-    coroot_ok = True
-    for a in rs.positive:
-        i, j = rs.index[a], rs.index[vneg(a)]
-        entries = dict(L.table.get((i, j), ()))
-        want = {L.h_index(k): c for k, c in enumerate(coroot_coords(rs, a)) if c != 0}
-        if entries != want:
-            coroot_ok = False
+    coroot_ok = all(dict(table.get((i, i + npos), ()))
+                    == {L.h_index(k): c for k, c in enumerate(coroot_coords(rs, i)) if c != 0}
+                    for i in range(npos))
 
     gg = nroots + rs.rank
-    central_ok = not any(c for (i, j), entries in L.table.items() if max(i, j) >= gg
+    central_ok = not any(c for (i, j), entries in table.items() if max(i, j) >= gg
                          for _, c in entries)
-    jacobi_ok = central_ok and _jacobi_holds(L, gg)
-    count = gg * (gg - 1) * (gg - 2) // 6
-
     return ChevalleyReport(antisymmetric=antisymmetric, integral=integral,
                            magnitudes_ok=magnitudes_ok, cartan_action_ok=cartan_action_ok,
                            coroot_ok=coroot_ok, opposite_sign_ok=opposite_sign_ok,
                            literal_paper_sign_count=literal, pair_count=pairs,
                            string_identity_failures=string_failures,
-                           jacobi_ok=jacobi_ok, jacobi_triples=count)
+                           jacobi_ok=central_ok and _jacobi_holds(L, gg),
+                           jacobi_triples=gg * (gg - 1) * (gg - 2) // 6)

@@ -4,8 +4,8 @@
 # enforces them and this is the library module it loads at start-up.
 
 # Largest accepted center rank.  The dense rows of the bracket table grow with
-# it; `chevalley --type B4 --center 2000 --verify` takes 0.7-0.9 s cold on one
-# 2-vCPU Intel Xeon core (64 MB peak RSS) and prints 6 MB.
+# it; `chevalley --type B4 --center 2000 --verify` takes 0.30-0.32 s cold on one
+# 2-vCPU Intel Xeon core (63 MB peak RSS) and prints 6 MB.
 MAX_CENTER_RANK = 2000
 
 # Largest accepted fiber bound.  Trial division of N = |num(disc)| * den(disc) * den
@@ -76,10 +76,6 @@ class MalformedInput(ArithCurvesError):
 
 class NotARoot(ArithCurvesError):
     """A vector that was required to be a root is not one."""
-
-
-class ProportionalRoots(ArithCurvesError):
-    """Root-string endpoints requested for beta = +-alpha."""
 
 
 class DimensionMismatch(ArithCurvesError):

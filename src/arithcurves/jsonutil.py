@@ -6,10 +6,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ArithCurvesError, MalformedInput
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # A rational literal's size is its digit count plus |exponent|.  The bound keeps
 # every parse cheap, and at Python's default int-to-str limit (4300 digits) any
@@ -18,6 +20,14 @@ MAX_LITERAL_DIGITS = 4300
 
 _RATIONAL = re.compile(r"\s*([+-]?)(?=\.?[0-9])([0-9]*)"
                        r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?)0*([0-9]+))?)\s*")
+
+
+def _fraction(*args) -> Fraction:
+    """Fraction(*args).  The first call imports `fractions` (and its `decimal`) and
+    rebinds this name to the class: later calls pay no import."""
+    global _fraction
+    from fractions import Fraction as _fraction
+    return _fraction(*args)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -34,11 +44,11 @@ def parse_rational(text: str) -> Fraction:
     num = int(sign + (digits + frac or "0"))
     if den:
         try:
-            return Fraction(num, int(den))
+            return _fraction(num, int(den))
         except ZeroDivisionError as exc:
             raise MalformedInput(f"{text!r} is not a rational literal: {exc}") from None
     scale = len(frac) - (int(exp_sign + exp) if exp else 0)      # value = num / 10^scale
-    return Fraction(num, 10 ** scale) if scale > 0 else Fraction(num * 10 ** -scale)
+    return _fraction(num, 10 ** scale) if scale > 0 else _fraction(num * 10 ** -scale)
 
 
 def rat_str(q: Fraction | int) -> str:
@@ -107,7 +117,7 @@ _text = _scalar(str.strip, "a string")         # str.strip raises TypeError on a
 _integer = _scalar(_int, "an integer")
 _real = _scalar(float, "a real")
 # a string goes through parse_rational, whose own MalformedInput says what is wrong
-_rational = _scalar(lambda x: parse_rational(x) if isinstance(x, str) else Fraction(x),
+_rational = _scalar(lambda x: parse_rational(x) if isinstance(x, str) else _fraction(x),
                     "a rational")
 
 

@@ -2,24 +2,27 @@
 
 Roots are tuples of ints in the standard ambient realizations; the pairing is
 the standard dot product except for family B, where it is twice the dot product
-so that short roots have squared length 2 in every supported type.  The one
-division, by (b,b) in `cartan_integer` and `reflect`, is exact and gives an int
-when the quotient is integral (a Fraction when it is not, say for a reflection
-of a rational vector).  The records are NamedTuples, so every value in a built
-RootSystem is immutable (its two dicts aside) and every operation here is pure.
+so that short roots have squared length 2 in every supported type.  A built
+RootSystem carries its `RootIndex`, the roots by position, on which the Weyl
+closure and the Chevalley layer run in ints; Cartan integers are exact `divmod`s.
+The records are NamedTuples, so every value in a built RootSystem is immutable
+(its dicts aside) and every operation here is pure.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import NamedTuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cartan import ROOT_COUNT, CartanType, _supported
-from .errors import DimensionMismatch, NotARoot, ProportionalRoots, UnsupportedType
+from .errors import ArithCurvesError, DimensionMismatch, NotARoot, UnsupportedType
 from .jsonutil import rat_str
 
-Vector = tuple[int | Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Vector = tuple[int, ...]
 
 WEYL_ORDER = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 24, ("A", 4): 120,
@@ -44,10 +47,6 @@ def vsub(u: Vector, v: Vector) -> Vector:
 
 def vneg(u: Vector) -> Vector:
     return tuple(-a for a in u)
-
-
-def vscale(c: int | Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
 
 
 def dot(u: Vector, v: Vector) -> int | Fraction:
@@ -92,6 +91,26 @@ def _ambient_roots(t: CartanType) -> tuple[list[Vector], list[Vector]]:
     return roots, simple
 
 
+class RootIndex(NamedTuple):
+    """Root i is `RootSystem.roots[i]`: simple root k is root k, and root i's negative
+    is root (i + npos) % n.  Its weight, the int sum c_t 64^t of its simple-root
+    coordinates c, is additive and one-to-one while |c_t| < 32; roots have |c_t| <= 3,
+    so a sum, difference or string step formed here is a root iff its weight is in `at`."""
+    weight: tuple[int, ...]
+    at: dict[int, int]                        # weight -> root index
+    norm: tuple[int, ...]                     # (a, a) of each root
+    cartan: tuple[tuple[int, ...], ...]       # cartan[k][i] = <root i, simple root k>
+    reflection: tuple[tuple[int, ...], ...]   # s_k as the image index of each root
+
+    def string(self, b: int, a: int, step: int) -> int:
+        """How many of b + step·a, b + 2 step·a, ... are roots, for step 1 or -1."""
+        at, d = self.at, step * self.weight[a]
+        w, count = self.weight[b] + d, 0
+        while w in at:
+            w, count = w + d, count + 1
+        return count
+
+
 class RootSystem(NamedTuple):
     cartan_type: CartanType
     simple: tuple[Vector, ...]
@@ -100,20 +119,14 @@ class RootSystem(NamedTuple):
     ip_scale: int                         # pairing = ip_scale * dot
     index: dict[Vector, int]              # root -> position in roots
     coeffs: dict[Vector, tuple[int, ...]]  # root -> simple-root coordinates
+    view: RootIndex
 
     @property
     def rank(self) -> int:
         return self.cartan_type.rank
 
-    @property
-    def gram(self) -> list[list[int]]:
-        return [[inner(self, a, b) for b in self.simple] for a in self.simple]
-
     def is_root(self, v: Vector) -> bool:
         return tuple(v) in self.index
-
-    def height(self, a: Vector) -> int:
-        return sum(self.coeffs[tuple(a)])
 
 
 def inner(rs: RootSystem, u: Vector, v: Vector) -> int | Fraction:
@@ -146,18 +159,26 @@ def build_root_system(t: CartanType | str) -> RootSystem:
         raise NotARoot(f"walking up from the simple roots of {t} misses a root")
     ordered = tuple(positive) + tuple(vneg(a) for a in positive)
     index = {a: i for i, a in enumerate(ordered)}
-
-    rs = RootSystem(cartan_type=t, simple=tuple(simple), positive=tuple(positive),
-                    roots=ordered, ip_scale=scale, index=index, coeffs=coeffs)
-
-    # Build-time sanity: counts, +/- partition, closure under simple reflections.
-    assert len(ordered) == ROOT_COUNT[(t.family, t.rank)]
-    assert 2 * len(positive) == len(ordered)
-    for a in simple:
-        for b in ordered:
-            if not rs.is_root(reflect(rs, b, a)):
-                raise NotARoot(f"root system not closed under reflection in {a}")
-    return rs
+    # Build-time sanity: the count, the +/- partition (no root listed twice), and
+    # closure under the simple reflections, read off the index view.
+    if len(ordered) != ROOT_COUNT[(t.family, t.rank)] or len(index) != len(ordered):
+        raise ArithCurvesError(f"{t} built {len(index)} distinct of {len(ordered)} roots")
+    weight = tuple(sum(c * 64 ** k for k, c in enumerate(coeffs[a])) for a in ordered)
+    at = {w: i for i, w in enumerate(weight)}
+    cartan, reflection = [], []
+    for k, s in enumerate(simple):
+        # <a, s> = 2 (a,s) / (s,s): the pairing's scale cancels
+        quot = [divmod(2 * dot(a, s), dot(s, s)) for a in positive]
+        row = [q for q, _ in quot] + [-q for q, _ in quot]
+        image = tuple(at.get(w - q * 64 ** k) for w, q in zip(weight, row))
+        if any(r for _, r in quot) or None in image:
+            raise NotARoot(f"root system not closed under reflection in {s}")
+        cartan.append(tuple(row))
+        reflection.append(image)
+    view = RootIndex(weight=weight, at=at, norm=tuple(scale * dot(a, a) for a in ordered),
+                     cartan=tuple(cartan), reflection=tuple(reflection))
+    return RootSystem(cartan_type=t, simple=tuple(simple), positive=tuple(positive),
+                      roots=ordered, ip_scale=scale, index=index, coeffs=coeffs, view=view)
 
 
 def cartan_integer(rs: RootSystem, a: Vector, b: Vector) -> int | Fraction:
@@ -165,25 +186,12 @@ def cartan_integer(rs: RootSystem, a: Vector, b: Vector) -> int | Fraction:
     b = tuple(b)
     if not rs.is_root(b):
         raise NotARoot(f"{b} is not a root")
-    q = Fraction(2 * inner(rs, tuple(a), b), inner(rs, b, b))
-    return q.numerator if q.denominator == 1 else q
-
-
-def reflect(rs: RootSystem, v: Vector, a: Vector) -> Vector:
-    """Reflection v - <v, a> a of v in the hyperplane orthogonal to the root a."""
-    return vsub(tuple(v), vscale(cartan_integer(rs, v, a), tuple(a)))
-
-
-def root_string(rs: RootSystem, a: Vector, b: Vector) -> tuple[int, int]:
-    """(l, k) with b - l·a, ..., b + k·a the full a-string of roots through b."""
-    a, b = tuple(a), tuple(b)
-    if not rs.is_root(a) or not rs.is_root(b):
-        raise NotARoot("root-string endpoints must be roots")
-    if b == a or b == vneg(a):
-        raise ProportionalRoots("no root string through +-a in direction a")
-    low = next(k for k in itertools.count() if not rs.is_root(vsub(b, vscale(k + 1, a))))
-    up = next(k for k in itertools.count() if not rs.is_root(vadd(b, vscale(k + 1, a))))
-    return low, up
+    num, den = 2 * inner(rs, tuple(a), b), inner(rs, b, b)
+    q, r = divmod(num, den)
+    if r:
+        from fractions import Fraction      # a rational vector's pairing; no verb reaches it
+        return Fraction(num, den)
+    return q
 
 
 class WeylElement(NamedTuple):
@@ -191,35 +199,29 @@ class WeylElement(NamedTuple):
     perm: tuple[int, ...]                 # image index of each root
 
 
-def _simple_reflection_perm(rs: RootSystem, i: int) -> tuple[int, ...]:
-    return tuple(rs.index[reflect(rs, a, rs.simple[i])] for a in rs.roots)
-
-
-def compose(w1: WeylElement, w2: WeylElement) -> WeylElement:
-    """w1 after w2 as root permutations."""
-    return WeylElement(word=w1.word + w2.word,
-                       perm=tuple(w1.perm[j] for j in w2.perm))
-
-
 def weyl_group(rs: RootSystem) -> list[WeylElement]:
-    """Full Weyl group by breadth-first closure over the simple reflections."""
-    gens = [WeylElement(word=(i,), perm=_simple_reflection_perm(rs, i))
-            for i in range(rs.rank)]
-    ident = WeylElement(word=(), perm=tuple(range(len(rs.roots))))
-    seen = {ident.perm: ident}
+    """Full Weyl group by breadth-first closure over the simple reflections, on
+    root permutations: s_i after w is itemgetter(*w)(s_i), with word (i,) + w's."""
+    gens = tuple(enumerate(rs.view.reflection))
+    ident = tuple(range(len(rs.roots)))
+    seen = {ident: ()}
     frontier = [ident]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in gens:
-                c = compose(g, w)
-                if c.perm not in seen:
-                    seen[c.perm] = c
+            after, word = itemgetter(*w), seen[w]
+            for i, g in gens:
+                c = after(g)
+                if c not in seen:
+                    seen[c] = (i,) + word
                     nxt.append(c)
         frontier = nxt
-    elements = sorted(seen.values(), key=lambda w: (len(w.word), w.word))
-    assert len(elements) == WEYL_ORDER[(rs.cartan_type.family, rs.rank)]
-    return elements
+    expected = WEYL_ORDER[(rs.cartan_type.family, rs.rank)]
+    if len(seen) != expected:
+        raise ArithCurvesError(f"the Weyl group of {rs.cartan_type} closed on {len(seen)} "
+                               f"elements, not {expected}")
+    return [WeylElement(word=word, perm=perm)
+            for perm, word in sorted(seen.items(), key=lambda e: (len(e[1]), e[1]))]
 
 
 def root_system_json(rs: RootSystem) -> dict:
@@ -228,5 +230,5 @@ def root_system_json(rs: RootSystem) -> dict:
         "type": str(rs.cartan_type),
         "simple": [[rat_str(x) for x in a] for a in rs.simple],
         "positive": [[rat_str(x) for x in a] for a in rs.positive],
-        "gram": [[rat_str(x) for x in row] for row in rs.gram],
+        "gram": [[rat_str(inner(rs, a, b)) for b in rs.simple] for a in rs.simple],
     }

@@ -3,8 +3,11 @@ term-by-term reader of field elements, integral characteristic polynomials,
 characteristic polynomials of field-element matrices, factor shapes of a curve mod
 a prime, ramified primes by odd trial division, W-invariance and Reynolds
 symmetrization from W's simple reflections, Chevalley brackets with the gl_n
-realization, and the characteristic polynomial's work price."""
+realization, the characteristic polynomial's work price, and the tuple-vector
+references of the Lie layer (reflections, root strings, the Weyl closure,
+structure constants, the Chevalley table and its verification report)."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -12,13 +15,14 @@ from fractions import Fraction
 from arithcurves import curve, errors, linalg
 from arithcurves.arakelov import FieldElement, FractionalIdeal
 from arithcurves.charmorph import realization
-from arithcurves.chevalley import build_chevalley_basis
-from arithcurves.errors import DimensionMismatch, MalformedInput
+from arithcurves.chevalley import BasisVector, ChevalleyReport, build_chevalley_basis
+from arithcurves.errors import DimensionMismatch, MalformedInput, NotARoot
 from arithcurves.finitefield import factor_pattern
 from arithcurves.jsonutil import parse_rational
 from arithcurves.poly import Poly
 from arithcurves.cartan import CartanType
-from arithcurves.rootsys import build_root_system, reflect
+from arithcurves.rootsys import (WEYL_ORDER, WeylElement, build_root_system, inner, vadd, vneg,
+                                 vsub)
 
 
 def ideal_power(ideal, k):
@@ -268,3 +272,230 @@ def largest_admitted_entry(n: int, w_part: bool = False) -> int:
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
     return lo
+
+
+# ---------------------------------------------------------------------------
+# Tuple-vector references of the Lie layer, which runs on root indices and ints
+# (`rootsys.RootIndex`): the same algorithms on root vectors through vadd / vneg
+# and Fraction quotients, with dict lookups keyed by vector tuples.
+
+def vscale(c, u) -> tuple:
+    return tuple(c * a for a in u)
+
+
+def cartan_fraction(rs, a, b):
+    """<a, b> = 2 (a,b) / (b,b) as a Fraction quotient: an int when it is integral."""
+    q = Fraction(2 * inner(rs, tuple(a), tuple(b)), inner(rs, tuple(b), tuple(b)))
+    return q.numerator if q.denominator == 1 else q
+
+
+def reflect(rs, v, a) -> tuple:
+    """Reflection v - <v, a> a of v in the hyperplane orthogonal to the root a."""
+    return vsub(tuple(v), vscale(cartan_fraction(rs, v, a), tuple(a)))
+
+
+def root_string(rs, a, b) -> tuple[int, int]:
+    """(l, k) with b - l·a, ..., b + k·a the full a-string of roots through b."""
+    a, b = tuple(a), tuple(b)
+    if not rs.is_root(a) or not rs.is_root(b):
+        raise NotARoot("root-string endpoints must be roots")
+    if b == a or b == vneg(a):
+        raise ValueError("no root string through +-a in direction a")
+    low = next(k for k in itertools.count() if not rs.is_root(vsub(b, vscale(k + 1, a))))
+    up = next(k for k in itertools.count() if not rs.is_root(vadd(b, vscale(k + 1, a))))
+    return low, up
+
+
+def compose(w1, w2):
+    """w1 after w2 as root permutations."""
+    return WeylElement(word=w1.word + w2.word, perm=tuple(w1.perm[j] for j in w2.perm))
+
+
+def weyl_group_reference(rs) -> list:
+    """The Weyl group by breadth-first closure through `compose`, sorted by word."""
+    gens = [WeylElement(word=(i,), perm=tuple(rs.index[reflect(rs, a, s)] for a in rs.roots))
+            for i, s in enumerate(rs.simple)]
+    ident = WeylElement(word=(), perm=tuple(range(len(rs.roots))))
+    seen = {ident.perm: ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                c = compose(g, w)
+                if c.perm not in seen:
+                    seen[c.perm] = c
+                    nxt.append(c)
+        frontier = nxt
+    elements = sorted(seen.values(), key=lambda w: (len(w.word), w.word))
+    assert len(elements) == WEYL_ORDER[(rs.cartan_type.family, rs.rank)]
+    return elements
+
+
+def structure_constants_reference(rs) -> dict:
+    """N_{a,b} keyed by the root pair (a, b), for every pair with a + b a root:
+    extraspecial seeds l + 1, the rest forced through Jacobi in Fractions."""
+    pos = list(rs.positive)
+    pos_set = set(pos)
+    order = {a: i for i, a in enumerate(pos)}
+    table = {}
+
+    def put(a, b, v):
+        table[(a, b)] = v
+        table[(b, a)] = -v
+
+    def get(a, b):
+        s = vadd(a, b)
+        if not rs.is_root(s):
+            return 0
+        if (a, b) in table:
+            return table[(a, b)]
+        assert not (a in pos_set and b in pos_set), "positive pair out of processing order"
+        if a not in pos_set and b in pos_set:
+            v = -get(vneg(a), vneg(b))
+        elif a in pos_set and s in pos_set:
+            v = -Fraction(inner(rs, s, s), inner(rs, a, a)) * get(vneg(b), s)
+        else:
+            v = get(vneg(b), vneg(a))
+        assert Fraction(v).denominator == 1
+        table[(a, b)] = v = int(v)
+        return v
+
+    for g in pos:
+        if sum(rs.coeffs[g]) < 2:
+            continue
+        spairs = [(a, vsub(g, a)) for a in pos
+                  if vsub(g, a) in pos_set and order[a] < order[vsub(g, a)]]
+        spairs.sort(key=lambda p: order[p[0]])
+        al, be = spairs[0]
+        put(al, be, root_string(rs, al, be)[0] + 1)
+        for xi, eta in spairs[1:]:
+            d1, d2 = vsub(be, xi), vsub(xi, al)
+            t = 0
+            if rs.is_root(d1):
+                t += get(be, vneg(xi)) * get(al, d1)
+            if rs.is_root(d2):
+                t += get(vneg(xi), al) * get(be, vneg(d2))
+            v = -t * Fraction(inner(rs, g, g), inner(rs, eta, eta)) / table[(al, be)]
+            assert v.denominator == 1 and abs(v) == root_string(rs, xi, eta)[0] + 1
+            put(xi, eta, int(v))
+
+    for a in rs.roots:
+        for b in rs.roots:
+            if b != vneg(a) and rs.is_root(vadd(a, b)):
+                get(a, b)
+    return table
+
+
+def coroot_coords_reference(rs, a) -> tuple:
+    """Coordinates c_t (s_t,s_t)/(a,a) of the coroot of a over the simple coroots."""
+    sol = [Fraction(c * inner(rs, s, s), inner(rs, a, a)) for c, s in zip(rs.coeffs[a], rs.simple)]
+    assert all(c.denominator == 1 for c in sol), f"non-integral coroot for {a}"
+    return tuple(c.numerator for c in sol)
+
+
+def chevalley_reference(rs, center_rank: int) -> tuple:
+    """(basis, table) of the Chevalley basis, in `build_chevalley_basis`'s order."""
+    nroots, rank = len(rs.roots), rs.rank
+    basis = tuple([BasisVector("x", i) for i in range(nroots)]
+                  + [BasisVector("h", i) for i in range(rank)]
+                  + [BasisVector("z", j) for j in range(center_rank)])
+    consts = structure_constants_reference(rs)
+    table = {}
+
+    def put(i, j, entries):
+        entries = [(k, c) for k, c in entries if c != 0]
+        if entries:
+            table[(i, j)] = tuple(entries)
+            table[(j, i)] = tuple((k, -c) for k, c in entries)
+
+    for i, a in enumerate(rs.roots):
+        for j in range(i + 1, nroots):
+            b = rs.roots[j]
+            if b == vneg(a):
+                put(i, j, [(nroots + k, c) for k, c in enumerate(coroot_coords_reference(rs, a))])
+            elif rs.is_root(vadd(a, b)):
+                put(i, j, [(rs.index[vadd(a, b)], consts[(a, b)])])
+        for k in range(rank):
+            put(nroots + k, i, [(i, cartan_fraction(rs, a, rs.simple[k]))])
+    for (a, b), v in consts.items():
+        assert v == -consts[(vneg(a), vneg(b))]
+    return basis, table
+
+
+def _jacobi_holds_reference(L, n: int) -> bool:
+    """The grading clause, then Jacobi on every triple among the first n basis
+    vectors whose weights sum to a root or 0, through tuple-keyed lookups."""
+    rs, table = L.rs, L.table
+    wt = [sum(c * 64 ** t for t, c in enumerate(rs.coeffs[a])) for a in rs.roots]
+    wt += [0] * (L.dim - len(wt))
+    if any(wt[k] != wt[i] + wt[j] for (i, j), entries in table.items() for k, _ in entries):
+        return False
+    live = set(wt)
+    for i, j, k in itertools.combinations(range(n), 3):
+        if wt[i] + wt[j] + wt[k] not in live:
+            continue
+        acc = {}
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, c in table.get((v, w), ()):
+                for p, d in table.get((u, m), ()):
+                    acc[p] = acc.get(p, 0) + c * d
+        if any(acc.values()):
+            return False
+    return True
+
+
+def verify_chevalley_reference(L) -> ChevalleyReport:
+    """`chevalley.verify_chevalley` on root vectors: the pair clauses walk root
+    strings and test N^2 = k (l+1) (s,s)/(b,b) in Fractions."""
+    rs, table = L.rs, L.table
+    nroots = len(rs.roots)
+    integral = all(isinstance(v, int) for entries in table.values() for _, v in entries)
+    antisymmetric = all({k: -v for k, v in entries} == dict(table.get((j, i), ()))
+                        for (i, j), entries in table.items())
+
+    magnitudes_ok = opposite_sign_ok = True
+    literal = pairs = 0
+    string_failures = []
+    for i, a in enumerate(rs.roots):
+        for b in rs.roots[i + 1:]:
+            s = vadd(a, b)
+            if not rs.is_root(s):
+                continue
+            pairs += 1
+            n_ab = dict(table.get((rs.index[a], rs.index[b]), ())).get(rs.index[s], 0)
+            lo, up = root_string(rs, a, b)
+            if abs(n_ab) != lo + 1:
+                magnitudes_ok = False
+            rev = dict(table.get((rs.index[vneg(a)], rs.index[vneg(b)]), ()))
+            n_opp = rev.get(rs.index[vneg(s)], 0)
+            if n_opp != -n_ab:
+                opposite_sign_ok = False
+            if n_opp == n_ab:
+                literal += 1
+            expect = Fraction(up * (lo + 1) * inner(rs, s, s), inner(rs, b, b))
+            if Fraction(n_ab) ** 2 != expect:
+                string_failures.append((a, b, n_ab, expect))
+
+    cartan_action_ok = True
+    for k in range(rs.rank):
+        for i, a in enumerate(rs.roots):
+            entries = dict(table.get((L.h_index(k), i), ()))
+            if entries.get(i, 0) != cartan_fraction(rs, a, rs.simple[k]) or len(entries) > 1:
+                cartan_action_ok = False
+
+    coroot_ok = all(
+        dict(table.get((rs.index[a], rs.index[vneg(a)]), ()))
+        == {L.h_index(k): c for k, c in enumerate(coroot_coords_reference(rs, a)) if c != 0}
+        for a in rs.positive)
+
+    gg = nroots + rs.rank
+    central_ok = not any(c for (i, j), entries in table.items() if max(i, j) >= gg
+                         for _, c in entries)
+    return ChevalleyReport(antisymmetric=antisymmetric, integral=integral,
+                           magnitudes_ok=magnitudes_ok, cartan_action_ok=cartan_action_ok,
+                           coroot_ok=coroot_ok, opposite_sign_ok=opposite_sign_ok,
+                           literal_paper_sign_count=literal, pair_count=pairs,
+                           string_identity_failures=string_failures,
+                           jacobi_ok=central_ok and _jacobi_holds_reference(L, gg),
+                           jacobi_triples=gg * (gg - 1) * (gg - 2) // 6)

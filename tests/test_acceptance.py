@@ -24,8 +24,8 @@ from arithcurves.curve import (cameral_curve, covering_degree_check, higgs_field
 from arithcurves.finitefield import primes
 from arithcurves.linalg import chi_gl
 from arithcurves.cartan import ROOT_COUNT
-from arithcurves.rootsys import build_root_system, root_string, vadd
-from helpers import fiber_shape, ideal_power
+from arithcurves.rootsys import build_root_system, vadd
+from helpers import fiber_shape, ideal_power, root_string
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 QQ = NumberField(0)

@@ -1,14 +1,22 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from arithcurves.chevalley import MAX_CENTER_RANK, build_chevalley_basis, verify_chevalley
+from arithcurves.cartan import ROOT_COUNT
+from arithcurves.chevalley import (MAX_CENTER_RANK, build_chevalley_basis, structure_constants,
+                                   verify_chevalley)
 from arithcurves.errors import DimensionMismatch
 from arithcurves.linalg import chi_gl
 from arithcurves.rootsys import build_root_system, vadd, vneg, weyl_group
-from helpers import adjoint_matrix, bracket, gl_realization, principal_nilpotent
+from helpers import (adjoint_matrix, bracket, chevalley_reference, gl_realization,
+                     principal_nilpotent, structure_constants_reference,
+                     verify_chevalley_reference, weyl_group_reference)
 
 try:
     from hypothesis import given, settings
@@ -17,6 +25,7 @@ except ImportError:
     st = None
 
 SMALL_TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
+ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 
 
 def algebra(token, center=0):
@@ -145,6 +154,31 @@ def test_principal_nilpotent_chi_vanishes(token):
     assert all(v == 0 for v in chi_gl(ad))
 
 
+def assert_same_report(got, want):
+    """Field by field, so a failure names the clause that differs."""
+    assert got._asdict() == want._asdict()
+    assert [type(v) for *_, v in got.string_identity_failures] == \
+        [type(v) for *_, v in want.string_identity_failures]
+
+
+@pytest.mark.parametrize("token", ALL_TYPES)
+def test_index_layer_matches_the_tuple_vector_reference(token):
+    """The Weyl closure on root permutations, structure constants on root indices
+    and the report's int clauses give what the root-vector references give: the
+    same elements in the same order, the same constants, basis, table (in
+    insertion order) and report, at every center rank 0-2."""
+    rs = build_root_system(token)
+    assert weyl_group(rs) == weyl_group_reference(rs)
+    consts = {(rs.roots[i], rs.roots[j]): v for (i, j), v in structure_constants(rs).items()}
+    assert consts == structure_constants_reference(rs)
+    for center in (0, 1, 2):
+        L = build_chevalley_basis(rs, center_rank=center)
+        basis, table = chevalley_reference(rs, center)
+        assert L.basis == basis
+        assert list(L.table.items()) == list(table.items())
+        assert_same_report(verify_chevalley(L), verify_chevalley_reference(L))
+
+
 def test_sign_constraints_examples():
     """x_a -> c_a x_a keeps the basis Chevalley when c_a c_{-a} = 1."""
     L = algebra("A1")
@@ -174,6 +208,99 @@ def test_sign_constraints_and_rescale_a2():
     c_bad[vneg(g)] = Fraction(1, 3)
     rep = verify_chevalley(rescaled(L, c_bad))
     assert not rep.integral and not rep.ok
+
+
+def test_cross_multiplied_string_identity_matches_the_reference_on_broken_tables():
+    """Rescaled tables (Fraction entries) and corrupted ones, as in the tests above:
+    every report field, the string-identity failure records included, is what the
+    root-vector reference reports."""
+    a1 = algebra("A1")
+    a = a1.rs.simple[0]
+    a2 = algebra("A2")
+    r1, r2 = a2.rs.simple
+    g = vadd(r1, r2)
+    signs = {r1: -1, vneg(r1): -1, r2: 1, vneg(r2): 1, g: -1, vneg(g): -1}
+    b4 = algebra("B4")
+    nroots = len(b4.rs.roots)
+    (i, j), ((k, c),) = next((pair, e) for pair, e in b4.table.items()
+                             if pair[0] < pair[1] < nroots and e[0][0] < nroots)
+    x, y, h = a1.rs.index[a], a1.rs.index[vneg(a)], a1.h_index(0)
+    center = algebra("A2", center=2)
+    z = center.dim - 1
+    b2 = algebra("B2")
+    norm = b2.rs.view.norm
+    (p, q), ((r, n_pq),) = next((pair, e) for pair, e in b2.table.items()
+                                if pair[0] < pair[1] < len(norm) and e[0][0] < len(norm)
+                                and norm[pair[0]] != norm[pair[1]])
+    tables = [
+        rescaled(a1, {a: Fraction(2), vneg(a): Fraction(1, 2)}),
+        rescaled(a1, {a: Fraction(2), vneg(a): Fraction(1)}),
+        rescaled(a2, signs),
+        rescaled(a2, {**signs, g: Fraction(1), vneg(g): Fraction(1)}),
+        rescaled(a2, {**signs, g: Fraction(3), vneg(g): Fraction(1, 3)}),
+        b4._replace(table={**b4.table, (i, j): ((k, -c),), (j, i): ((k, c),)}),
+        b4._replace(table=corrupt(corrupt(b4.table, i, j, k, -c), i, j, (k + 1) % nroots, c)),
+        a1._replace(table=corrupt(a1.table, x, h, y, 1)),
+        a1._replace(table=corrupt(a1.table, h, x, x, 1)),
+        center._replace(table={**center.table, (z, 0): ((0, 1),), (0, z): ((0, -1),)}),
+        b2._replace(table=corrupt(b2.table, p, q, r, n_pq)),     # a short and a long root
+    ]
+    failures = 0
+    for L in tables:
+        got = verify_chevalley(L)
+        assert_same_report(got, verify_chevalley_reference(L))
+        failures += len(got.string_identity_failures)
+    assert failures and any(type(v) is Fraction for L in tables
+                            for *_, v in verify_chevalley(L).string_identity_failures)
+
+
+def _run_optimized(script: str) -> subprocess.CompletedProcess:
+    """script in a fresh `python -O`, which strips every assert statement."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_build_checks_survive_python_O():
+    """The build-time checks are raises, not asserts: under -O a Weyl order that the
+    closure misses and a root string bound that a structure constant misses still
+    raise, and the CLI reports the first as a JSON domain error."""
+    proc = _run_optimized("""
+        import io, sys
+        assert sys.flags.optimize == 1
+        from arithcurves import chevalley, cli, rootsys
+        from arithcurves.errors import ArithCurvesError
+        rs = rootsys.build_root_system("G2")
+        rootsys.WEYL_ORDER["G", 2] = 13
+        try:
+            rootsys.weyl_group(rs)
+        except ArithCurvesError as exc:
+            print("weyl:", exc)
+        out = io.StringIO()
+        print("cli:", cli.run(["rootsys", "--type", "G2"], out=out), out.getvalue())
+        rootsys.RootIndex.string = lambda view, b, a, step, true=rootsys.RootIndex.string: \
+            true(view, b, a, -step)                   # reads the a-string the wrong way
+        try:
+            chevalley.structure_constants(rootsys.build_root_system("B3"))
+        except ArithCurvesError as exc:
+            print("string:", exc)
+    """)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    weyl, cli_line, string = proc.stdout.split("\n", 2)
+    assert weyl == "weyl: the Weyl group of G2 closed on 12 elements, not 13"
+    assert cli_line == "cli: 1 {"
+    assert '"type": "ArithCurvesError"' in string and "Traceback" not in proc.stdout
+    assert string.rstrip().endswith("fails the string bound")
+
+
+def test_cli_prints_the_same_bytes_under_python_O():
+    argv = ["-m", "arithcurves.cli", "chevalley", "--type", "G2", "--verify"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv], capture_output=True,
+                                       env=env) for flags in ([], ["-O"]))
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout and b'"ok": true' in plain.stdout
+    assert plain.stderr == optimized.stderr == b""
 
 
 def test_records_are_immutable():

@@ -169,6 +169,8 @@ COMPUTATIONAL = ("cartan", "rootsys", "chevalley", "charmorph", "poly", "arakelo
 
 
 LIE = ("charmorph", "cartan", "rootsys", "poly")
+# the standard library's exact rationals: `fractions` imports `decimal`
+RATIONALS = ("fractions", "decimal")
 VERB_MODULES = tuple(f"cli_{name}" for name in cli.VERBS if name != "verify")
 
 
@@ -183,18 +185,20 @@ def documents(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code, absent, present", [
-    ([], None, COMPUTATIONAL + ("numpy",), ()),
-    (["chi", "--matrix", "5"], 2, COMPUTATIONAL + ("dataclasses", "numpy"), ("cli_chi",)),
+    ([], None, COMPUTATIONAL + ("numpy",) + RATIONALS, ()),
+    (["chi", "--matrix", "5"], 2, COMPUTATIONAL + ("dataclasses", "numpy") + RATIONALS,
+     ("cli_chi",)),
     (["rootsys", "--type", "A2", "--weyl"], 0,
-     ("chevalley", "arakelov", "curve", "numpy", "dataclasses", "linalg"),
+     ("chevalley", "arakelov", "curve", "numpy", "dataclasses", "linalg") + RATIONALS,
      ("rootsys", "cli_rootsys")),
     (["chevalley", "--type", "B2", "--verify"], 0,
-     ("charmorph", "arakelov", "curve", "numpy", "dataclasses", "linalg"),
+     ("charmorph", "arakelov", "curve", "numpy", "dataclasses", "linalg") + RATIONALS,
      ("chevalley", "cli_chevalley")),
     (["degree", "--field", "Q(i)", "--ideal", '["1+i"]', "--metrics", '["2.0"]'], 0,
      ("rootsys", "chevalley", "numpy", "dataclasses", "finitefield"), ("arakelov", "cli_degree")),
     (["chi", "--torus-point", "[1,2]", "--type", "B2"], 0,
-     ("rootsys", "arakelov", "numpy", "dataclasses", "linalg"), ("charmorph", "cartan", "cli_chi")),
+     ("rootsys", "arakelov", "numpy", "dataclasses", "linalg"),
+     ("charmorph", "cartan", "cli_chi") + RATIONALS),
     (["chi", "--matrix", '[["1/2", 3], [4, 5]]'], 0,
      LIE + ("arakelov", "numpy", "dataclasses"), ("linalg", "cli_chi")),
     (["curve", "--matrix", "[[0,1],[2,0]]", "--fibers", "20"], 0,

@@ -4,11 +4,10 @@ import pytest
 
 from arithcurves.cartan import ROOT_COUNT, CartanType
 from arithcurves.charmorph import realization
-from arithcurves.errors import NotARoot, ProportionalRoots, UnsupportedType
-from arithcurves.rootsys import (WEYL_ORDER, build_root_system, cartan_integer, compose, inner,
-                                 reflect, root_string, root_system_json, vadd, vneg, vscale,
-                                 weyl_group)
-from helpers import simple_reflections
+from arithcurves.errors import NotARoot, UnsupportedType
+from arithcurves.rootsys import (WEYL_ORDER, build_root_system, cartan_integer, inner,
+                                 root_system_json, vadd, vneg, weyl_group)
+from helpers import compose, reflect, root_string, simple_reflections, vscale
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 
@@ -160,9 +159,9 @@ def test_root_string_examples():
     g2 = build_root_system("G2")
     short, long = g2.simple
     assert root_string(g2, short, long) == (0, 3)
-    with pytest.raises(ProportionalRoots):
+    with pytest.raises(ValueError):
         root_string(rs, a1, a1)
-    with pytest.raises(ProportionalRoots):
+    with pytest.raises(ValueError):
         root_string(rs, a1, vneg(a1))
 
 
@@ -181,6 +180,29 @@ def test_root_string_identity(token):
             assert rs.is_root(tuple(x + up * y for x, y in zip(b, a)))
             assert not rs.is_root(tuple(x - (lo + 1) * y for x, y in zip(b, a)))
             assert not rs.is_root(tuple(x + (up + 1) * y for x, y in zip(b, a)))
+
+
+@pytest.mark.parametrize("token", ALL_TYPES)
+def test_root_index_matches_the_root_vectors(token):
+    """Every field of the index view, and every root string it walks, against the
+    root vectors: sums and differences of two roots are roots exactly when their
+    weights are keys of `at`."""
+    rs = build_root_system(token)
+    view, n = rs.view, len(rs.roots)
+    assert [rs.index[vneg(a)] for a in rs.roots] == [(i + n // 2) % n for i in range(n)]
+    assert rs.roots[:rs.rank] == rs.simple
+    assert list(view.norm) == [inner(rs, a, a) for a in rs.roots]
+    assert [list(row) for row in view.cartan] == \
+        [[cartan_integer(rs, a, s) for a in rs.roots] for s in rs.simple]
+    assert [list(row) for row in view.reflection] == \
+        [[rs.index[reflect(rs, a, s)] for a in rs.roots] for s in rs.simple]
+    for i, a in enumerate(rs.roots):
+        for j, b in enumerate(rs.roots):
+            for sign in (1, -1):
+                v = tuple(x + sign * y for x, y in zip(a, b))
+                assert view.at.get(view.weight[i] + sign * view.weight[j]) == rs.index.get(v)
+            if b not in (a, vneg(a)):
+                assert (view.string(j, i, -1), view.string(j, i, 1)) == root_string(rs, a, b)
 
 
 @pytest.mark.parametrize("token,order", [("A1", 2), ("A2", 6), ("B3", 48), ("G2", 12)])
