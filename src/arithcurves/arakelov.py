@@ -18,14 +18,13 @@ it.  Tuple arithmetic and ordering, which mean nothing here, raise TypeError.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
-from .jsonutil import MAX_LITERAL_DIGITS, _rational, _text, parse_rational, rat_str
+from .jsonutil import MAX_LITERAL_DIGITS, _quote, _rational, _text, parse_rational, rat_str
 
 
 def _is_squarefree(n: int) -> bool:
@@ -309,12 +308,11 @@ class FractionalIdeal(NamedTuple):
             g, u, v = _xgcd(a, x)
             others.append((a * y - x * b) // g)
             a, b = g, u * b + v * y
-        if a == 0:
-            raise ZeroIdeal("generators span a rank-deficient module")
         c = 0
         for y in others:
             c = math.gcd(c, abs(y))
-        assert c > 0, "ideal module must have full rank"
+        if a == 0 or c == 0:
+            raise ZeroIdeal("generators span a rank-deficient module")
         b %= c
         return cls(field, ((Fraction(a, den), Fraction(b, den)),
                            (Fraction(0), Fraction(c, den))))
@@ -386,13 +384,13 @@ def read_ideal(spec, key: str, K: NumberField) -> FractionalIdeal:
     common denominator is taken one generator at a time and refused, before any HNF
     work, once it passes 3 * MAX_LITERAL_DIGITS digits."""
     if not isinstance(spec, list):
-        raise MalformedInput(f"an ideal must be a JSON list of generators, got {json.dumps(spec)}")
+        raise MalformedInput(f"an ideal must be a JSON list of generators, got {_quote(spec)}")
     elements, den = [], 1
     for item in spec:
         if isinstance(item, list):
             if len(item) != K.degree:
                 raise MalformedInput(f"HNF rows over {K.name} must have length {K.degree}, "
-                                     f"got {json.dumps(item)}")
+                                     f"got {_quote(item)}")
             e = K.element(*(_rational(x, key) for x in item))
         else:
             e = parse_element(K, str(item))

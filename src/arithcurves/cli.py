@@ -26,14 +26,13 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import os
 import sys
 from typing import Callable, NamedTuple
 
 from .errors import (MAX_CENTER_RANK, MAX_FIBER_BOUND, ArithCurvesError, MalformedInput,
                      UnsupportedType)
-from .jsonutil import _bounded_int, _decimal, _json, _json_object, parse_rational
+from .jsonutil import _bounded_int, _decimal, _json, _json_object, dumps, parse_rational
 
 
 def verify_payload(doc: dict) -> dict:
@@ -69,6 +68,7 @@ def _differs(a, b, real: bool) -> bool:
         except (MalformedInput, OverflowError):
             return True
         return abs(fa - fb) > 1e-9 * max(1.0, abs(fa), abs(fb))
+    import json
     return json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
 
 
@@ -192,10 +192,9 @@ def run(argv=None, out=None) -> int:
                           None)
             parser.error(f"argument {option}: {exc}" if option else str(exc))
     except ArithCurvesError as exc:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                         indent=2), file=out)
+        print(dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}), file=out)
         return 1
-    print(json.dumps(payload, indent=2), file=out)
+    print(dumps(payload), file=out)
     return 0 if payload.get("ok", True) else 1      # only `verify` payloads carry "ok"
 
 

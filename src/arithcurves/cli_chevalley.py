@@ -15,14 +15,15 @@ def chevalley_payload(type_token: str, center: int, with_verify: bool) -> dict:
     rs = rootsys.build_root_system(type_token)
     type_token = str(rs.cartan_type)
     L = chevalley.build_chevalley_basis(rs, center_rank=center)
+    labels = [L.label(i) for i in range(L.dim)]
     records = []
     for i, j in sorted(key for key in L.table if key[0] < key[1]):
-        entries = dict(L.table[i, j])
-        dense = [int(entries.get(k, 0)) for k in range(L.dim)]
-        records.append({"x": L.label(i), "y": L.label(j), "result": dense})
+        dense = [0] * L.dim
+        for k, c in L.table[i, j]:
+            dense[k] = c
+        records.append({"x": labels[i], "y": labels[j], "result": dense})
     payload = {"kind": "chevalley", "type": type_token, "center": center,
-               "dim": L.dim, "basis": [L.label(i) for i in range(L.dim)],
-               "bracket": records}
+               "dim": L.dim, "basis": labels, "bracket": records}
     if with_verify:
         rep = chevalley.verify_chevalley(L)
         payload["verification"] = report = {key: getattr(rep, key) for key in (

@@ -4,8 +4,9 @@
 # enforces them and this is the library module it loads at start-up.
 
 # Largest accepted center rank.  The dense rows of the bracket table grow with
-# it; `chevalley --type B4 --center 2000 --verify` takes 0.30-0.32 s cold on one
-# 2-vCPU Intel Xeon core (63 MB peak RSS) and prints 6 MB.
+# it; `chevalley --type B4 --center 2000 --verify` takes 0.16-0.25 s cold on one
+# 2-vCPU Intel Xeon core (36 MB peak RSS) and prints 6 MB, over half of the time
+# in printing.
 MAX_CENTER_RANK = 2000
 
 # Largest accepted fiber bound.  Trial division of N = |num(disc)| * den(disc) * den

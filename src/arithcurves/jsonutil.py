@@ -1,9 +1,12 @@
 """JSON in and out: canonical string forms for exact and archimedean scalars in
-payloads, and the readers and argparse types that load the CLI's arguments."""
+payloads, the emitter that prints them, and the readers and argparse types that
+load the CLI's arguments.
+
+`json` is imported only where JSON is read, compared or quoted in a message, or a
+string needs escaping, so a verb that reads no JSON never loads it."""
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from typing import TYPE_CHECKING, Callable
@@ -18,8 +21,9 @@ if TYPE_CHECKING:
 # one accepted literal still prints back.
 MAX_LITERAL_DIGITS = 4300
 
-_RATIONAL = re.compile(r"\s*([+-]?)(?=\.?[0-9])([0-9]*)"
-                       r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?)0*([0-9]+))?)\s*")
+# compiled on first use, through re's cache: compiling it at import costs 0.5 ms
+_RATIONAL = (r"\s*([+-]?)(?=\.?[0-9])([0-9]*)"
+             r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?)0*([0-9]+))?)\s*")
 
 
 def _fraction(*args) -> Fraction:
@@ -33,7 +37,7 @@ def _fraction(*args) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """A literal "p", "p/q" or "-1.5e-3", its size checked before any integer is built;
     the value is built from the integers of the groups the pattern matched."""
-    m = _RATIONAL.fullmatch(text)
+    m = re.fullmatch(_RATIONAL, text)
     if m is None:
         raise MalformedInput(f"{text!r} is not a rational literal")
     sign, digits, den, frac, exp_sign, exp = m.groups("")
@@ -66,6 +70,67 @@ def real_str(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
+# output: json.dumps(value, indent=2), byte for byte, without json's pure-Python
+# encoder, which an indent selects
+
+def dumps(value) -> str:
+    """json.dumps(value, indent=2) for a value whose dict keys are strings; a list of
+    plain ints, such as a dense bracket row, is written in one join."""
+    return _dumps(value, "\n")
+
+
+def _dumps(value, pad: str) -> str:
+    """value at the indentation pad ("\n" and two spaces a level), in json's order of
+    type tests, so bools and int subclasses print as json prints them.  A string is
+    written as it is when it has nothing to escape, else by json's own escaper."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and '"' not in value and "\\" not in value:
+            return '"' + value + '"'
+        from json.encoder import encode_basestring_ascii
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # the first item alone turns away a list of strings or records cheaply
+        if type(value[0]) is int and all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(_dumps(key, pad) + ": " + _dumps(item, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _quote(value) -> str:
+    """A JSON value as json.dumps writes it on one line, to quote it in a message."""
+    import json
+    return json.dumps(value)
+
+
+# ---------------------------------------------------------------------------
 # readers: one value of a document (a dict keyed as a verb's output) -> a
 # checked input.  A reader takes (value, key, *args) and raises MalformedInput.
 
@@ -88,7 +153,7 @@ def _scalar(convert: Callable, what: str) -> Callable:
         try:
             return convert(value)
         except (TypeError, ValueError, OverflowError):
-            raise MalformedInput(f"{key} must be {what}, got {json.dumps(value)}") from None
+            raise MalformedInput(f"{key} must be {what}, got {_quote(value)}") from None
     return read
 
 
@@ -125,7 +190,7 @@ def _list(value, key: str, entry: Callable, length: int | None = None, what: str
     """A JSON list read by entry(x, key), of `length` items when that is set."""
     if not isinstance(value, list) or length not in (None, len(value)):
         size = "" if length is None else f"{length} "
-        raise MalformedInput(f"{key} must be a JSON list of {size}{what}, got {json.dumps(value)}")
+        raise MalformedInput(f"{key} must be a JSON list of {size}{what}, got {_quote(value)}")
     return [entry(x, key) for x in value]
 
 
@@ -154,6 +219,7 @@ def _argument_error(message: str) -> Exception:
 
 def _json(text: str):
     """argparse type: a JSON value given inline or as @path."""
+    import json
     try:
         if text.startswith("@"):
             with open(text[1:], encoding="utf-8") as fh:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .errors import DimensionMismatch
+
 
 class Poly:
     __slots__ = ("nvars", "terms")
@@ -56,7 +58,9 @@ class Poly:
 
     def evaluate(self, point) -> Fraction:
         vals = [Fraction(p) for p in point]
-        assert len(vals) == self.nvars
+        if len(vals) != self.nvars:
+            raise DimensionMismatch(f"a point of {len(vals)} coordinates for {self.nvars} "
+                                    f"variables")
         total = Fraction(0)
         for e, c in self.terms.items():
             term = c

@@ -293,6 +293,32 @@ def test_build_checks_survive_python_O():
     assert string.rstrip().endswith("fails the string bound")
 
 
+def test_ideal_and_invariant_checks_survive_python_O():
+    """The same for the layers under `curve`, `degree` and `chi`: under -O a generator
+    set whose span has rank 1 (every e * w made equal to e) raises ZeroIdeal, not a
+    ZeroDivisionError from `b %= 0`, and a point of the wrong length raises
+    DimensionMismatch, where zip would drop a coordinate."""
+    proc = _run_optimized("""
+        import sys
+        assert sys.flags.optimize == 1
+        from arithcurves import arakelov
+        from arithcurves.errors import ArithCurvesError
+        from arithcurves.poly import Poly
+        K = arakelov.NumberField(-5)
+        arakelov.FieldElement.__mul__ = lambda e, other: e
+        for name, call in (("ideal", lambda: arakelov.FractionalIdeal.from_elements(K, [K.one])),
+                           ("evaluate", lambda: Poly.variable(2, 1).evaluate([3]))):
+            try:
+                print(name, call())
+            except ArithCurvesError as exc:
+                print(name, type(exc).__name__, exc)
+    """)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ideal ZeroIdeal generators span a rank-deficient module",
+        "evaluate DimensionMismatch a point of 1 coordinates for 2 variables"]
+
+
 def test_cli_prints_the_same_bytes_under_python_O():
     argv = ["-m", "arithcurves.cli", "chevalley", "--type", "G2", "--verify"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -273,6 +273,26 @@ def test_module_run_compiles_the_cli_once(tmp_path, documents, argv, code):
     assert frozen
 
 
+@pytest.mark.parametrize("argv, loads_json", [
+    (["rootsys", "--type", "A2", "--weyl"], False),
+    (["chevalley", "--type", "B2", "--verify"], False),
+    (["chi", "--torus-point", "[1,2]", "--type", "B2"], True),
+], ids=["rootsys", "chevalley", "chi"])
+def test_json_is_loaded_only_to_read_json(tmp_path, argv, loads_json):
+    """A Lie verb reads no JSON and prints through `jsonutil.dumps`, so its process never
+    imports `json`; a verb with a JSON argument does.  The probe writes with repr, so it
+    imports nothing itself."""
+    report = tmp_path / "json.txt"
+    (tmp_path / "sitecustomize.py").write_text(textwrap.dedent(f"""
+        import atexit, sys
+        atexit.register(lambda: open({str(report)!r}, "w").write(repr("json" in sys.modules)))
+    """))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), *sys.path]))
+    proc = subprocess.run(CLI + argv, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert report.read_text() == repr(loads_json)
+
+
 def test_run_leaves_the_collector_as_it_was():
     """Only `main`, which ends the process, freezes the collector: callers of `run` in a
     long-lived process keep normal collection."""

@@ -1,5 +1,7 @@
 import functools
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 
 from arithcurves import curve, finitefield
 from arithcurves.arakelov import FractionalIdeal, NumberField
+from arithcurves.cli import run
 from arithcurves.curve import (MAX_CURVE_N, MAX_FIBER_BOUND, cameral_curve,
                                cameral_fiber_rational, covering_degree_check, higgs_field,
                                poly_discriminant, ramified_primes,
@@ -486,6 +489,42 @@ def test_discriminant_closed_forms_exhaustively():
             b, c = K.element(b0, b1), K.element(c0, c1)
             got = poly_discriminant([(1, 0), (b0, b1), (c0, c1)], 1, K)
             assert got == b * b - 4 * c
+
+
+def test_curve_payload_matches_closed_forms_at_n2_exhaustively():
+    """`curve --cameral --fibers 50` on all 2 401 matrices [[a, b], [c, d]] with entries in
+    [-3, 3], against closed forms in t = a + d and D = (a - d)^2 + 4bc: the polynomial
+    y^2 - t y + (ad - bc) and its coefficients over the twist Z; a domain error exactly
+    when D = 0; rational points exactly when D is a square, the two orderings of the
+    roots (t +- sqrt(D)) / 2; and as ramified primes the prime divisors of D below the
+    bound, each with the shape [[1, 2]] of a square mod p (at p = 2, t is even)."""
+    small_primes = [p for p in range(2, 50) if all(p % q for q in range(2, p))]
+    for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+        t, det, disc = a + d, a * d - b * c, (a - d) ** 2 + 4 * b * c
+        out = io.StringIO()
+        code = run(["curve", "--matrix", json.dumps([[a, b], [c, d]]), "--cameral",
+                    "--fibers", "50"], out=out)
+        doc = json.loads(out.getvalue())
+        if disc == 0:
+            assert code == 1 and doc == {"error": {"type": "DegenerateCurve",
+                                                   "message": "discriminant vanishes "
+                                                              "identically"}}
+            continue
+        assert code == 0
+        root = math.isqrt(max(disc, 0))
+        if root * root == disc:
+            low, high = str((t - root) // 2), str((t + root) // 2)
+            assert sorted(doc.pop("rational_points")) == sorted([[low, high], [high, low]])
+        assert "rational_points" not in doc
+        assert doc == {
+            "kind": "cameral", "field": "Q", "n": 2,
+            "matrix": [[str(a), str(b)], [str(c), str(d)]], "twist_hnf": [["1"]],
+            "poly": ["1", str(-t), str(det)], "char_point": [str(t), str(det)],
+            "integrality": [{"power": 1, "coords": [str(t)]},
+                            {"power": 2, "coords": [str(det)]}],
+            "disc": str(disc), "degenerate": False, "degree": 2, "covering_ok": True,
+            "fiber_bound": 50,
+            "ramified": [{"p": p, "pattern": [[1, 2]]} for p in small_primes if disc % p == 0]}
 
 
 def test_cameral_examples():

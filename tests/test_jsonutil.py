@@ -1,12 +1,15 @@
+import json
+import math
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
 
 from arithcurves.arakelov import NumberField, parse_element
 from arithcurves.errors import ArithCurvesError, MalformedInput
-from arithcurves.jsonutil import MAX_LITERAL_DIGITS, parse_rational, rat_str
+from arithcurves.jsonutil import MAX_LITERAL_DIGITS, dumps, parse_rational, rat_str
 from helpers import parse_element_termwise
 
 try:
@@ -151,3 +154,62 @@ def test_parse_element_matches_the_term_by_term_reader():
         K, text = case
         assert _outcome(parse_element, K, text) == _outcome(parse_element_termwise, K, text)
     check()
+
+
+# ---------------------------------------------------------------------------
+# the emitter against json.dumps(value, indent=2)
+
+def json_values():
+    """Nested dicts, lists and tuples, empty ones included, of: strings over every
+    code point and over a few hard ones (a quote, a backslash, controls, DEL, a lone
+    surrogate, non-ASCII and astral characters); ints past 2**64; int lists with bools
+    among the ints; floats with nan, +-inf and -0.0; true, false and null."""
+    hard = st.text(st.sampled_from('a "\\\x00\n\x1f\x7f\x80\xe9 \ud800\U0001d11e'))
+    text = st.one_of(st.text(), hard)
+    ints = st.one_of(st.integers(), st.integers(-2 ** 200, 2 ** 200))
+    int_lists = st.lists(st.one_of(ints, ints, ints, st.booleans()), max_size=6)
+    floats = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+    scalars = st.one_of(st.none(), st.booleans(), ints, floats, text, int_lists)
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(text, inner, max_size=4)), max_leaves=20)
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_dumps_matches_json_indent_2():
+    @settings(max_examples=300, deadline=None)
+    @given(json_values())
+    def check(value):
+        assert dumps(value) == json.dumps(value, indent=2)
+    check()
+
+
+@pytest.mark.parametrize("value", [
+    [], {}, (), [[]], {"": {}}, [1, True, 2], [False], [2 ** 64 + 1, -2 ** 70, 0],
+    [IntEnum("E", "a b").b, 3], [1.0, -0.0, math.nan, math.inf, -math.inf], "\x7f\"\\",
+    {"x(1,0)": [0, -1, 2], "ok": True, "none": None, "é": "\U0001d11e"}])
+def test_dumps_examples(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, [Fraction(1, 2)], {"a": b"b"}])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        dumps(value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": {(1,): 2}}, {None: 0}])
+def test_dumps_takes_string_keys_only(value):
+    with pytest.raises(TypeError, match="keys must be str"):
+        dumps(value)
+
+
+def test_dumps_raises_json_error_past_the_int_to_str_limit():
+    value = {"row": [1, 10 ** sys.get_int_max_str_digits()]}
+    with pytest.raises(ValueError) as ours:
+        dumps(value)
+    with pytest.raises(ValueError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
