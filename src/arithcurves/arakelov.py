@@ -4,12 +4,13 @@ arithmetic degree.
 
 Finite-place data is exact (Fractions over the integral basis {1, w}); only
 archimedean metrics are floating point, with a global 1e-9 tolerance.  The
-arithmetic degree uses the section-based convention
+arithmetic degree of (I, rho) is, by the product formula (log |N(s)| is the sum
+of eps_v log |sigma_v(s)| for every nonzero section s of I),
 
-    deg(I, rho) = log(|N(s)| / N(I)) - sum_sigma eps_sigma log(rho_sigma |sigma(s)|)
+    deg(I, rho) = -log N(I) - sum_v eps_v log rho_v
 
-with eps = 1 at real and 2 at complex places; the product formula makes the
-value independent of the chosen section s in I.
+with eps = 1 at real and 2 at complex places, and the log of the exact N(I)
+taken as log(num) - log(den), so the value is finite on every admitted input.
 
 The records are NamedTuples.  NumberField, FieldElement and MetrizedLineBundle
 validate in `__new__` on a NamedTuple base, and `_make` and `_replace` go through
@@ -92,19 +93,6 @@ class NumberField(_NumberField):
         if self.d == -1:
             return "Q(i)"
         return f"Q(sqrt({self.d}))"
-
-    def omega_embeddings(self) -> list[complex]:
-        """Image of w under each archimedean place (complex places once)."""
-        if self.d == 0:
-            return [0.0]
-        rt = math.sqrt(abs(self.d))
-        if self.d > 0:
-            vals = [rt, -rt]
-        else:
-            vals = [complex(0.0, rt)]
-        if self.d % 4 == 1:
-            vals = [(1 + v) / 2 for v in vals]
-        return vals
 
     @property
     def place_weights(self) -> list[int]:
@@ -215,15 +203,6 @@ class FieldElement(_FieldElement):
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def embeddings(self) -> list[float | complex]:
-        out: list[float | complex] = []
-        for w in self.field.omega_embeddings():
-            if isinstance(w, complex):
-                out.append(complex(self.a) + complex(self.b) * w)
-            else:
-                out.append(float(self.a) + float(self.b) * w)
-        return out
 
     def __str__(self):
         if self.field.d == 0:
@@ -427,20 +406,17 @@ class MetrizedLineBundle(_MetrizedLineBundle):
     _make = classmethod(_validated_make)
 
 
-def arithmetic_degree(K: NumberField, L: MetrizedLineBundle,
-                      section: FieldElement | None = None) -> float:
-    """Arakelov degree; independent of the section by the product formula."""
-    s = section if section is not None else L.ideal.basis_elements()[0]
-    if not L.ideal.contains(s):
-        raise ArithCurvesError("section must lie in the ideal")
-    try:
-        finite = math.log(abs(s.norm()) / L.ideal.norm())
-        inf = 0.0
-        for eps, rho, sigma in zip(K.place_weights, L.metrics, s.embeddings()):
-            scale = rho * abs(sigma)    # summed as logs where the product underflows
-            inf += eps * (math.log(scale) if scale else math.log(rho) + math.log(abs(sigma)))
-    except (OverflowError, ValueError):
-        raise ArithCurvesError("the section is beyond the floating-point range of the "
-                               "archimedean metrics") from None
-    return finite - inf
+def _log(q: Fraction) -> float:
+    """log q of a positive Fraction, as log(num) - log(den): finite for any q."""
+    return math.log(q.numerator) - math.log(q.denominator)
 
+
+def degree_from_logs(K: NumberField, norm: Fraction, logs) -> float:
+    """-log N(I) - sum_v eps_v l_v, from the norm N(I) and the log metric l_v of
+    each place of K, real places first.  0.0 - reads a zero degree as 0, not -0."""
+    return 0.0 - _log(norm) - sum(eps * l for eps, l in zip(K.place_weights, logs))
+
+
+def arithmetic_degree(K: NumberField, L: MetrizedLineBundle) -> float:
+    """Arakelov degree of L, by the product formula: l_v = log rho_v."""
+    return degree_from_logs(K, L.ideal.norm(), map(math.log, L.metrics))

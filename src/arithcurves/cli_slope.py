@@ -31,6 +31,8 @@ def read_torsor(doc: dict) -> tuple:
     """(field, rank, ideals, place metrics) of a torsor description."""
     K = _get(doc, "field", arakelov.read_field)
     n = _get(doc, "rank", _integer)
+    if n < 1:
+        raise ArithCurvesError(f"torsor rank {n} is below 1")
     if n > MAX_TORSOR_RANK:
         raise ArithCurvesError(f"torsor rank {n} exceeds the limit {MAX_TORSOR_RANK}")
     ideals = _get(doc, "ideals", _list, functools.partial(arakelov.read_ideal, K=K), n, "ideals")

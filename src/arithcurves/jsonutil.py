@@ -21,9 +21,17 @@ if TYPE_CHECKING:
 # one accepted literal still prints back.
 MAX_LITERAL_DIGITS = 4300
 
-# compiled on first use, through re's cache: compiling it at import costs 0.5 ms
+# compiled on first use (see `_match_rational`): compiling it at import costs 0.5 ms
 _RATIONAL = (r"\s*([+-]?)(?=\.?[0-9])([0-9]*)"
              r"(?:/([0-9]+)|(?:\.([0-9]*))?(?:[eE]([+-]?)0*([0-9]+))?)\s*")
+
+
+def _match_rational(text: str):
+    """re.fullmatch(_RATIONAL, text).  The first call compiles the pattern and rebinds
+    this name to its `fullmatch`: later calls skip the lookup in re's cache."""
+    global _match_rational
+    _match_rational = re.compile(_RATIONAL).fullmatch
+    return _match_rational(text)
 
 
 def _fraction(*args) -> Fraction:
@@ -37,7 +45,7 @@ def _fraction(*args) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """A literal "p", "p/q" or "-1.5e-3", its size checked before any integer is built;
     the value is built from the integers of the groups the pattern matched."""
-    m = re.fullmatch(_RATIONAL, text)
+    m = _match_rational(text)
     if m is None:
         raise MalformedInput(f"{text!r} is not a rational literal")
     sign, digits, den, frac, exp_sign, exp = m.groups("")

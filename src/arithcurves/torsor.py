@@ -17,8 +17,10 @@ det G = (-1)^n g_n / D^n.  The slope of det^k is
 
     k deg_ar(det) = k (-log N(I_1 ... I_n) - 1/2 sum_v eps_v log det G_v),
 
-eps_v = 1 at a real and 2 at a complex place, with the log of a Fraction taken
-as log(num) - log(den): nothing leaves the float range before the slope itself.
+eps_v = 1 at a real and 2 at a complex place: `arakelov.degree_from_logs`, the
+formula of `arakelov.arithmetic_degree`, with log metric 1/2 log det G_v, the log
+of a Fraction taken as log(num) - log(den), so nothing leaves the float range
+before the slope itself.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 from fractions import Fraction
 
 from . import linalg
-from .arakelov import FractionalIdeal, NumberField
+from .arakelov import FractionalIdeal, NumberField, _log, degree_from_logs
 from .errors import ArithCurvesError, MalformedInput
 
 GAUSSIAN = NumberField(-1)      # Q(i): the entries of a complex place's Gram matrix
@@ -50,15 +52,10 @@ def gram_det(gram, field: NumberField | None = None) -> Fraction:
     return Fraction((-1) ** n * g[n][0], den ** n)
 
 
-def _log(q: Fraction) -> float:
-    return math.log(q.numerator) - math.log(q.denominator)
-
-
 def slope(field: NumberField, ideal: FractionalIdeal, dets, k: int = 1) -> float:
     """<det^k, mu> = k deg_ar of the determinant line bundle: the product `ideal` of a
     torsor's ideals, with the Gram determinants `dets` of its places, real ones first."""
-    degree = -_log(ideal.norm()) - sum(
-        eps * _log(d) for eps, d in zip(field.place_weights, dets)) / 2
+    degree = degree_from_logs(field, ideal.norm(), (_log(d) / 2 for d in dets))
     try:
         value = 0.0 + k * degree        # 0.0 + reads a zero slope as 0, not -0
     except OverflowError:               # k itself is beyond the float range

@@ -1,5 +1,6 @@
 """Test-side references shared by several test modules: ideal powers, the
-term-by-term reader of field elements, integral characteristic polynomials,
+term-by-term reader of field elements, archimedean embeddings and the
+section-based Arakelov degree, integral characteristic polynomials,
 characteristic polynomials of field-element matrices, factor shapes of a curve mod
 a prime, ramified primes by odd trial division, W-invariance and Reynolds
 symmetrization from W's simple reflections, Chevalley brackets with the gl_n
@@ -32,6 +33,41 @@ def ideal_power(ideal, k):
     for _ in range(k):
         out = out * ideal
     return out
+
+
+def omega_embeddings(field) -> list:
+    """Image of w under each archimedean place (complex places once)."""
+    if field.d == 0:
+        return [0.0]
+    rt = math.sqrt(abs(field.d))
+    vals = [rt, -rt] if field.d > 0 else [complex(0.0, rt)]
+    if field.d % 4 == 1:
+        vals = [(1 + v) / 2 for v in vals]
+    return vals
+
+
+def embeddings(x) -> list:
+    """sigma_v(x) in floats at each archimedean place, real places first."""
+    return [(complex(x.a) + complex(x.b) * w) if isinstance(w, complex)
+            else float(x.a) + float(x.b) * w for w in omega_embeddings(x.field)]
+
+
+def section_degree(K, L, section=None) -> float:
+    """The Arakelov degree of L through one section s of its ideal (the first HNF
+    basis element by default), in floats:
+
+        log(|N(s)| / N(I)) - sum_v eps_v log(rho_v |sigma_v(s)|),
+
+    independent of s by the product formula.  Each log(rho_v |sigma_v(s)|) is summed as
+    log rho_v + log |sigma_v(s)|, since the product of a subnormal metric loses digits;
+    past the float range `math.log` raises OverflowError or ValueError, or the value
+    is infinite."""
+    s = section if section is not None else L.ideal.basis_elements()[0]
+    if not L.ideal.contains(s):
+        raise ValueError("section must lie in the ideal")
+    finite = math.log(abs(s.norm()) / L.ideal.norm())
+    return finite - sum(eps * (math.log(rho) + math.log(abs(sigma)))
+                        for eps, rho, sigma in zip(K.place_weights, L.metrics, embeddings(s)))
 
 
 def parse_element_termwise(field, s: str) -> FieldElement:

@@ -25,7 +25,7 @@ from arithcurves.finitefield import primes
 from arithcurves.linalg import chi_gl
 from arithcurves.cartan import ROOT_COUNT
 from arithcurves.rootsys import build_root_system, vadd
-from helpers import fiber_shape, ideal_power, root_string
+from helpers import embeddings, fiber_shape, ideal_power, root_string, section_degree
 
 ALL_TYPES = sorted(f"{f}{r}" for f, r in ROOT_COUNT)
 QQ = NumberField(0)
@@ -124,13 +124,14 @@ def test_04_product_formula_and_worked_degree():
                     continue
                 lhs = math.log(abs(x.norm()))
                 rhs = sum(e * math.log(abs(s))
-                          for e, s in zip(K.place_weights, x.embeddings()))
+                          for e, s in zip(K.place_weights, embeddings(x)))
                 assert abs(lhs - rhs) < 1e-9
         K = NumberField(-5)
         ideal = FractionalIdeal.from_elements(K, [K.element(2), K.element(1, 1)])
         bundle = MetrizedLineBundle(ideal, (1.0,))
+        assert abs(arithmetic_degree(K, bundle) + math.log(2)) < 1e-9
         for section in (K.element(2), K.element(1, 1)):
-            deg = arithmetic_degree(K, bundle, section=section)
+            deg = section_degree(K, bundle, section=section)
             assert abs(deg + math.log(2)) < 1e-9
 
 

@@ -66,6 +66,15 @@ def test_the_library_does_not_import_numpy():
     assert not any(re.match(r"numpy\b", dep) for dep in project["dependencies"])
 
 
+def test_the_library_has_no_assert_statements():
+    """`python -O` strips assert statements, so every check of the library raises
+    explicitly."""
+    for path in sorted(SRC.glob("*.py")):
+        lines = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
 @pytest.mark.parametrize("verb, flag, limit", [
     (["chevalley", "--type", "A1"], "--center", chevalley.MAX_CENTER_RANK),
     (["curve", "--matrix", "[[1]]"], "--fibers", curve.MAX_FIBER_BOUND),
