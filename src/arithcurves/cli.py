@@ -32,7 +32,8 @@ from typing import Callable, NamedTuple
 
 from .errors import (MAX_CENTER_RANK, MAX_FIBER_BOUND, ArithCurvesError, MalformedInput,
                      UnsupportedType)
-from .jsonutil import _bounded_int, _decimal, _json, _json_object, dumps, parse_rational
+from .jsonutil import (MAX_LITERAL_DIGITS, _bounded_int, _decimal, _json, _json_object, dumps,
+                       parse_rational)
 
 
 def verify_payload(doc: dict) -> dict:
@@ -172,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None, out=None) -> int:
-    out = out if out is not None else sys.stdout
+    # print takes out=None as sys.stdout
     parser = build_parser()
     flags = vars(parser.parse_args(argv))
     name = flags.pop("verb")
@@ -200,6 +201,9 @@ def run(argv=None, out=None) -> int:
 
 def main() -> None:
     """Run one verb on the command line and end the process with its exit code."""
+    # One digit limit for every integer read or printed, whatever the interpreter's
+    # setting (PYTHONINTMAXSTRDIGITS, -X int_max_str_digits): the same bytes under each.
+    sys.set_int_max_str_digits(MAX_LITERAL_DIGITS)
     try:
         code = run()
         sys.stdout.flush()

@@ -149,7 +149,7 @@ def spectral_curve(phi: HiggsField) -> CharacteristicCurve:
     coeffs = descale(den, g, phi.field)
     cert = _certify(phi, coeffs)
     poly = (phi.field.one, *coeffs)
-    # A coefficient past the int-to-str limit cannot be emitted: raise its
+    # A coefficient past MAX_LITERAL_DIGITS cannot be emitted: raise its
     # ArithCurvesError here, before the discriminant, the costliest step.
     for c in poly:
         str(c)

@@ -8,7 +8,6 @@ string needs escaping, so a verb that reads no JSON never loads it."""
 from __future__ import annotations
 
 import re
-import sys
 from typing import TYPE_CHECKING, Callable
 
 from .errors import ArithCurvesError, MalformedInput
@@ -16,10 +15,12 @@ from .errors import ArithCurvesError, MalformedInput
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# A rational literal's size is its digit count plus |exponent|.  The bound keeps
-# every parse cheap, and at Python's default int-to-str limit (4300 digits) any
-# one accepted literal still prints back.
+# The digits of any one integer the CLI reads or prints: each of a literal's numerator
+# and denominator before reduction, and each integer in a result.  `cli.main` sets
+# Python's int-to-str limit to it, so every "p/q" that `rat_str` prints reads back.
 MAX_LITERAL_DIGITS = 4300
+# an exponent of this many digits (its first is not 0) is past the limit, whatever its sign
+_EXPONENT_DIGITS = len(str(MAX_LITERAL_DIGITS)) + 1
 
 # compiled on first use (see `_match_rational`): compiling it at import costs 0.5 ms
 _RATIONAL = (r"\s*([+-]?)(?=\.?[0-9])([0-9]*)"
@@ -43,23 +44,23 @@ def _fraction(*args) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """A literal "p", "p/q" or "-1.5e-3", its size checked before any integer is built;
-    the value is built from the integers of the groups the pattern matched."""
+    """A literal "p", "p/q" or "-1.5e-3" whose numerator and denominator before reduction
+    each have at most MAX_LITERAL_DIGITS digits, counted on the text before any int is built."""
     m = _match_rational(text)
     if m is None:
         raise MalformedInput(f"{text!r} is not a rational literal")
     sign, digits, den, frac, exp_sign, exp = m.groups("")
-    if (len(exp) > len(str(MAX_LITERAL_DIGITS))
-            or len(digits) + len(den) + len(frac) + int(exp or 0) > MAX_LITERAL_DIGITS):
-        raise MalformedInput(f"a rational literal has more than MAX_LITERAL_DIGITS = "
-                             f"{MAX_LITERAL_DIGITS} digits, counting |exponent|")
+    # value = (digits frac) / 10^scale; an exponent is read to _EXPONENT_DIGITS at most
+    scale = len(frac) - int(exp_sign + exp[:_EXPONENT_DIGITS]) if exp else len(frac)
+    if max(len(digits + frac) - min(scale, 0), len(den) or max(scale, 0) + 1) > MAX_LITERAL_DIGITS:
+        raise MalformedInput(f"a rational literal's numerator or denominator has more than "
+                             f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
     num = int(sign + (digits + frac or "0"))
     if den:
         try:
             return _fraction(num, int(den))
         except ZeroDivisionError as exc:
             raise MalformedInput(f"{text!r} is not a rational literal: {exc}") from None
-    scale = len(frac) - (int(exp_sign + exp) if exp else 0)      # value = num / 10^scale
     return _fraction(num, 10 ** scale) if scale > 0 else _fraction(num * 10 ** -scale)
 
 
@@ -67,9 +68,9 @@ def rat_str(q: Fraction | int) -> str:
     """Canonical "p" / "p/q" form of an exact rational."""
     try:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    except ValueError:
-        raise ArithCurvesError(f"a result has more than {sys.get_int_max_str_digits()} digits, "
-                               f"Python's int-to-str limit") from None
+    except ValueError:          # past Python's int-to-str limit, which `cli.main` pins
+        raise ArithCurvesError(f"a result has an integer of more than MAX_LITERAL_DIGITS = "
+                               f"{MAX_LITERAL_DIGITS} digits") from None
 
 
 def real_str(x: float) -> str:
@@ -232,7 +233,7 @@ def _json(text: str):
         if text.startswith("@"):
             with open(text[1:], encoding="utf-8") as fh:
                 text = fh.read()
-        # ValueError covers a number past the int-to-str limit as well as bad syntax
+        # ValueError covers an integer past MAX_LITERAL_DIGITS as well as bad syntax
         return json.loads(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise _argument_error(f"cannot read JSON: {exc}") from None

@@ -203,6 +203,41 @@ def test_ideal_power():
     assert ideal_power(two, 0).norm() == 1
 
 
+def _principal_hnf(d, x, y):
+    """HNF rows ((a, b), (0, c)) of the Z-span of beta = x + y w and beta w, where w^2 = d:
+    a = gcd of their 1-coordinates, c = |det| / a, and b the w-coordinate, mod c, of the
+    span's element whose 1-coordinate is a."""
+    (x1, y1), (x2, y2) = (x, y), (d * y, x)
+    a, u, v = _xgcd_recursive(x1, x2)
+    c = abs(x1 * y2 - x2 * y1) // a
+    return ((a, (u * y1 + v * y2) % c), (0, c))
+
+
+@pytest.mark.parametrize("K", [QI, Q5M], ids=["Q(i)", "Q(sqrt(-5))"])
+def test_principal_ideal_powers_match_closed_forms(K):
+    """L = (gamma), gamma = a + b w with a, b in [-3, 3] not both 0: L^k by repeated
+    products is the HNF of the span of gamma^k and gamma^k w, of norm |N(gamma)|^k."""
+    for a in range(-3, 4):
+        for b in range(-3, 4):
+            if a == b == 0:
+                continue
+            L = FractionalIdeal.from_elements(K, [K.element(a, b)])
+            power, (x, y) = L, (a, b)                   # L^k and gamma^k
+            for k in range(1, 5):
+                if k > 1:
+                    power, (x, y) = power * L, (x * a + K.d * y * b, x * b + y * a)
+                assert power.rows == _principal_hnf(K.d, x, y), (a, b, k)
+                assert power.norm() == abs(a * a - K.d * b * b) ** k
+
+
+def test_the_prime_above_2_in_q_sqrt_minus_5_squares_to_2():
+    """(2, 1 + w) is not principal; its square is (2)."""
+    P = FractionalIdeal.from_elements(Q5M, [Q5M.element(2), Q5M.element(1, 1)])
+    assert P.rows == ((1, 1), (0, 2)) and P.norm() == 2
+    assert P * P == FractionalIdeal.from_elements(Q5M, [Q5M.element(2)])
+    assert (P * P).rows == ((2, 0), (0, 2))
+
+
 def test_degree_trivial_and_scaled():
     unit = FractionalIdeal.ring_of_integers(QQ)
     assert arithmetic_degree(QQ, MetrizedLineBundle(unit, (1.0,))) == 0.0

@@ -15,8 +15,8 @@ from arithcurves import chevalley, curve, rootsys
 from arithcurves.arakelov import (MetrizedLineBundle, NumberField, arithmetic_degree,
                                   parse_field, read_ideal)
 from arithcurves.cli import run
-from arithcurves.errors import MAX_TORSOR_RANK, ArithCurvesError, MalformedInput, ZeroIdeal
-from arithcurves.jsonutil import MAX_LITERAL_DIGITS, parse_rational
+from arithcurves.errors import MAX_TORSOR_RANK, ArithCurvesError, ZeroIdeal
+from arithcurves.jsonutil import MAX_LITERAL_DIGITS
 from helpers import chi_work, chi_work_message, largest_admitted_entry, section_degree
 
 try:
@@ -363,10 +363,9 @@ def test_degree_by_the_product_formula(tmp_path, field, ideal, metrics, degree):
 def test_degree_is_finite_and_verified_on_admitted_input(tmp_path):
     """Over Q, Q(sqrt(2)), Q(i) and Q(sqrt(-5)), metrics across the positive floats and
     generators up to MAX_LITERAL_DIGITS digits: `degree` exits 0 with a finite value
-    that `verify` accepts, or exits 1 only when an HNF entry or the norm is past the
-    output digit limit.  The value agrees within 1e-9 with the section-based formula
-    wherever that is finite.  `verify` is asked only where every printed HNF entry is
-    a literal within MAX_LITERAL_DIGITS (see the xfail test below)."""
+    that `verify` accepts, or exits 1 only when an integer of an HNF entry or of the
+    norm has more than MAX_LITERAL_DIGITS digits.  The value agrees within 1e-9 with
+    the section-based formula wherever that is finite."""
     span = MAX_LITERAL_DIGITS - 31
     literal = st.one_of(
         st.fractions(min_value=-50, max_value=50, max_denominator=12).map(str),
@@ -399,27 +398,16 @@ def test_degree_is_finite_and_verified_on_admitted_input(tmp_path):
                             "--metrics", json.dumps([repr(m) for m in metrics]))
         doc = json.loads(text)
         if code == 1:
-            assert "int-to-str limit" in doc["error"]["message"]
+            assert f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}" in doc["error"]["message"]
             return
         assert code == 0 and float(doc["degree"]) == deg
-        if all(_readable(x) for row in doc["ideal_hnf"] for x in row):
-            f.write_text(text)
-            assert invoke_json("verify", "--input", str(f))["ok"] is True
+        f.write_text(text)
+        assert invoke_json("verify", "--input", str(f))["ok"] is True
     check()
 
 
-def _readable(literal: str) -> bool:
-    try:
-        parse_rational(literal)
-    except MalformedInput:
-        return False
-    return True
-
-
-@pytest.mark.xfail(strict=True, reason="an HNF entry p/q prints with up to 4300 digits in "
-                   "each of p and q, but a literal is read with at most MAX_LITERAL_DIGITS "
-                   "in all")
 def test_degree_output_with_a_long_hnf_entry_verifies(tmp_path):
+    """An HNF entry p/q with 2868 digits in p and 1435 in q, 4303 in all, reads back."""
     doc = invoke_json("degree", "--field", "Q(sqrt(2))", "--ideal", '["1 + 1e-1434*w"]',
                       "--metrics", '["1", "1"]')
     f = tmp_path / "degree.json"
@@ -629,6 +617,56 @@ def test_json_number_above_the_int_limit_is_a_usage_error(tmp_path, capsys):
     f = tmp_path / "doc.json"
     f.write_text(f'{{"kind": "chi", "matrix": [[{big}]]}}')
     assert "--input" in invoke_usage(capsys, "verify", "--input", str(f))
+
+
+# Python's int-to-str limit left unset, set to 640 and to 0 by PYTHONINTMAXSTRDIGITS, and
+# set to 640 by -X: `cli.main` pins it to MAX_LITERAL_DIGITS, so all four agree.
+INT_SETTINGS = [([], {}), ([], {"PYTHONINTMAXSTRDIGITS": "640"}),
+                ([], {"PYTHONINTMAXSTRDIGITS": "0"}), (["-X", "int_max_str_digits=640"], {})]
+
+
+def invoke_under_every_int_setting(*argv):
+    """(exit code, stdout, stderr) of one CLI process, the same under every setting."""
+    unset = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    procs = [subprocess.Popen([sys.executable, *options, *CLI[1:], *argv], env={**unset, **env},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for options, env in INT_SETTINGS]
+    results = [(*p.communicate(), p.returncode) for p in procs]
+    assert results == [results[0]] * len(INT_SETTINGS)
+    out, err, code = results[0]
+    assert "Traceback" not in err
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["degree", "--field", "Q", "--ideal", json.dumps(["7" * 1000]), "--metrics", '["1"]'], 0,
+     '"degree": "-2302.3337785657645"'),
+    (["curve", "--matrix", json.dumps([["1" * 700]])], 0, '"kind": "spectral"'),
+    (["chi", "--matrix", json.dumps([["1" * 700]])], 0, '"kind": "chi"'),
+    # a 6000-digit invariant
+    (["chi", "--matrix", json.dumps([["1" * 3000, "0"], ["0", "2" * 3000]])], 1,
+     f"more than MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits"),
+    (["chi", "--matrix", json.dumps([["1" * MAX_LITERAL_DIGITS]])], 0, '"kind": "chi"'),
+    (["chi", "--matrix", json.dumps([["1" * (MAX_LITERAL_DIGITS + 1)]])], 2,
+     f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"),
+    (["chi", "--matrix", f"[[{'1' * (MAX_LITERAL_DIGITS + 1)}]]"], 2, "cannot read JSON"),
+], ids=["degree-1000-digits", "curve-700-digits", "chi-700-digits", "chi-6000-digit-result",
+        "literal-at-the-limit", "literal-past-the-limit", "json-number-past-the-limit"])
+def test_the_digit_limit_is_the_same_under_every_int_setting(argv, code, text):
+    got, out, err = invoke_under_every_int_setting(*argv)
+    assert got == code and text in (out if code < 2 else err)
+    assert (out == "") == (code == 2)
+
+
+def test_a_long_hnf_entry_reads_back_under_every_int_setting(tmp_path):
+    code, out, _ = invoke_under_every_int_setting(
+        "degree", "--field", "Q(sqrt(2))", "--ideal", '["1 + 1e-1434*w"]',
+        "--metrics", '["1", "1"]')
+    assert code == 0
+    f = tmp_path / "degree.json"
+    f.write_text(out)
+    code, out, _ = invoke_under_every_int_setting("verify", "--input", str(f))
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 BAD_TORSORS = [

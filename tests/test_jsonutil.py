@@ -13,7 +13,7 @@ from arithcurves.jsonutil import MAX_LITERAL_DIGITS, dumps, parse_rational, rat_
 from helpers import parse_element_termwise
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import assume, given, settings
     from hypothesis import strategies as st
 except ImportError:
     st = None
@@ -23,6 +23,7 @@ except ImportError:
                                   "2.5E-3", "1e-400", "1" * MAX_LITERAL_DIGITS,
                                   "-" + "1" * MAX_LITERAL_DIGITS,
                                   "1" * 2150 + "." + "2" * 2150,
+                                  "1" * 2200 + "/" + "1" * 2200,
                                   f"1e{MAX_LITERAL_DIGITS - 1}"])
 def test_parse_rational_agrees_with_fraction(text):
     assert parse_rational(text) == Fraction(text)
@@ -37,7 +38,8 @@ def test_parse_rational_rejects_other_text(text):
 
 @pytest.mark.parametrize("text", ["1" * (MAX_LITERAL_DIGITS + 1), f"1e{MAX_LITERAL_DIGITS}",
                                   f"1e-{MAX_LITERAL_DIGITS}", "1e10000000", "1e" + "9" * 100,
-                                  "1" * 2200 + "/" + "1" * 2200, "1e" + "9" * 10 ** 6])
+                                  "1" * (MAX_LITERAL_DIGITS + 1) + "/1",
+                                  "1/" + "1" * (MAX_LITERAL_DIGITS + 1), "1e" + "9" * 10 ** 6])
 def test_literal_size_is_checked_before_any_integer_is_built(text):
     start = time.perf_counter()
     with pytest.raises(MalformedInput, match="MAX_LITERAL_DIGITS"):
@@ -50,6 +52,51 @@ def test_rat_str_names_the_output_digit_limit():
     assert rat_str(Fraction(10 ** (limit - 1), 3)) == "1" + "0" * (limit - 1) + "/3"
     with pytest.raises(ArithCurvesError, match=str(limit)):
         rat_str(10 ** limit)
+
+
+def integers_of(digits):
+    """Positive integers of 1..digits digits, each length equally likely."""
+    return st.integers(1, digits).flatmap(lambda n: st.integers(10 ** (n - 1), 10 ** n - 1))
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_every_printed_rational_reads_back():
+    """parse_rational(rat_str(q)) == q when q's numerator and denominator each have at
+    most MAX_LITERAL_DIGITS digits; one digit more in either makes rat_str refuse it."""
+    @settings(max_examples=100, deadline=None)
+    @given(st.booleans(), integers_of(MAX_LITERAL_DIGITS), integers_of(MAX_LITERAL_DIGITS))
+    def check(negative, p, q):
+        x = Fraction(-p if negative else p, q)
+        assert parse_rational(rat_str(x)) == x
+    check()
+
+    one_more = st.integers(10 ** MAX_LITERAL_DIGITS, 10 ** (MAX_LITERAL_DIGITS + 1) - 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.booleans(), one_more, integers_of(MAX_LITERAL_DIGITS))
+    def refused(long_numerator, p, q):
+        x = Fraction(p, q) if long_numerator else Fraction(q, p)
+        assume(max(x.numerator, x.denominator) >= 10 ** MAX_LITERAL_DIGITS)
+        with pytest.raises(ArithCurvesError, match=f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"):
+            rat_str(x)
+    refused()
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+@pytest.mark.parametrize("d", [2, -1, -5])
+def test_every_printed_field_element_reads_back(d):
+    """parse_element(K, str(x)) == x over Q(sqrt(2)), Q(i) and Q(sqrt(-5)), with each
+    coordinate's numerator and denominator up to MAX_LITERAL_DIGITS digits."""
+    K = NumberField(d)
+    coordinate = st.builds(lambda sign, p, q: Fraction(sign * p, q), st.sampled_from([1, 0, -1]),
+                           integers_of(MAX_LITERAL_DIGITS), integers_of(MAX_LITERAL_DIGITS))
+
+    @settings(max_examples=50, deadline=None)
+    @given(coordinate, coordinate)
+    def check(a, b):
+        x = K.element(a, b)
+        assert parse_element(K, str(x)) == x
+    check()
 
 
 # ---------------------------------------------------------------------------

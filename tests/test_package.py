@@ -6,6 +6,7 @@ import math
 import pathlib
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,46 @@ def test_the_library_has_no_assert_statements():
         lines = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+def _mentions(tree: ast.AST, name: str) -> list:
+    """The enclosing function (None at module level) of each use of name: an attribute,
+    a bare name or an imported name."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.alias) and child.name == name):
+                found.append(scope)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else scope)
+    visit(tree, None)
+    return found
+
+
+def test_only_cli_main_sets_the_int_string_limit():
+    """No module reads Python's int-to-str limit, and `cli.main` alone sets it (to
+    MAX_LITERAL_DIGITS), so the one digit limit holds under every interpreter setting."""
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+            uses += [(path.name, name, scope) for scope in _mentions(tree, name)]
+    assert uses == [("cli.py", "set_int_max_str_digits", "main")]
+
+
+def test_run_leaves_the_int_string_limit_as_it_found_it():
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (640, 0, MAX_LITERAL_DIGITS):
+            sys.set_int_max_str_digits(limit)
+            run(["chi", "--matrix", '[["1/2", "3"], ["4", "5"]]'], out=io.StringIO())
+            run(["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", '["1"]'],
+                out=io.StringIO())
+            assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("verb, flag, limit", [
