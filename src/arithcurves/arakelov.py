@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import MAX_FIELD_D, ArithCurvesError, MalformedInput, ZeroIdeal
-from .jsonutil import MAX_LITERAL_DIGITS, _quote, _rational, _text, parse_rational, rat_str
+from .jsonutil import MAX_LITERAL_DIGITS, _list, _quote, _rational, _text, parse_rational, rat_str
 
 
 def _is_squarefree(n: int) -> bool:
@@ -347,7 +347,7 @@ class FractionalIdeal(NamedTuple):
         return [[rat_str(x) for x in row] for row in self.rows]
 
 
-# readers of the fields and ideals in CLI documents (see `jsonutil`)
+# readers of the fields, elements and ideals in CLI documents (see `jsonutil`)
 
 def read_field(value, key: str) -> NumberField:
     return parse_field(_text(value, key))
@@ -358,21 +358,24 @@ def read_field(value, key: str) -> NumberField:
 _IDEAL_DEN_LIMIT = 10 ** (3 * MAX_LITERAL_DIGITS)
 
 
+def read_element(value, key: str, K: NumberField) -> FieldElement:
+    """A string by `parse_element`, a list as K.degree coordinates, else one `_rational`."""
+    if isinstance(value, str):
+        return parse_element(K, value)
+    if isinstance(value, list):
+        return K.element(*_list(value, key, _rational, K.degree, "rationals"))
+    return K.element(_rational(value, key))
+
+
 def read_ideal(spec, key: str, K: NumberField) -> FractionalIdeal:
-    """Generator strings, or HNF rows (lists) emitted by the CLI.  The generators'
-    common denominator is taken one generator at a time and refused, before any HNF
-    work, once it passes 3 * MAX_LITERAL_DIGITS digits."""
+    """Generators or HNF rows emitted by the CLI, each read by `read_element`.  The
+    generators' common denominator is taken one generator at a time and refused, before
+    any HNF work, once it passes 3 * MAX_LITERAL_DIGITS digits."""
     if not isinstance(spec, list):
         raise MalformedInput(f"an ideal must be a JSON list of generators, got {_quote(spec)}")
     elements, den = [], 1
     for item in spec:
-        if isinstance(item, list):
-            if len(item) != K.degree:
-                raise MalformedInput(f"HNF rows over {K.name} must have length {K.degree}, "
-                                     f"got {_quote(item)}")
-            e = K.element(*(_rational(x, key) for x in item))
-        else:
-            e = parse_element(K, str(item))
+        e = read_element(item, key, K)
         den = math.lcm(den, e.a.denominator, e.b.denominator)
         if den >= _IDEAL_DEN_LIMIT:
             raise MalformedInput(f"the generators' common denominator has more than "

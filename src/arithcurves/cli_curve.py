@@ -11,7 +11,7 @@ from .jsonutil import _get, _integer, _matrix, rat_str
 
 def read_curve(doc: dict) -> tuple:
     K = _get(doc, "field", arakelov.read_field)
-    return (K, _get(doc, "matrix", _matrix, lambda x, _: arakelov.parse_element(K, str(x)),
+    return (K, _get(doc, "matrix", _matrix, lambda x, key: arakelov.read_element(x, key, K),
                     None, MAX_CURVE_N),
             _get(doc, "twist_hnf", arakelov.read_ideal, K, required=False),
             doc.get("kind") == "cameral", _get(doc, "fiber_bound", _integer, required=False))

@@ -4,12 +4,13 @@ quadratic field, with the ideal's Hermite normal form and norm."""
 from __future__ import annotations
 
 from . import arakelov
-from .jsonutil import _get, _reals, rat_str, real_str
+from .jsonutil import _get, _list, _real, rat_str, real_str
 
 
 def read_degree(doc: dict) -> tuple:
     K = _get(doc, "field", arakelov.read_field)
-    return K, _get(doc, "ideal_hnf", arakelov.read_ideal, K), _get(doc, "metrics", _reals)
+    return (K, _get(doc, "ideal_hnf", arakelov.read_ideal, K),
+            tuple(_get(doc, "metrics", _list, _real, None, "reals")))
 
 
 def degree_payload(K: arakelov.NumberField, ideal: arakelov.FractionalIdeal,

@@ -11,18 +11,15 @@ from .errors import MAX_TORSOR_RANK, ArithCurvesError
 from .jsonutil import _get, _integer, _list, _matrix, _rational, rat_str, real_str
 
 
-def _gaussian(value, key: str) -> arakelov.FieldElement:
-    return torsor.GAUSSIAN.element(*_list(value, key, _rational, 2, "rationals"))
-
-
 def _place_metrics(grams, key: str, K: arakelov.NumberField, n: int) -> tuple:
     """(Gram matrix, its determinant) per place, real places first; a complex place's
-    entries are [re, im] pairs, read as elements of Q(i)."""
+    entries are elements of Q(i), such as [re, im] pairs."""
     r1, r2 = K.signature
     metrics = []
     for i, gram in enumerate(_list(grams, key, lambda g, _: g, r1 + r2, "Gram matrices")):
         field = None if i < r1 else torsor.GAUSSIAN
-        gram = _matrix(gram, key, _gaussian if field else _rational, n)
+        entry = functools.partial(arakelov.read_element, K=field) if field else _rational
+        gram = _matrix(gram, key, entry, n)
         metrics.append((gram, torsor.gram_det(gram, field)))
     return tuple(metrics)
 

@@ -55,12 +55,14 @@ def parse_rational(text: str) -> Fraction:
     if max(len(digits + frac) - min(scale, 0), len(den) or max(scale, 0) + 1) > MAX_LITERAL_DIGITS:
         raise MalformedInput(f"a rational literal's numerator or denominator has more than "
                              f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS} digits")
-    num = int(sign + (digits + frac or "0"))
-    if den:
-        try:
+    try:
+        num = int(sign + (digits + frac or "0"))
+        if den:
             return _fraction(num, int(den))
-        except ZeroDivisionError as exc:
-            raise MalformedInput(f"{text!r} is not a rational literal: {exc}") from None
+    except ZeroDivisionError as exc:
+        raise MalformedInput(f"{text!r} is not a rational literal: {exc}") from None
+    except ValueError as exc:   # a caller's int-to-str limit below MAX_LITERAL_DIGITS
+        raise MalformedInput(f"a literal is past Python's int-string limit: {exc}") from None
     return _fraction(num, 10 ** scale) if scale > 0 else _fraction(num * 10 ** -scale)
 
 
@@ -187,12 +189,19 @@ def _int(value) -> int:
     return int(value)
 
 
+def _exact(value) -> Fraction:
+    """A string by parse_rational, a JSON number as the exact value it stores; no bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
+    return parse_rational(value) if isinstance(value, str) else _fraction(value)
+
+
 _text = _scalar(str.strip, "a string")         # str.strip raises TypeError on a non-string
 _integer = _scalar(_int, "an integer")
-_real = _scalar(float, "a real")
-# a string goes through parse_rational, whose own MalformedInput says what is wrong
-_rational = _scalar(lambda x: parse_rational(x) if isinstance(x, str) else _fraction(x),
-                    "a rational")
+# parse_rational's own MalformedInput says what is wrong with a string; JSON's 0.1 is the
+# double nearest 1/10, and a real is that exact value rounded once, correctly
+_rational = _scalar(_exact, "a rational")
+_real = _scalar(lambda x: float(_exact(x)), "a real")
 
 
 def _list(value, key: str, entry: Callable, length: int | None = None, what: str = "values"):
@@ -214,10 +223,6 @@ def _matrix(value, key: str, entry: Callable, n: int | None = None,
     return _list(value, key, lambda row, key: _list(row, key, entry, n), n, "rows")
 
 
-def _reals(value, key: str, length: int | None = None) -> tuple[float, ...]:
-    return tuple(_list(value, key, _real, length, "reals"))
-
-
 # ---------------------------------------------------------------------------
 # argparse types; argparse reports an ArgumentTypeError's message as it is
 
@@ -233,10 +238,14 @@ def _json(text: str):
         if text.startswith("@"):
             with open(text[1:], encoding="utf-8") as fh:
                 text = fh.read()
-        # ValueError covers an integer past MAX_LITERAL_DIGITS as well as bad syntax
-        return json.loads(text)
-    except (OSError, ValueError, RecursionError) as exc:
+        return json.loads(text, parse_int=_json_int)
+    except (OSError, ValueError, RecursionError, MalformedInput) as exc:
         raise _argument_error(f"cannot read JSON: {exc}") from None
+
+
+def _json_int(digits: str) -> int:
+    """json's reader of an integer: past MAX_LITERAL_DIGITS characters, by the literal rule."""
+    return int(digits) if len(digits) <= MAX_LITERAL_DIGITS else parse_rational(digits).numerator
 
 
 def _json_object(path: str) -> dict:

@@ -59,15 +59,25 @@ def section_degree(K, L, section=None) -> float:
         log(|N(s)| / N(I)) - sum_v eps_v log(rho_v |sigma_v(s)|),
 
     independent of s by the product formula.  Each log(rho_v |sigma_v(s)|) is summed as
-    log rho_v + log |sigma_v(s)|, since the product of a subnormal metric loses digits;
-    past the float range `math.log` raises OverflowError or ValueError, or the value
-    is infinite."""
+    log rho_v + log c + log |sigma_v(s / c)|, c > 0 the rational content of s (s / c has
+    coprime integer coordinates), and the log of each exact rational as log(num) -
+    log(den): the product of a subnormal metric, and the embedding of a section such
+    as 1e-318, lose digits.  Past the float range `math.log` raises OverflowError or
+    ValueError, or the value is infinite."""
     s = section if section is not None else L.ideal.basis_elements()[0]
     if not L.ideal.contains(s):
         raise ValueError("section must lie in the ideal")
-    finite = math.log(abs(s.norm()) / L.ideal.norm())
-    return finite - sum(eps * (math.log(rho) + math.log(abs(sigma)))
-                        for eps, rho, sigma in zip(K.place_weights, L.metrics, embeddings(s)))
+    c = Fraction(math.gcd(s.a.numerator * s.b.denominator, s.b.numerator * s.a.denominator),
+                 s.a.denominator * s.b.denominator)
+    finite = exact_log(abs(s.norm()) / L.ideal.norm())
+    return finite - sum(eps * (math.log(rho) + exact_log(c) + math.log(abs(sigma)))
+                        for eps, rho, sigma in zip(K.place_weights, L.metrics,
+                                                   embeddings(s * (1 / c))))
+
+
+def exact_log(q: Fraction) -> float:
+    """log q of a positive rational, as log(num) - log(den)."""
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def parse_element_termwise(field, s: str) -> FieldElement:

@@ -273,6 +273,17 @@ def test_degree_section_independent():
             assert section_degree(K, bundle, section=s) == pytest.approx(base, abs=1e-9)
 
 
+@pytest.mark.parametrize("K", [QQ, QI], ids=["Q", "Q(i)"])
+@pytest.mark.parametrize("generator", ["1e-318", "1e-320"])
+def test_section_degree_at_a_subnormal_section(K, generator):
+    """The section-based oracle agrees with the library where the section's float is
+    subnormal: it takes the section's rational content out as an exact log."""
+    ideal = FractionalIdeal.from_elements(K, [parse_element(K, generator)])
+    bundle = MetrizedLineBundle(ideal, (1.0,))
+    assert section_degree(K, bundle) == pytest.approx(arithmetic_degree(K, bundle),
+                                                      rel=1e-15, abs=0)
+
+
 def test_product_formula():
     rng = random.Random(23)
     for K in FIELDS:

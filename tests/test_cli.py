@@ -524,11 +524,11 @@ def test_integer_flags_allow_a_sign_and_surrounding_whitespace():
      "cannot parse field element '1+x'"),
     (["verify", "--input"], {"kind": "slope"}, "lacks the key 'field'"),
     *((["degree", "--field", "Q", "--ideal", '["2"]', "--metrics", f'["{m}"]'], None,
-       "metric factors must be finite") for m in ("nan", "inf", "-inf")),
+       f"{m!r} is not a rational literal") for m in ("nan", "inf", "-inf")),
     (["degree", "--field", "Q", "--ideal", "5", "--metrics", '["1"]'], None,
      "an ideal must be a JSON list of generators, got 5"),
     (["degree", "--field", "Q", "--ideal", "[[]]", "--metrics", '["1"]'], None,
-     "HNF rows over Q must have length 1, got []"),
+     "ideal_hnf must be a JSON list of 1 rationals, got []"),
     (["slope", "--torsor"], {"field": "Q", "rank": 0, "ideals": [], "metrics": [[]]},
      "torsor rank 0 is below 1"),
     (["verify", "--input"], {"kind": "spectral", "field": "Q", "matrix": [["1", "2"], ["3", "4"]],
@@ -565,7 +565,8 @@ def test_malformed_input_is_a_json_domain_error(tmp_path, capsys, argv, doc, mes
 # the same message on stderr; inside a document they are domain errors.
 COMMAND_LINE_USAGE = {"metrics must be a JSON list of reals", "cannot parse field element '1+x'",
                       "an ideal must be a JSON list of generators, got 5",
-                      "HNF rows over Q must have length 1, got []"}
+                      "ideal_hnf must be a JSON list of 1 rationals, got []",
+                      *(f"{m!r} is not a rational literal" for m in ("nan", "inf", "-inf"))}
 
 
 @pytest.mark.parametrize("matrix", ["5", "[5]", "[]", '[["1/0"]]'])
@@ -584,6 +585,105 @@ def test_curve_and_chi_read_the_same_literals():
     doc = invoke_json("curve", "--matrix", '[["1e-5","2"],["0","1"]]', "--twist", '["1e-5"]')
     assert doc["matrix"][0] == chi["matrix"][0] == ["1/100000", "2"]
     assert doc["char_point"] == chi["invariants"]
+
+
+# Every exact position of a CLI document: the document with the JSON value x there, the
+# verb's flags with x there (None for a torsor, which only a document holds), and the
+# output keys where x is printed back.
+EXACT_POSITIONS = {
+    "chi-matrix": (lambda x: {"kind": "chi", "matrix": [[x]]},
+                   lambda t: ["chi", "--matrix", f"[[{t}]]"], ["matrix", 0, 0]),
+    "chi-point": (lambda x: {"kind": "chi", "type": "gl2", "point": [x, 1]},
+                  lambda t: ["chi", "--torus-point", f"[{t}, 1]", "--type", "gl2"], ["point", 0]),
+    # an entry lies in the twist, here the ideal it generates
+    "curve-entry": (
+        lambda x: {"kind": "spectral", "field": "Q", "matrix": [[x]], "twist_hnf": [x]},
+        lambda t: ["curve", "--matrix", f"[[{t}]]", "--twist", f"[{t}]"], ["matrix", 0, 0]),
+    "ideal-generator": (
+        lambda x: {"kind": "degree", "field": "Q", "ideal_hnf": [x], "metrics": [1]},
+        lambda t: ["degree", "--field", "Q", "--ideal", f"[{t}]", "--metrics", "[1]"],
+        ["ideal_hnf", 0, 0]),
+    "hnf-row": (
+        lambda x: {"kind": "degree", "field": "Q", "ideal_hnf": [[x]], "metrics": [1]},
+        lambda t: ["degree", "--field", "Q", "--ideal", f"[[{t}]]", "--metrics", "[1]"],
+        ["ideal_hnf", 0, 0]),
+    "real-gram": (lambda x: {"field": "Q", "rank": 1, "ideals": [["1"]], "metrics": [[[x]]]},
+                  None, ["metrics", 0, 0, 0]),
+    "complex-gram": (
+        lambda x: {"field": "Q(i)", "rank": 1, "ideals": [["1"]], "metrics": [[[[x, 0]]]]},
+        None, ["metrics", 0, 0, 0, 0]),
+}
+
+
+def read_back(tmp_path, position: str, x):
+    """The output string where the JSON value x, put at the position, is printed."""
+    document, flags, path = EXACT_POSITIONS[position]
+    if flags is None:
+        f = tmp_path / "torsor.json"
+        f.write_text(json.dumps(document(x)))
+        out = invoke_json("slope", "--torsor", str(f))
+    else:
+        out = invoke_json(*flags(json.dumps(x)))
+    for key in path:
+        out = out[key]
+    return out
+
+
+@pytest.mark.parametrize("position", EXACT_POSITIONS)
+def test_a_json_number_reads_as_the_double_it_stores(tmp_path, position):
+    """JSON's 0.1 is the double nearest 1/10 at every position (RFC 8259, section 6)."""
+    assert Fraction(0.1) == Fraction(3602879701896397, 36028797018963968)
+    assert read_back(tmp_path, position, 0.1) == "3602879701896397/36028797018963968"
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("position", EXACT_POSITIONS)
+def test_a_json_boolean_is_not_a_number(tmp_path, capsys, position, value):
+    """A usage error from a flag, a domain error (MalformedInput) from a document."""
+    document, flags, _ = EXACT_POSITIONS[position]
+    if flags is not None:
+        assert "must be a rational, got" in invoke_usage(capsys, *flags(json.dumps(value)))
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(document(value)))
+    code, text = invoke("slope" if flags is None else "verify",
+                        "--torsor" if flags is None else "--input", str(f))
+    error = json.loads(text)["error"]
+    assert code == 1 and error["type"] == "MalformedInput"
+    assert f"must be a rational, got {json.dumps(value)}" in error["message"]
+
+
+@pytest.mark.skipif(st is None, reason="hypothesis is not installed")
+def test_every_finite_json_number_reads_as_its_exact_value(tmp_path):
+    """Every finite JSON float and integer x reads as Fraction(x) at every position; an
+    ideal or a Gram matrix takes |x|, since its HNF and its metric print that."""
+    number = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(max_examples=40, deadline=None)
+    @given(number, st.sampled_from(sorted(EXACT_POSITIONS)))
+    def check(x, position):
+        assume(x != 0)
+        if position.endswith(("gram", "generator", "row")):
+            x = abs(x)
+        q = Fraction(x)
+        want = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        assert read_back(tmp_path, position, x) == want
+    check()
+
+
+@pytest.mark.parametrize("metric", ["1_0", "\u0661", "nan", "1e400"])
+def test_a_metric_is_read_as_an_exact_literal(capsys, metric):
+    """A metric is the exact literal rounded once: float() alone would read "1_0" as 10,
+    the Arabic-Indic digit one as 1, and take "nan" and "1e400"."""
+    err = invoke_usage(capsys, "degree", "--field", "Q", "--ideal", '["1"]',
+                       "--metrics", json.dumps([metric]))
+    assert "argument --metrics:" in err
+
+
+def test_a_metric_may_be_any_rational_literal():
+    doc = invoke_json("degree", "--field", "Q", "--ideal", '["1"]', "--metrics", '["1/3"]')
+    assert doc["metrics"] == [format(1 / 3, ".17g")]
+    assert doc["degree"] == format(-math.log(1 / 3), ".17g")
 
 
 @pytest.mark.parametrize("verb", ["chi", "curve"])
@@ -612,11 +712,17 @@ def test_unprintable_characteristic_polynomial_fails_before_the_discriminant(mon
 
 
 def test_json_number_above_the_int_limit_is_a_usage_error(tmp_path, capsys):
-    big = "1" * (sys.get_int_max_str_digits() + 1)
-    assert "--matrix" in invoke_usage(capsys, "chi", "--matrix", f"[[{big}]]")
+    """A JSON integer is held to the literal rule: MAX_LITERAL_DIGITS digits read, one
+    more is refused with the rule's message, not Python's."""
+    assert invoke_json("chi", "--matrix", f"[[{'1' * MAX_LITERAL_DIGITS}]]")["kind"] == "chi"
+    big = "1" * (MAX_LITERAL_DIGITS + 1)
+    limit = f"MAX_LITERAL_DIGITS = {MAX_LITERAL_DIGITS}"
+    err = invoke_usage(capsys, "chi", "--matrix", f"[[{big}]]")
+    assert "--matrix" in err and limit in err and "sys.set_int_max_str_digits" not in err
     f = tmp_path / "doc.json"
     f.write_text(f'{{"kind": "chi", "matrix": [[{big}]]}}')
-    assert "--input" in invoke_usage(capsys, "verify", "--input", str(f))
+    err = invoke_usage(capsys, "verify", "--input", str(f))
+    assert "--input" in err and limit in err
 
 
 # Python's int-to-str limit left unset, set to 640 and to 0 by PYTHONINTMAXSTRDIGITS, and

@@ -116,6 +116,37 @@ def test_run_leaves_the_int_string_limit_as_it_found_it():
         sys.set_int_max_str_digits(before)
 
 
+def test_a_literal_past_a_lower_caller_limit_names_that_limit(capsys):
+    """In process, `run` keeps its caller's int-to-str limit: a literal past it is refused
+    with Python's message on that limit, not read as a value of the wrong type."""
+    before = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(SystemExit) as exc:
+            run(["chi", "--matrix", json.dumps([["1" * 700]])], out=io.StringIO())
+    finally:
+        sys.set_int_max_str_digits(before)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --matrix: a literal is past Python's int-string limit" in err
+    assert "(640 digits)" in err and "must be a rational" not in err
+
+
+def test_one_reader_per_exact_type():
+    """`arakelov.read_element` alone reads a field element from text, and no verb module
+    reads a number itself: each goes through the readers of `jsonutil` and `arakelov`."""
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses += [(path.name, scope) for scope in _mentions(tree, "parse_element")]
+        if path.name.startswith("cli_"):
+            called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            uses += sorted((path.name, name) for name in called
+                           & {"parse_rational", "parse_element", "float", "Fraction"})
+    assert uses == [("arakelov.py", "read_element")]
+
+
 @pytest.mark.parametrize("verb, flag, limit", [
     (["chevalley", "--type", "A1"], "--center", chevalley.MAX_CENTER_RANK),
     (["curve", "--matrix", "[[1]]"], "--fibers", curve.MAX_FIBER_BOUND),
